@@ -22,6 +22,9 @@
 //! cargo run --release -p graybox-bench -- --out p.json
 //! ```
 //!
+//! Any other argument, or `--out` without a file name, exits with code 2
+//! and a usage message.
+//!
 //! Every timed section measures **end to end** — building the system
 //! (including, for the CSR engine, its reachability and SCC caches) plus
 //! the query — so the CSR engine is not credited for work it merely moved
@@ -222,15 +225,43 @@ fn build_ref(n: usize, init: &[usize], edges: &[(usize, usize)]) -> ReferenceSys
     ReferenceSystem::from_parts(n, init.iter().copied(), edges.iter().copied())
 }
 
+const USAGE: &str = "usage: graybox-bench [--smoke] [--out FILE]";
+
+/// Command-line options.
+#[derive(Debug, PartialEq, Eq)]
+struct Options {
+    smoke: bool,
+    out_path: String,
+}
+
+/// Parses the arguments after the program name. Rejects unknown flags
+/// and an `--out` with no file name after it (end of the arguments, or
+/// another flag).
+fn parse_args(args: &[String]) -> Result<Options, String> {
+    let mut options = Options {
+        smoke: false,
+        out_path: "BENCH_core.json".to_string(),
+    };
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--smoke" => options.smoke = true,
+            "--out" => match args.next() {
+                Some(path) if !path.starts_with("--") => options.out_path.clone_from(path),
+                _ => return Err("--out needs a file name".to_string()),
+            },
+            other => return Err(format!("unknown argument {other:?}")),
+        }
+    }
+    Ok(options)
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_core.json".to_string());
+    let Options { smoke, out_path } = parse_args(&args).unwrap_or_else(|err| {
+        eprintln!("graybox-bench: {err}\n{USAGE}");
+        std::process::exit(2);
+    });
     // Smoke mode shrinks the per-bench time budget, not the instances, so
     // it exercises exactly the full-run code paths.
     let target_ms: u64 = if smoke { 30 } else { 400 };
@@ -797,15 +828,15 @@ fn main() {
             speedups.push(("gcl_compile/3proc/parallel".to_string(), factor));
         }
     }
+    // Streaming-check scaling rows, measured above (full mode) regardless
+    // of the host's core count.
+    let scaled = |k: usize| {
+        samples
+            .iter()
+            .find(|s| s.name == format!("tme_exhaustive/3proc/threads={k}"))
+            .map(|s| s.ns_per_iter)
+    };
     if !smoke {
-        // Streaming-check scaling: threads=1 vs threads=4, both measured
-        // above regardless of the host's core count.
-        let scaled = |k: usize| {
-            samples
-                .iter()
-                .find(|s| s.name == format!("tme_exhaustive/3proc/threads={k}"))
-                .map(|s| s.ns_per_iter)
-        };
         if let (Some(serial), Some(parallel)) = (scaled(1), scaled(4)) {
             speedups.push((
                 "tme_exhaustive/3proc/parallel".to_string(),
@@ -1007,6 +1038,19 @@ fn main() {
         eprintln!("single core: skipping the sweep parallel-vs-serial gate");
     }
 
+    // Two workers must not lose to one on the streaming n=3 check (1.15 =
+    // measurement-noise allowance). Every worker count runs the same
+    // sequential Tarjan, so the sharded sweeps are the only difference;
+    // the FB-Trim parallel SCC engine this replaced made threads=2 about
+    // 2x slower than threads=1 on singleton-dominated union graphs.
+    if let (Some(one), Some(two)) = (scaled(1), scaled(2)) {
+        assert!(
+            two <= 1.15 * one,
+            "tme_exhaustive/3proc regressed at 2 workers: {:.2}x threads=1 (budget 1.15x)",
+            two / one
+        );
+    }
+
     // Sharded compilation must actually pay off when cores exist. On a
     // single-core host serial and parallel are the same engine, so the
     // gate is meaningless there and is skipped.
@@ -1023,5 +1067,45 @@ fn main() {
         );
     } else {
         eprintln!("single core: skipping the gcl_compile/3proc parallel gate");
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Options, String> {
+        parse_args(&args.iter().map(ToString::to_string).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn defaults_and_flags_parse() {
+        assert_eq!(
+            parse(&[]),
+            Ok(Options {
+                smoke: false,
+                out_path: "BENCH_core.json".to_string()
+            })
+        );
+        assert_eq!(
+            parse(&["--out", "p.json", "--smoke"]),
+            Ok(Options {
+                smoke: true,
+                out_path: "p.json".to_string()
+            })
+        );
+    }
+
+    #[test]
+    fn out_without_a_file_name_is_rejected() {
+        assert!(parse(&["--out"]).is_err());
+        assert!(parse(&["--out", "--smoke"]).is_err());
+        assert!(parse(&["--smoke", "--out"]).is_err());
+    }
+
+    #[test]
+    fn unknown_arguments_are_rejected() {
+        assert!(parse(&["--smok"]).is_err());
+        assert!(parse(&["p.json"]).is_err());
     }
 }

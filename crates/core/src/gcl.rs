@@ -230,8 +230,17 @@ impl<'a> State<'a> {
     /// Rolls back the recorded effect and returns the target word it
     /// produced, or `Err(())` if the effect assigned out of domain.
     fn finish_effect(&mut self) -> Result<u64, ()> {
-        let target = self.word;
-        let ok = !self.out_of_domain;
+        self.finish_effect_with(|_, word| word)
+    }
+
+    /// Evaluates `f` on the live post-effect buffer (decoded values and
+    /// packed word of the target) and then rolls the effect back —
+    /// callers that need more than the target word, such as its
+    /// canonical form, read it here instead of re-decoding the word.
+    /// Returns `Err(())`, without calling `f`, if the effect assigned
+    /// out of domain.
+    fn finish_effect_with<T>(&mut self, f: impl FnOnce(&[u64], u64) -> T) -> Result<T, ()> {
+        let result = (!self.out_of_domain).then(|| f(&self.values, self.word));
         while let Some((var, old)) = self.undo.pop() {
             let stride = self.layout.strides[var];
             self.word = self.word - self.values[var] * stride + old * stride;
@@ -239,11 +248,7 @@ impl<'a> State<'a> {
         }
         self.recording = false;
         self.out_of_domain = false;
-        if ok {
-            Ok(target)
-        } else {
-            Err(())
-        }
+        result.ok_or(())
     }
 
     /// The current value of `var`.
@@ -1036,9 +1041,10 @@ impl Program {
     }
 
     /// [`fair_self_check`](Self::fair_self_check) with an explicit
-    /// worker count (`workers <= 1` runs the serial sweeps, the serial
-    /// reachability closure, and sequential Tarjan on the calling
-    /// thread). The report is identical for every worker count.
+    /// worker count for the sharded sweeps and the reachability closure
+    /// (`workers <= 1` runs them serially on the calling thread; the SCC
+    /// pass is the sequential Tarjan at every count). The report is
+    /// identical for every worker count.
     ///
     /// # Errors
     ///
@@ -1123,11 +1129,9 @@ impl Program {
         // otherwise a level-synchronized BFS computes the same set.
         let legitimate = if workers > 1 {
             par::reach(
-                &U32Graph::forward(&off, &to),
+                &U32Graph { off: &off, to: &to },
                 workers,
                 init_seeds.iter().copied(),
-                None,
-                false,
             )
         } else {
             let mut legitimate = StateSet::with_capacity(total);
@@ -1147,17 +1151,11 @@ impl Program {
             legitimate
         };
 
-        // SCC ids: sequential Tarjan at one worker (also the
-        // differential oracle); FB-Trim over forward + reverse rows
-        // otherwise. The engines label components differently, but
-        // everything below is label-invariant (per-SCC aggregation,
-        // same-SCC tests), so the report does not depend on the engine.
-        let (scc_id, scc_count) = if workers > 1 {
-            let (roff, rto) = par::reverse_u32(total, &off, &to);
-            par::fb_trim(&U32Graph::with_reverse(&off, &to, &roff, &rto), workers)
-        } else {
-            tarjan_u32(total, &off, &to)
-        };
+        // SCC ids: sequential Tarjan at every worker count. The union
+        // graph is dominated by singleton components (skip self-loops
+        // everywhere), where one O(V + E) pass beats any parallel
+        // decomposition.
+        let (scc_id, scc_count) = tarjan_u32(total, &off, &to);
 
         // Sweep 2: how many commands can act inside each union SCC. An
         // edge acts inside iff both endpoints share the SCC; a disabled

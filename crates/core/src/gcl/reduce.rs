@@ -386,10 +386,8 @@ impl Program {
             if workers <= 1 || level_end - level_start < REACH_LEVEL_MIN {
                 for cursor in level_start..level_end {
                     view.load(words[cursor]);
-                    self.reduced_row(
-                        layout, sym, por, &ids, level_end, &mut view, &mut probe, &mut row,
-                    )
-                    .map_err(|c| self.out_of_domain(c))?;
+                    self.reduced_row(layout, sym, por, &ids, level_end, &mut view, &mut row)
+                        .map_err(|c| self.out_of_domain(c))?;
                     if let Some(found) = intern_words(
                         &mut ids,
                         &mut words,
@@ -414,12 +412,10 @@ impl Program {
                             let mut targets: Vec<u64> = Vec::new();
                             let mut row: Vec<u64> = Vec::with_capacity(self.commands.len().max(1));
                             let mut view = State::new(layout);
-                            let mut probe = State::new(layout);
                             for &word in slice {
                                 view.load(word);
                                 self.reduced_row(
-                                    layout, sym, por, frozen, level_end, &mut view, &mut probe,
-                                    &mut row,
+                                    layout, sym, por, frozen, level_end, &mut view, &mut row,
                                 )
                                 .map_err(|c| self.out_of_domain(c))?;
                                 counts.push(row.len());
@@ -481,9 +477,17 @@ impl Program {
         ids: &HashMap<u64, usize>,
         level_end: usize,
         view: &mut State<'_>,
-        probe: &mut State<'_>,
         row: &mut Vec<u64>,
     ) -> Result<(), usize> {
+        // Each target is canonicalized on the live post-effect buffer,
+        // before the effect is rolled back — no re-decode of the word.
+        let successor = |view: &mut State<'_>, index: usize| {
+            view.finish_effect_with(|values, word| match sym {
+                Some(sym) => sym.canon(layout, values, word).0,
+                None => word,
+            })
+            .map_err(|()| index)
+        };
         row.clear();
         if let Some(por) = por {
             for (index, command) in self.commands.iter().enumerate() {
@@ -492,14 +496,7 @@ impl Program {
                 }
                 view.begin_effect();
                 command.apply(view);
-                let target = view.finish_effect().map_err(|()| index)?;
-                let canon = match sym {
-                    Some(sym) => {
-                        probe.load(target);
-                        sym.canon(layout, &probe.values, target).0
-                    }
-                    None => target,
-                };
+                let canon = successor(view, index)?;
                 if ids.get(&canon).is_none_or(|&id| id >= level_end) {
                     row.push(canon);
                     return Ok(());
@@ -512,14 +509,7 @@ impl Program {
             }
             view.begin_effect();
             command.apply(view);
-            let target = view.finish_effect().map_err(|()| index)?;
-            row.push(match sym {
-                Some(sym) => {
-                    probe.load(target);
-                    sym.canon(layout, &probe.values, target).0
-                }
-                None => target,
-            });
+            row.push(successor(view, index)?);
         }
         if row.is_empty() {
             row.push(view.word);

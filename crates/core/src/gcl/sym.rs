@@ -394,21 +394,19 @@ impl SymmetrySpec {
         word
     }
 
-    /// Compares `g·w` against `w` digit-by-digit from the most
-    /// significant position down, bailing at the first difference —
-    /// the hot path of canonical enumeration.
-    fn image_less_than_self(&self, values: &[u64], g: usize) -> bool {
-        let inv = &self.var_perm_inv[g];
-        let vm = &self.value_map[g];
+    /// Is `g·w < h·w`? Compares the two images digit by digit from the
+    /// most significant position down and bails at the first difference,
+    /// so neither image is ever packed — the hot path of canonical
+    /// enumeration and canonicalization. (Mixed-radix digits are below
+    /// their domains, so digit order is numeric order.)
+    fn image_less(&self, values: &[u64], g: usize, h: usize) -> bool {
+        let (g_inv, g_map) = (&self.var_perm_inv[g], &self.value_map[g]);
+        let (h_inv, h_map) = (&self.var_perm_inv[h], &self.value_map[h]);
         for p in (0..self.num_vars).rev() {
-            let src = inv[p] as usize;
-            let v = values[src];
-            let mapped = match &vm[src] {
-                Some(map) => u64::from(map[narrow(v)]),
-                None => v,
-            };
-            if mapped != values[p] {
-                return mapped < values[p];
+            let a = image_digit(values, g_inv, g_map, p);
+            let b = image_digit(values, h_inv, h_map, p);
+            if a != b {
+                return a < b;
             }
         }
         false
@@ -417,23 +415,30 @@ impl SymmetrySpec {
     /// Is `w` the lexicographic minimum of its orbit? (Ties never arise:
     /// equality with the self-image does not disqualify.)
     pub(super) fn is_canonical(&self, values: &[u64]) -> bool {
-        (1..self.order).all(|g| !self.image_less_than_self(values, g))
+        (1..self.order).all(|g| !self.image_less(values, g, 0))
     }
 
     /// The canonical representative of `w`'s orbit and the smallest
     /// element index achieving it (the *canonizer* `σ`, with
     /// `σ·w = canon(w)`; identity when `w` is already canonical).
+    ///
+    /// Each candidate is compared against the current best by
+    /// [`image_less`](Self::image_less), and only the winner's image is
+    /// packed. A candidate replaces the best only when strictly smaller,
+    /// so ties keep the smallest element index.
     pub(super) fn canon(&self, layout: &Layout, values: &[u64], word: u64) -> (u64, u16) {
-        let mut best = word;
-        let mut who = 0u16;
+        let mut who = 0;
         for g in 1..self.order {
-            let img = self.image(layout, values, g);
-            if img < best {
-                best = img;
-                who = elem16(g);
+            if self.image_less(values, g, who) {
+                who = g;
             }
         }
-        (best, who)
+        let best = if who == 0 {
+            word
+        } else {
+            self.image(layout, values, who)
+        };
+        (best, elem16(who))
     }
 
     /// Size of `w`'s stabilizer subgroup; the orbit size is
@@ -478,7 +483,6 @@ impl SymmetrySpec {
         let step = (total / SAMPLES).max(1);
         let mut view = State::new(&layout);
         let mut image_view = State::new(&layout);
-        let mut probe = State::new(&layout);
         let mut state = 0usize;
         while state < total {
             view.load(state as u64);
@@ -500,15 +504,13 @@ impl SymmetrySpec {
                     }
                     view.begin_effect();
                     command.apply(&mut view);
-                    let target = view.finish_effect();
+                    let target_image =
+                        view.finish_effect_with(|values, _| self.image(&layout, values, g));
                     image_view.begin_effect();
                     program.commands[c2].apply(&mut image_view);
                     let image_target = image_view.finish_effect();
-                    let agree = match (target, image_target) {
-                        (Ok(t), Ok(t2)) => {
-                            probe.load(t);
-                            self.image(&layout, &probe.values, g) == t2
-                        }
+                    let agree = match (target_image, image_target) {
+                        (Ok(t), Ok(t2)) => t == t2,
                         (Err(()), Err(())) => true,
                         _ => false,
                     };
@@ -523,6 +525,19 @@ impl SymmetrySpec {
             state += step;
         }
         Ok(())
+    }
+}
+
+/// Digit `p` of `g·w`, given `g`'s inverse variable permutation and
+/// value maps: the value of the variable `g` carries onto position `p`,
+/// relabelled.
+#[inline]
+fn image_digit(values: &[u64], inv: &[u32], maps: &[Option<Vec<u32>>], p: usize) -> u64 {
+    let src = inv[p] as usize;
+    let v = values[src];
+    match &maps[src] {
+        Some(map) => u64::from(map[narrow(v)]),
+        None => v,
     }
 }
 
@@ -799,11 +814,9 @@ impl Program {
         // the full-space closure when `init` is orbit-closed).
         let legitimate = if workers > 1 {
             par::reach(
-                &U32Graph::forward(&off, &to),
+                &U32Graph { off: &off, to: &to },
                 workers,
                 init_seeds.iter().copied(),
-                None,
-                false,
             )
         } else {
             let mut legitimate = StateSet::with_capacity(num_canon);
@@ -844,13 +857,9 @@ impl Program {
             .collect();
         let num_legitimate_full: usize = join_all(sum_tasks).into_iter().sum();
 
-        // Phase D — SCCs of the quotient union graph.
-        let (scc_id, scc_count) = if workers > 1 {
-            let (roff, rto) = par::reverse_u32(num_canon, &off, &to);
-            par::fb_trim(&U32Graph::with_reverse(&off, &to, &roff, &rto), workers)
-        } else {
-            tarjan_u32(num_canon, &off, &to)
-        };
+        // Phase D — SCCs of the quotient union graph: sequential Tarjan
+        // at every worker count (Phases E and F read only the partition).
+        let (scc_id, scc_count) = tarjan_u32(num_canon, &off, &to);
 
         // Phase E — holonomy-exact command presence per quotient SCC.
         // Serial (one recompute sweep, worker-independent): each SCC is
@@ -869,7 +878,6 @@ impl Program {
             let mut gen_seen = vec![false; sym.order()];
             let mut gens: Vec<u16> = Vec::new();
             let mut view = State::new(layout);
-            let mut probe = State::new(layout);
             for root in 0..num_canon {
                 if annot[root] != UNSET {
                     continue;
@@ -899,9 +907,9 @@ impl Program {
                         }
                         view.begin_effect();
                         command.apply(&mut view);
-                        let target = view.finish_effect().map_err(|()| self.out_of_domain(c))?;
-                        probe.load(target);
-                        let (canon, sigma) = sym.canon(layout, &probe.values, target);
+                        let (canon, sigma) = view
+                            .finish_effect_with(|values, word| sym.canon(layout, values, word))
+                            .map_err(|()| self.out_of_domain(c))?;
                         let t = words.binary_search(&canon).expect(NOT_A_SYMMETRY);
                         if scc_id[t] != scc {
                             continue;
@@ -1003,7 +1011,6 @@ impl Program {
         let mut init_seeds: Vec<usize> = Vec::new();
         let mut row: Vec<u32> = Vec::with_capacity(ncmd + 1);
         let mut view = State::new(layout);
-        let mut probe = State::new(layout);
         for (local, state) in range.enumerate() {
             view.load(words[state]);
             if init(&view) {
@@ -1015,11 +1022,9 @@ impl Program {
                 if command.enabled(&view) {
                     view.begin_effect();
                     command.apply(&mut view);
-                    let target = view
-                        .finish_effect()
+                    let (canon, _) = view
+                        .finish_effect_with(|values, word| sym.canon(layout, values, word))
                         .map_err(|()| self.out_of_domain(index))?;
-                    probe.load(target);
-                    let (canon, _) = sym.canon(layout, &probe.values, target);
                     let id = words.binary_search(&canon).expect(NOT_A_SYMMETRY);
                     row.push(id as u32);
                 } else {
@@ -1051,7 +1056,37 @@ struct SymUnionChunk {
 
 #[cfg(test)]
 mod tests {
+    use super::super::ir::{Expr, IrCommand, Stmt};
+    use super::super::por::{Independence, PorSpec};
     use super::*;
+    use crate::tme_abstract::{nproc_symmetry, program_nproc_ir};
+
+    /// Differential oracle for [`SymmetrySpec::canon`]: packs every
+    /// non-identity image in full and keeps the strict minimum, so ties
+    /// keep the smallest element index.
+    fn canon_oracle(sym: &SymmetrySpec, layout: &Layout, values: &[u64], word: u64) -> (u64, u16) {
+        let mut best = word;
+        let mut who = 0u16;
+        for g in 1..sym.order() {
+            let img = sym.image(layout, values, g);
+            if img < best {
+                best = img;
+                who = elem16(g);
+            }
+        }
+        (best, who)
+    }
+
+    /// Asserts `canon` returns the oracle's `(word, element)` pair at
+    /// `word`.
+    fn assert_canon_matches_oracle(sym: &SymmetrySpec, view: &mut State<'_>, word: u64) {
+        view.load(word);
+        assert_eq!(
+            sym.canon(view.layout, &view.values, word),
+            canon_oracle(sym, view.layout, &view.values, word),
+            "state {word}"
+        );
+    }
 
     /// Two symmetric mod-`d` counters with a coupling command; the swap
     /// of the two variables (and the two per-variable commands) is a
@@ -1202,6 +1237,117 @@ mod tests {
             assert_eq!(par.words, reduced.words);
             assert_eq!(par.divergent_witness, reduced.divergent_witness);
             assert_eq!(par.num_legitimate_full, reduced.num_legitimate_full);
+        }
+    }
+
+    #[test]
+    fn canon_matches_the_full_image_oracle_on_the_tme_groups() {
+        const SAMPLES: usize = 100_000;
+        for n in [2, 3] {
+            for wrapped in [false, true] {
+                let (program, _) = program_nproc_ir(n, wrapped);
+                let sym = nproc_symmetry(n, wrapped);
+                let layout = program.layout().unwrap();
+                let mut view = State::new(&layout);
+                // Seeded splitmix64: the same states on every run.
+                let mut seed = 0x9E37_79B9_7F4A_7C15u64 ^ ((n as u64) << 1) ^ u64::from(wrapped);
+                for _ in 0..SAMPLES {
+                    seed = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                    let mut z = seed;
+                    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                    assert_canon_matches_oracle(&sym, &mut view, (z ^ (z >> 31)) % layout.total);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn canon_matches_the_full_image_oracle_on_block_rotations() {
+        // Every group shape of the block-rotation differential family:
+        // `k` blocks of `v` variables under the Z_k rotation, each state
+        // of each domain assignment checked exhaustively.
+        for k in [2usize, 3] {
+            for v in [1usize, 2] {
+                for doms_code in 0..1usize << v {
+                    let doms: Vec<usize> = (0..v).map(|i| 2 + ((doms_code >> i) & 1)).collect();
+                    let mut program = Program::new();
+                    for b in 0..k {
+                        for (i, &dom) in doms.iter().enumerate() {
+                            program.var(format!("x{b}_{i}"), dom);
+                        }
+                    }
+                    let elements: Vec<SymmetryElement> = (0..k)
+                        .map(|r| SymmetryElement {
+                            var_perm: (0..k * v)
+                                .map(|at| ((at / v + r) % k) * v + at % v)
+                                .collect(),
+                            value_maps: vec![None; k * v],
+                            cmd_perm: Vec::new(),
+                        })
+                        .collect();
+                    let sym = SymmetrySpec::new(&elements).unwrap();
+                    let layout = program.layout().unwrap();
+                    let mut view = State::new(&layout);
+                    for word in 0..layout.total {
+                        assert_canon_matches_oracle(&sym, &mut view, word);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Two IR counters over `0..d` whose increments leave the domain at
+    /// `d - 1`, with the swap symmetry; both commands are POR-safe.
+    fn overflowing_counters(d: usize) -> (Program, SymmetrySpec) {
+        let mut p = Program::new();
+        let x = p.var("x", d);
+        let y = p.var("y", d);
+        for (name, var) in [("bump_x", x), ("bump_y", y)] {
+            p.command_ir(IrCommand::new(
+                name,
+                Expr::var(var).lt(Expr::int(d)),
+                vec![Stmt::assign(var, Expr::var(var).add(Expr::int(1)))],
+            ));
+        }
+        let swap = SymmetryElement {
+            var_perm: vec![1, 0],
+            value_maps: vec![None, None],
+            cmd_perm: vec![1, 0],
+        };
+        let spec = SymmetrySpec::new(&[SymmetryElement::identity(2, 2), swap]).unwrap();
+        (p, spec)
+    }
+
+    #[test]
+    fn out_of_domain_effects_surface_on_the_in_place_paths() {
+        let (p, spec) = overflowing_counters(3);
+        let init = |s: &State<'_>| s.word == 0;
+        let indep = Independence::from_program(&p);
+        let por = PorSpec::new(&p, &indep, &[]);
+        assert_eq!(por.num_safe(), 2);
+        let is_out_of_domain = |err: GclError| matches!(err, GclError::OutOfDomain { .. });
+        for workers in [1, 2] {
+            let sym_check = p.fair_self_check_sym_on(workers, &spec, init).unwrap_err();
+            assert!(
+                is_out_of_domain(sym_check),
+                "fair_self_check_sym at {workers}"
+            );
+            let reach = p
+                .compile_reachable_sym_on(workers, &spec, init)
+                .unwrap_err();
+            assert!(
+                is_out_of_domain(reach),
+                "compile_reachable_sym at {workers}"
+            );
+            let both = p
+                .compile_reachable_sym_reduced_on(workers, &spec, &por, init)
+                .unwrap_err();
+            assert!(is_out_of_domain(both), "sym + POR at {workers}");
+            let words = p
+                .sym_reach_words_on(workers, &spec, &[0], usize::MAX, None::<&fn(u64) -> bool>)
+                .unwrap_err();
+            assert!(is_out_of_domain(words), "sym_reach_words at {workers}");
         }
     }
 }

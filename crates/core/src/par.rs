@@ -1,12 +1,9 @@
-//! Shared parallel graph kernels: level-synchronized BFS and FB-Trim
-//! strongly-connected-component decomposition.
+//! Shared parallel graph kernel: level-synchronized BFS.
 //!
-//! Both kernels work over any CSR-shaped graph through the [`ParGraph`]
+//! The kernel works over any CSR-shaped graph through the [`ParGraph`]
 //! trait — [`FiniteSystem`]'s `usize` rows and the GCL streaming
-//! pipeline's 32-bit union rows — and both are std-only (`thread::scope`
-//! via [`crate::sweep::join_all`], no rayon, no unsafe).
-//!
-//! # Level-synchronized BFS ([`reach`])
+//! pipeline's 32-bit union rows — and is std-only (`thread::scope` via
+//! [`crate::sweep::join_all`], no rayon, no unsafe).
 //!
 //! The frontier of each BFS level is split into contiguous chunks, one
 //! per worker. Workers read the shared `seen` bitset **immutably** and
@@ -16,43 +13,13 @@
 //! resulting closure is exactly the serial one. Levels smaller than a
 //! threshold expand inline — tiny levels are not worth a fan-out.
 //!
-//! # FB-Trim SCC ([`fb_trim`])
-//!
-//! The classic forward-backward decomposition with a trim prepass:
-//!
-//! 1. **Trim** (serial, amortized `O(V + E)`): repeatedly peel states
-//!    with no in- or out-edge to another live state — each is a singleton
-//!    SCC. Self-loops are *excluded* from the degree counts: a state
-//!    whose only cycle is its own self-loop is still a singleton
-//!    component, and the GCL union graphs carry skip self-loops almost
-//!    everywhere, so counting them would leave nothing to peel.
-//! 2. **Root split** (parallel): pick a pivot among the survivors; its
-//!    forward and backward reachable sets (two parallel [`reach`] calls
-//!    filtered to the survivors) intersect in exactly the pivot's SCC,
-//!    and every other SCC lies wholly inside `F∖B`, `B∖F`, or the
-//!    remainder — three independent subproblems.
-//! 3. **Task pool**: a shared work queue of SCC-closed member lists.
-//!    Each worker either recurses on its task (pivot split via filtered
-//!    closures over the *global* graph — no per-task compaction, so a
-//!    split touches only the task's own edges) pushing up to three
-//!    subtasks, or, below [`FB_SEQ_CUTOFF`] states or beyond
-//!    [`FB_MAX_DEPTH`] splits, compacts to a local 32-bit CSR and
-//!    finishes with the sequential Tarjan — correct on any SCC-closed
-//!    subset, and the differential oracle for the whole decomposition.
-//!    Idle workers block on a condvar rather than spinning, so an
-//!    oversubscribed pool (more workers than cores) does not steal CPU
-//!    from the workers that hold tasks.
-//!
-//! Labels come out in no particular order; [`canonical_reverse_topo`]
-//! relabels them into a canonical reverse topological order (a pure
-//! function of the graph, independent of engine and thread count) where
-//! callers promise an order.
-
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
+//! SCC decomposition has no parallel engine: the iterative Tarjan
+//! ([`crate::gcl::tarjan_u32`] and `FiniteSystem`'s own) runs at every
+//! worker count. The verdict pipeline's union graphs are dominated by
+//! singleton components, where one `O(V + E)` pass beats any
+//! forward-backward split (DESIGN.md §11).
 
 use crate::bitset::StateSet;
-use crate::gcl::tarjan_u32;
 use crate::sweep::{chunk_ranges, join_all};
 use crate::FiniteSystem;
 
@@ -65,35 +32,15 @@ pub(crate) const PAR_MIN_STATES: usize = 1 << 17;
 /// least this many states; smaller levels run inline on the caller.
 const PAR_FRONTIER_MIN: usize = 1 << 13;
 
-/// FB tasks at or below this many states are finished by the sequential
-/// Tarjan instead of recursing further.
-const FB_SEQ_CUTOFF: usize = 1 << 11;
-
-/// Bound on FB recursion depth; beyond it tasks finish with Tarjan
-/// regardless of size, so adversarial chain graphs cannot degenerate
-/// into quadratically many pivot splits.
-const FB_MAX_DEPTH: u32 = 64;
-
-/// A CSR-shaped directed graph the parallel kernels can traverse.
-///
-/// `pred_each` may be left unsupported (panicking) by views that are
-/// only ever used forward — [`reach`] with `backward = false` never
-/// calls it.
+/// A CSR-shaped directed graph the parallel BFS can traverse.
 pub(crate) trait ParGraph: Sync {
     /// Number of states (vertices) in the graph.
     fn num_states(&self) -> usize;
     /// Calls `f` once per successor of `v` (ascending, duplicates-free).
     fn succ_each(&self, v: usize, f: impl FnMut(usize));
-    /// Calls `f` once per predecessor of `v`.
-    fn pred_each(&self, v: usize, f: impl FnMut(usize));
 }
 
 /// [`ParGraph`] view of a [`FiniteSystem`]'s CSR rows.
-///
-/// `pred_each` goes through the lazily built reverse CSR; callers that
-/// traverse backward in parallel should touch `predecessors_slice`
-/// once first so workers do not all block on the same `OnceLock`
-/// initialization.
 pub(crate) struct SysGraph<'a>(pub &'a FiniteSystem);
 
 impl ParGraph for SysGraph<'_> {
@@ -107,42 +54,13 @@ impl ParGraph for SysGraph<'_> {
             f(t);
         }
     }
-
-    #[inline]
-    fn pred_each(&self, v: usize, mut f: impl FnMut(usize)) {
-        for &t in self.0.predecessors_slice(v) {
-            f(t);
-        }
-    }
 }
 
 /// [`ParGraph`] view over 32-bit CSR arrays (the GCL streaming
-/// pipeline's union graph), with optional reverse rows.
+/// pipeline's union graph).
 pub(crate) struct U32Graph<'a> {
-    off: &'a [u32],
-    to: &'a [u32],
-    rev: Option<(&'a [u32], &'a [u32])>,
-}
-
-impl<'a> U32Graph<'a> {
-    /// Forward-only view; `pred_each` panics.
-    pub(crate) fn forward(off: &'a [u32], to: &'a [u32]) -> Self {
-        U32Graph { off, to, rev: None }
-    }
-
-    /// View with reverse rows (e.g. from [`reverse_u32`]).
-    pub(crate) fn with_reverse(
-        off: &'a [u32],
-        to: &'a [u32],
-        roff: &'a [u32],
-        rto: &'a [u32],
-    ) -> Self {
-        U32Graph {
-            off,
-            to,
-            rev: Some((roff, rto)),
-        }
-    }
+    pub(crate) off: &'a [u32],
+    pub(crate) to: &'a [u32],
 }
 
 impl ParGraph for U32Graph<'_> {
@@ -156,69 +74,29 @@ impl ParGraph for U32Graph<'_> {
             f(t as usize);
         }
     }
-
-    #[inline]
-    fn pred_each(&self, v: usize, mut f: impl FnMut(usize)) {
-        let (roff, rto) = self
-            .rev
-            .expect("backward traversal over a forward-only U32Graph");
-        for &t in &rto[roff[v] as usize..roff[v + 1] as usize] {
-            f(t as usize);
-        }
-    }
 }
 
-/// Reverse of a 32-bit CSR by counting sort on the target column;
-/// scanning sources in order keeps each reverse row sorted.
-// `v as u32` is in range: `n` is a 32-bit state count by the callers'
-// upfront guards.
-#[allow(clippy::cast_possible_truncation)]
-pub(crate) fn reverse_u32(n: usize, off: &[u32], to: &[u32]) -> (Vec<u32>, Vec<u32>) {
-    let mut roff = vec![0u32; n + 1];
-    for &t in to {
-        roff[t as usize + 1] += 1;
-    }
-    for i in 0..n {
-        roff[i + 1] += roff[i];
-    }
-    let mut cursor = roff.clone();
-    let mut rto = vec![0u32; to.len()];
-    for v in 0..n {
-        for &t in &to[off[v] as usize..off[v + 1] as usize] {
-            rto[cursor[t as usize] as usize] = v as u32;
-            cursor[t as usize] += 1;
-        }
-    }
-    (roff, rto)
-}
-
-/// States reachable from `seeds` (seeds included) following forward or
-/// reverse edges, optionally restricted to a filter set. Identical to
-/// the serial closure for every worker count; `workers <= 1` runs fully
+/// States reachable from `seeds` (seeds included). Identical to the
+/// serial closure for every worker count; `workers <= 1` runs fully
 /// inline.
 pub(crate) fn reach<G: ParGraph>(
     g: &G,
     workers: usize,
     seeds: impl IntoIterator<Item = usize>,
-    filter: Option<&StateSet>,
-    backward: bool,
 ) -> StateSet {
-    reach_impl(g, workers, seeds, filter, backward, PAR_FRONTIER_MIN)
+    reach_impl(g, workers, seeds, PAR_FRONTIER_MIN)
 }
 
 fn reach_impl<G: ParGraph>(
     g: &G,
     workers: usize,
     seeds: impl IntoIterator<Item = usize>,
-    filter: Option<&StateSet>,
-    backward: bool,
     frontier_min: usize,
 ) -> StateSet {
-    let pass = |s: usize| filter.is_none_or(|f| f.contains(s));
     let mut seen = StateSet::with_capacity(g.num_states());
     let mut frontier: Vec<usize> = Vec::new();
     for seed in seeds {
-        if pass(seed) && seen.insert(seed) {
+        if seen.insert(seed) {
             frontier.push(seed);
         }
     }
@@ -227,16 +105,11 @@ fn reach_impl<G: ParGraph>(
         if workers <= 1 || frontier.len() < frontier_min {
             // Inline expansion of a small level.
             for &state in &frontier {
-                let visit = |t: usize| {
-                    if pass(t) && seen.insert(t) {
+                g.succ_each(state, |t| {
+                    if seen.insert(t) {
                         next.push(t);
                     }
-                };
-                if backward {
-                    g.pred_each(state, visit);
-                } else {
-                    g.succ_each(state, visit);
-                }
+                });
             }
         } else {
             // Fan the level out: workers read `seen` immutably and emit
@@ -251,16 +124,11 @@ fn reach_impl<G: ParGraph>(
                     move || {
                         let mut found: Vec<usize> = Vec::new();
                         for &state in chunk {
-                            let visit = |t: usize| {
-                                if pass(t) && !seen_ref.contains(t) {
+                            g.succ_each(state, |t| {
+                                if !seen_ref.contains(t) {
                                     found.push(t);
                                 }
-                            };
-                            if backward {
-                                g.pred_each(state, visit);
-                            } else {
-                                g.succ_each(state, visit);
-                            }
+                            });
                         }
                         found
                     }
@@ -280,324 +148,7 @@ fn reach_impl<G: ParGraph>(
     seen
 }
 
-/// One FB task: an SCC-closed subset of the state space, members
-/// ascending (splits preserve the order they inherit).
-struct Task {
-    members: Vec<u32>,
-    depth: u32,
-}
-
-/// FB-Trim SCC decomposition. Returns `(scc id per state, scc count)`
-/// with labels in **no particular order** — use
-/// [`canonical_reverse_topo`] where an order is promised. The partition
-/// itself is exact for any worker count; the sequential Tarjan remains
-/// the oracle in the differential suites.
-///
-/// Callers guarantee the state count (and transitively every id) fits
-/// `u32`.
-pub(crate) fn fb_trim<G: ParGraph>(g: &G, workers: usize) -> (Vec<u32>, usize) {
-    fb_trim_impl(g, workers, FB_SEQ_CUTOFF)
-}
-
-// Ids and degrees fit `u32` by the caller's state-count guard.
-#[allow(clippy::cast_possible_truncation)]
-fn fb_trim_impl<G: ParGraph>(g: &G, workers: usize, seq_cutoff: usize) -> (Vec<u32>, usize) {
-    let n = g.num_states();
-    debug_assert!(u32::try_from(n).is_ok());
-    let mut ids = vec![u32::MAX; n];
-    let mut next_id = 0u32;
-
-    // Trim: peel states with no in- or out-edge to another live state;
-    // each is a singleton SCC. Self-loops are excluded from the degree
-    // counts (they never make a component non-singleton).
-    let mut in_deg = vec![0u32; n];
-    let mut out_deg = vec![0u32; n];
-    for (v, out) in out_deg.iter_mut().enumerate() {
-        let mut d = 0u32;
-        g.succ_each(v, |t| {
-            if t != v {
-                d += 1;
-                in_deg[t] += 1;
-            }
-        });
-        *out = d;
-    }
-    let mut peel: Vec<usize> = (0..n)
-        .filter(|&v| in_deg[v] == 0 || out_deg[v] == 0)
-        .collect();
-    while let Some(v) = peel.pop() {
-        if ids[v] != u32::MAX {
-            continue; // pushed twice (both degrees hit zero)
-        }
-        ids[v] = next_id;
-        next_id += 1;
-        g.succ_each(v, |t| {
-            if t != v && ids[t] == u32::MAX {
-                in_deg[t] -= 1;
-                if in_deg[t] == 0 {
-                    peel.push(t);
-                }
-            }
-        });
-        g.pred_each(v, |u| {
-            if u != v && ids[u] == u32::MAX {
-                out_deg[u] -= 1;
-                if out_deg[u] == 0 {
-                    peel.push(u);
-                }
-            }
-        });
-    }
-
-    let alive: Vec<u32> = (0..n)
-        .filter(|&v| ids[v] == u32::MAX)
-        .map(|v| v as u32)
-        .collect();
-    if alive.is_empty() {
-        return (ids, next_id as usize);
-    }
-
-    // Root split: the survivors' biggest SCCs are found here with the
-    // parallel BFS; everything else becomes pool tasks.
-    let alive_set: StateSet = alive.iter().map(|&v| v as usize).collect();
-    let pivot = alive[0] as usize;
-    let fwd = reach(g, workers, [pivot], Some(&alive_set), false);
-    let bwd = reach(g, workers, [pivot], Some(&alive_set), true);
-    let mut f_rest: Vec<u32> = Vec::new();
-    let mut b_rest: Vec<u32> = Vec::new();
-    let mut rest: Vec<u32> = Vec::new();
-    for &v in &alive {
-        let vu = v as usize;
-        match (fwd.contains(vu), bwd.contains(vu)) {
-            (true, true) => ids[vu] = next_id,
-            (true, false) => f_rest.push(v),
-            (false, true) => b_rest.push(v),
-            (false, false) => rest.push(v),
-        }
-    }
-    next_id += 1;
-
-    // Task pool: a mutex'd queue plus an in-flight counter and a
-    // condvar. A worker observing an empty queue may only exit when
-    // nothing is in flight — an in-flight task may still push subtasks —
-    // and otherwise *blocks* on the condvar (woken by subtask pushes and
-    // by the last decrement of the in-flight count) instead of spinning.
-    // Workers accumulate finished component groups privately; ids are
-    // assigned serially afterwards.
-    let tasks: Vec<Task> = [f_rest, b_rest, rest]
-        .into_iter()
-        .filter(|part| !part.is_empty())
-        .map(|members| Task { members, depth: 1 })
-        .collect();
-    let queue = Mutex::new(tasks);
-    let idle = Condvar::new();
-    let active = AtomicUsize::new(0);
-    let workers_pool: Vec<_> = (0..workers.max(1))
-        .map(|_| {
-            let (queue, idle, active) = (&queue, &idle, &active);
-            move || {
-                let mut groups: Vec<Vec<u32>> = Vec::new();
-                loop {
-                    let task = {
-                        let mut q = queue.lock().expect("scc task queue poisoned");
-                        loop {
-                            if let Some(task) = q.pop() {
-                                // Inside the lock, so emptiness and the
-                                // in-flight count can never both read
-                                // stale.
-                                active.fetch_add(1, Ordering::SeqCst);
-                                break Some(task);
-                            }
-                            if active.load(Ordering::SeqCst) == 0 {
-                                break None;
-                            }
-                            q = idle.wait(q).expect("scc task queue poisoned");
-                        }
-                    };
-                    match task {
-                        Some(task) => {
-                            process_task(g, task, seq_cutoff, queue, idle, &mut groups);
-                            if active.fetch_sub(1, Ordering::SeqCst) == 1 {
-                                // Possibly the last task: wake everyone so
-                                // blocked workers can re-check and exit.
-                                idle.notify_all();
-                            }
-                        }
-                        None => break,
-                    }
-                }
-                groups
-            }
-        })
-        .collect();
-    for groups in join_all(workers_pool) {
-        for group in groups {
-            debug_assert!(!group.is_empty());
-            for &v in &group {
-                ids[v as usize] = next_id;
-            }
-            next_id += 1;
-        }
-    }
-    debug_assert!(ids.iter().all(|&id| id != u32::MAX));
-    (ids, next_id as usize)
-}
-
-/// Processes one SCC-closed task: either finish small/deep tasks with
-/// Tarjan on a compacted local CSR, or split around a pivot — closures
-/// run on the **global** graph filtered to the task's member set, so a
-/// split costs the task's own edges, never a whole-graph compaction.
-// Local indices are bounded by the task size, itself bounded by the
-// 32-bit state count.
-#[allow(clippy::cast_possible_truncation)]
-fn process_task<G: ParGraph>(
-    g: &G,
-    task: Task,
-    seq_cutoff: usize,
-    queue: &Mutex<Vec<Task>>,
-    idle: &Condvar,
-    groups: &mut Vec<Vec<u32>>,
-) {
-    let Task { members, depth } = task;
-    let m = members.len();
-
-    if m <= seq_cutoff || depth >= FB_MAX_DEPTH {
-        // Tarjan on a compacted subgraph: exact because the task is
-        // SCC-closed, so no component straddles the task boundary. Only
-        // these leaves pay the binary-search compaction, and they are
-        // small by construction (or terminal by the depth cap).
-        let mut off = vec![0u32; m + 1];
-        let mut to: Vec<u32> = Vec::new();
-        for (i, &v) in members.iter().enumerate() {
-            g.succ_each(v as usize, |t| {
-                if let Ok(j) = members.binary_search(&(t as u32)) {
-                    to.push(j as u32);
-                }
-            });
-            off[i + 1] = to.len() as u32;
-        }
-        let (local_ids, count) = tarjan_u32(m, &off, &to);
-        let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); count];
-        for (i, &c) in local_ids.iter().enumerate() {
-            buckets[c as usize].push(members[i]);
-        }
-        groups.extend(buckets);
-        return;
-    }
-
-    // Pivot split on the first (smallest) member, via closures over the
-    // global graph restricted to this task.
-    let member_set: StateSet = members.iter().map(|&v| v as usize).collect();
-    let pivot = members[0] as usize;
-    let fwd = reach(g, 1, [pivot], Some(&member_set), false);
-    let bwd = reach(g, 1, [pivot], Some(&member_set), true);
-    let mut scc: Vec<u32> = Vec::new();
-    let mut f_rest: Vec<u32> = Vec::new();
-    let mut b_rest: Vec<u32> = Vec::new();
-    let mut rest: Vec<u32> = Vec::new();
-    for &v in &members {
-        let vu = v as usize;
-        match (fwd.contains(vu), bwd.contains(vu)) {
-            (true, true) => scc.push(v),
-            (true, false) => f_rest.push(v),
-            (false, true) => b_rest.push(v),
-            (false, false) => rest.push(v),
-        }
-    }
-    groups.push(scc);
-    let mut q = queue.lock().expect("scc task queue poisoned");
-    for part in [f_rest, b_rest, rest] {
-        if !part.is_empty() {
-            q.push(Task {
-                members: part,
-                depth: depth + 1,
-            });
-        }
-    }
-    drop(q);
-    // New work is available (and if all three parts were empty, the
-    // caller's in-flight decrement does its own wake-up).
-    idle.notify_all();
-}
-
-/// Rewrites an arbitrary SCC labeling into the canonical reverse
-/// topological order: condensation sinks first, then each successive
-/// Kahn level, components within a level ordered by their smallest
-/// member state. The result is a pure function of the graph —
-/// independent of which engine produced the input labels and of the
-/// worker count.
-///
-/// Requires `pred_each`; runs in `O(V + E + count log count)`.
-// Component indices and member ids fit `u32` by the caller's guards.
-#[allow(clippy::cast_possible_truncation)]
-pub(crate) fn canonical_reverse_topo<G: ParGraph>(g: &G, ids: &mut [u32], count: usize) {
-    let n = g.num_states();
-    // Member lists by counting sort; members ascend per component, so
-    // `comp_members[comp_off[c]]` is component c's smallest state.
-    let mut comp_off = vec![0u32; count + 1];
-    for &c in ids.iter() {
-        comp_off[c as usize + 1] += 1;
-    }
-    for i in 0..count {
-        comp_off[i + 1] += comp_off[i];
-    }
-    let mut cursor = comp_off.clone();
-    let mut comp_members = vec![0u32; n];
-    for (v, &c) in ids.iter().enumerate() {
-        comp_members[cursor[c as usize] as usize] = v as u32;
-        cursor[c as usize] += 1;
-    }
-
-    // Cross-edge out-degrees in the condensation multigraph (duplicates
-    // counted; each cross edge is decremented exactly once below).
-    let mut out = vec![0u64; count];
-    for v in 0..n {
-        let c = ids[v];
-        g.succ_each(v, |t| {
-            if ids[t] != c {
-                out[c as usize] += 1;
-            }
-        });
-    }
-
-    let mut label = vec![u32::MAX; count];
-    let mut next_label = 0u32;
-    let mut level: Vec<u32> = (0..count as u32)
-        .filter(|&c| out[c as usize] == 0)
-        .collect();
-    while !level.is_empty() {
-        level.sort_unstable_by_key(|&c| comp_members[comp_off[c as usize] as usize]);
-        for &c in &level {
-            label[c as usize] = next_label;
-            next_label += 1;
-        }
-        let mut next_level: Vec<u32> = Vec::new();
-        for &c in &level {
-            let members =
-                &comp_members[comp_off[c as usize] as usize..comp_off[c as usize + 1] as usize];
-            for &v in members {
-                g.pred_each(v as usize, |u| {
-                    let cu = ids[u];
-                    if cu != c {
-                        out[cu as usize] -= 1;
-                        if out[cu as usize] == 0 {
-                            next_level.push(cu);
-                        }
-                    }
-                });
-            }
-        }
-        level = next_level;
-    }
-    debug_assert_eq!(next_label as usize, count);
-    for c in ids.iter_mut() {
-        *c = label[*c as usize];
-    }
-}
-
 #[cfg(test)]
-// Test graphs are a few hundred states; every cast is trivially in range.
-#[allow(clippy::cast_possible_truncation)]
 mod tests {
     use super::*;
     use crate::FiniteSystem;
@@ -616,6 +167,8 @@ mod tests {
             x.wrapping_mul(0x2545_F491_4F6C_DD1D)
         }
 
+        // Test graphs are a few hundred states; the cast is in range.
+        #[allow(clippy::cast_possible_truncation)]
         fn below(&mut self, bound: usize) -> usize {
             (self.next() % bound as u64) as usize
         }
@@ -630,120 +183,16 @@ mod tests {
         builder.stutter_quiescent().build().unwrap()
     }
 
-    /// Asserts two labelings induce the same partition (bijective label
-    /// correspondence in both directions).
-    fn assert_same_partition(a: &[u32], b: &[usize]) {
-        assert_eq!(a.len(), b.len());
-        let mut fwd = std::collections::HashMap::new();
-        let mut bwd = std::collections::HashMap::new();
-        for (&x, &y) in a.iter().zip(b) {
-            assert_eq!(*fwd.entry(x).or_insert(y), y, "label {x} split");
-            assert_eq!(*bwd.entry(y).or_insert(x), x, "label {y} merged");
-        }
-    }
-
-    #[test]
-    fn fb_trim_matches_tarjan_on_random_graphs() {
-        for seed in 0..40u64 {
-            let n = 20 + (seed as usize % 7) * 37;
-            let sys = random_system(seed, n, n * 2);
-            sys.predecessors_slice(0); // pre-build reverse rows
-            let g = SysGraph(&sys);
-            for workers in [1, 2, 4] {
-                // Tiny cutoff forces the pivot-split recursion even on
-                // these small graphs.
-                let (ids, count) = fb_trim_impl(&g, workers, 4);
-                assert_eq!(count, sys.scc_count(), "seed {seed}");
-                assert_same_partition(&ids, sys.scc_ids());
-            }
-        }
-    }
-
-    #[test]
-    fn canonical_relabel_is_reverse_topological_and_engine_independent() {
-        let sys = FiniteSystem::builder(5)
-            .initial(0)
-            .edges([(0, 1), (1, 0), (1, 2), (2, 3), (3, 2), (4, 4)])
-            .build()
-            .unwrap();
-        sys.predecessors_slice(0);
-        let g = SysGraph(&sys);
-        let (mut ids, count) = fb_trim(&g, 2);
-        canonical_reverse_topo(&g, &mut ids, count);
-        // Sinks first ({2,3} then {4}, by smallest member), sources last.
-        assert_eq!(ids, vec![2, 2, 0, 0, 1]);
-
-        // Any input labeling of the same partition canonicalizes to the
-        // same output.
-        let mut tarjan_ids: Vec<u32> = sys.scc_ids().iter().map(|&c| c as u32).collect();
-        canonical_reverse_topo(&g, &mut tarjan_ids, sys.scc_count());
-        assert_eq!(tarjan_ids, ids);
-    }
-
-    #[test]
-    fn canonical_relabel_agrees_across_engines_on_random_graphs() {
-        for seed in 100..120u64 {
-            let sys = random_system(seed, 150, 260);
-            sys.predecessors_slice(0);
-            let g = SysGraph(&sys);
-            let (mut par_ids, par_count) = fb_trim_impl(&g, 4, 8);
-            canonical_reverse_topo(&g, &mut par_ids, par_count);
-            let mut ser_ids: Vec<u32> = sys.scc_ids().iter().map(|&c| c as u32).collect();
-            canonical_reverse_topo(&g, &mut ser_ids, sys.scc_count());
-            assert_eq!(par_ids, ser_ids, "seed {seed}");
-        }
-    }
-
     #[test]
     fn parallel_reach_matches_serial_closure() {
         for seed in 0..20u64 {
             let sys = random_system(seed.wrapping_mul(977), 200, 350);
-            sys.predecessors_slice(0);
             let g = SysGraph(&sys);
             let seeds = [0usize, 7, 13];
-            let serial = sys.reachable_from(seeds);
+            let serial = sys.reachable_from_on(1, seeds);
             // frontier_min = 1 forces the fan-out path on every level.
-            let par = reach_impl(&g, 4, seeds, None, false, 1);
+            let par = reach_impl(&g, 4, seeds, 1);
             assert_eq!(par, serial, "seed {seed}");
-            // Backward reach from s = all states that can reach s.
-            let back = reach_impl(&g, 4, [5usize], None, true, 1);
-            for v in 0..200 {
-                let expected = sys.reachable_from([v]).contains(5);
-                assert_eq!(back.contains(v), expected, "seed {seed}, state {v}");
-            }
         }
-    }
-
-    #[test]
-    fn filtered_reach_stays_inside_the_filter() {
-        let sys = FiniteSystem::builder(6)
-            .initial(0)
-            .edges([(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 5)])
-            .build()
-            .unwrap();
-        let g = SysGraph(&sys);
-        let filter: StateSet = [0, 1, 2, 4, 5].into_iter().collect();
-        // 3 is outside the filter, so the walk stops there.
-        let r = reach_impl(&g, 2, [0usize], Some(&filter), false, 1);
-        assert_eq!(r, [0, 1, 2].into_iter().collect::<StateSet>());
-    }
-
-    #[test]
-    fn trim_peels_self_loop_singletons() {
-        // A pure self-loop graph must come out all singletons without
-        // ever reaching the FB phase (trim sees zero non-self degrees).
-        let sys = FiniteSystem::builder(4)
-            .initial(0)
-            .edges([(0, 0), (1, 1), (2, 2), (3, 3)])
-            .build()
-            .unwrap();
-        sys.predecessors_slice(0);
-        let g = SysGraph(&sys);
-        let (ids, count) = fb_trim(&g, 2);
-        assert_eq!(count, 4);
-        let mut sorted = ids.clone();
-        sorted.sort_unstable();
-        sorted.dedup();
-        assert_eq!(sorted.len(), 4);
     }
 }

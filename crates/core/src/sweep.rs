@@ -18,9 +18,8 @@
 //! are never slower than a hand-written serial loop there.
 //!
 //! The same chunked `thread::scope` plumbing ([`join_all`],
-//! [`chunk_ranges`]) drives the sharded GCL compiler, the parallel BFS,
-//! and the FB-Trim SCC decomposition in [`crate::gcl`] and
-//! [`crate::FiniteSystem`].
+//! [`chunk_ranges`]) drives the sharded GCL compiler and the parallel
+//! BFS in [`crate::gcl`] and [`crate::FiniteSystem`].
 //!
 //! # Thread-count control
 //!

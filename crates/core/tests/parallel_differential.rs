@@ -2,41 +2,20 @@
 //!
 //! The parallel engines promise more than agreement up to isomorphism:
 //! the sharded compile sweeps must produce **bit-identical** CSR
-//! arrays, init sets, and discovery orders for every worker count, the
-//! FB-Trim SCC engine must produce the same partition as sequential
-//! Tarjan (up to relabeling), and every verdict — stabilization,
-//! `fair_self_check`, the exhaustive TME check — must be equal. This
-//! suite pins all of that on 200 seeded random programs at 1, 2, and 4
-//! workers, plus the TME abstraction at n = 2 (debug) and n = 3
-//! (release, `--ignored`).
+//! arrays, init sets, and discovery orders for every worker count, SCC
+//! ids (sequential Tarjan at every count) must be bit-identical too,
+//! and every verdict — stabilization, `fair_self_check`, its symmetry
+//! quotient, the exhaustive TME check — must be equal. This suite pins
+//! all of that on 200 seeded random programs at 1, 2, and 4 workers,
+//! plus the TME abstraction at n = 2 (debug) and n = 3 (release,
+//! `--ignored`).
 
 mod common;
 
-use std::collections::HashMap;
-
 use common::{build_packed, packed_init, random_spec};
+use graybox_core::gcl::sym::{SymmetryElement, SymmetrySpec};
 use graybox_core::sweep::sweep_seeds;
 use graybox_core::tme_abstract::build_n;
-
-/// Asserts two SCC labelings describe the same partition (a bijection
-/// between label sets maps one onto the other).
-fn assert_same_partition(seed: u64, workers: usize, a: &[usize], b: &[usize]) {
-    assert_eq!(a.len(), b.len());
-    let mut a_to_b: HashMap<usize, usize> = HashMap::new();
-    let mut b_to_a: HashMap<usize, usize> = HashMap::new();
-    for (&x, &y) in a.iter().zip(b) {
-        assert_eq!(
-            *a_to_b.entry(x).or_insert(y),
-            y,
-            "seed {seed}: SCC partitions diverge at {workers} workers"
-        );
-        assert_eq!(
-            *b_to_a.entry(y).or_insert(x),
-            x,
-            "seed {seed}: SCC partitions diverge at {workers} workers"
-        );
-    }
-}
 
 /// Compiles one random spec serially and at 2 and 4 workers through
 /// every parallel entry point, asserting bit-identical outputs and
@@ -51,6 +30,14 @@ fn check_seed(seed: u64) {
     let fair1 = program.compile_fair_on(1, init);
     let reach1 = program.compile_reachable_on(1, init);
     let check1 = program.fair_self_check_on(1, init);
+    // The trivial group: the quotient pipeline runs every phase on the
+    // full space, so its reports must be worker-invariant as well.
+    let identity = SymmetrySpec::new(&[SymmetryElement::identity(
+        spec.domains.len(),
+        spec.commands.len(),
+    )])
+    .expect("the identity is a group");
+    let sym1 = program.fair_self_check_sym_on(1, &identity, init);
 
     for workers in [2usize, 4] {
         match (&plain1, program.compile_on(workers, init)) {
@@ -62,15 +49,19 @@ fn check_seed(seed: u64) {
                     parallel.system(),
                     "seed {seed}: plain CSR diverges at {workers} workers"
                 );
-                // Both SCC engines on the compiled system: sequential
-                // Tarjan vs FB-Trim, same partition up to relabeling.
-                let (tarjan_ids, tarjan_count) = serial.system().sccs_on(1);
-                let (fb_ids, fb_count) = parallel.system().sccs_on(workers);
+                // SCC ids are the same Tarjan labeling at every worker
+                // count, and agree with the lazy cache.
+                let sccs = parallel.system().sccs_on(workers);
                 assert_eq!(
-                    tarjan_count, fb_count,
-                    "seed {seed}: SCC counts diverge at {workers} workers"
+                    serial.system().sccs_on(1),
+                    sccs,
+                    "seed {seed}: SCC ids diverge at {workers} workers"
                 );
-                assert_same_partition(seed, workers, &tarjan_ids, &fb_ids);
+                assert_eq!(
+                    serial.system().scc_ids(),
+                    sccs.0.as_slice(),
+                    "seed {seed}: cached SCC ids diverge at {workers} workers"
+                );
                 // Parallel BFS reachability vs the serial DFS closure.
                 let seeds: Vec<usize> = serial.system().init().iter().collect();
                 assert_eq!(
@@ -170,6 +161,49 @@ fn check_seed(seed: u64) {
                  {serial:?} vs {parallel:?}"
             ),
         }
+
+        match (
+            &sym1,
+            program.fair_self_check_sym_on(workers, &identity, init),
+        ) {
+            (Ok(serial), Ok(parallel)) => {
+                assert_eq!(
+                    (
+                        &serial.words,
+                        &serial.legitimate,
+                        serial.num_legitimate_full
+                    ),
+                    (
+                        &parallel.words,
+                        &parallel.legitimate,
+                        parallel.num_legitimate_full
+                    ),
+                    "seed {seed}: quotient state sets diverge at {workers} workers"
+                );
+                assert_eq!(
+                    serial.divergent_witness, parallel.divergent_witness,
+                    "seed {seed}: quotient witnesses diverge at {workers} workers"
+                );
+            }
+            (Err(serial), Err(parallel)) => assert_eq!(
+                serial, &parallel,
+                "seed {seed}: quotient check errors diverge at {workers} workers"
+            ),
+            (serial, parallel) => panic!(
+                "seed {seed}: quotient check outcome diverges at {workers} workers: \
+                 {serial:?} vs {parallel:?}"
+            ),
+        }
+    }
+    // The quotient under the trivial group is the full space: same
+    // verdict and legitimate count as the unreduced check.
+    if let (Ok(full), Ok(sym)) = (&check1, &sym1) {
+        assert_eq!(full.holds(), sym.holds(), "seed {seed}: quotient verdict");
+        assert_eq!(
+            full.num_legitimate(),
+            sym.num_legitimate_full,
+            "seed {seed}: quotient legitimate count"
+        );
     }
 }
 
@@ -188,6 +222,18 @@ fn tme_two_process_verdicts_match_across_engines() {
     }
     // The default entry point agrees too, whatever worker count it picks.
     assert_eq!(serial, tme.check().expect("default check"));
+
+    let reduced = tme.reduced_check_on(1).expect("serial reduced check");
+    assert_eq!(reduced.verdicts, serial, "TME n=2 quotient verdicts");
+    for workers in [2usize, 4] {
+        let parallel = tme
+            .reduced_check_on(workers)
+            .expect("parallel reduced check");
+        assert_eq!(
+            reduced, parallel,
+            "TME n=2 quotient diverges at {workers} workers"
+        );
+    }
 }
 
 #[test]
