@@ -305,4 +305,30 @@ mod tests {
         let bad_seed = to_text(&sample_config()).replace("seed 77", "seed many");
         assert!(parse(&bad_seed, &[]).is_err());
     }
+
+    /// A repro file of a corrupted Lamport campaign with the given
+    /// `wrapper` line.
+    fn boundary_repro(wrapper: &str) -> String {
+        format!(
+            "{HEADER}\nn 3\nimpl Lamport_ME\nwrapper {wrapper}\nseed 11\nhorizon 1500\n\
+             workload 3 40 5 1\nfault 42 channel.drop\nfault 60 process.corrupt\n\
+             fault 61 process.corrupt\n"
+        )
+    }
+
+    #[test]
+    fn theta_at_u64_max_never_refires() {
+        let at = |wrapper: &str| {
+            let config = parse(&boundary_repro(wrapper), &[]).expect("repro parses");
+            crate::run_campaign(&config).outcome
+        };
+        let max = u64::MAX;
+        let baseline = at("refined 8");
+        assert!(baseline.wrapper_resends > 0, "fixture must exercise W'");
+        let never = at(&format!("refined {max}"));
+        assert_eq!(never.horizon, SimTime::from(1_500));
+        assert_eq!(never.wrapper_resends, 0);
+        let backoff = at(&format!("backoff 1 {max}"));
+        assert_eq!(backoff.horizon, SimTime::from(1_500));
+    }
 }

@@ -693,8 +693,10 @@ impl<P: Process, Q: EventQueue> Simulation<P, Q> {
         let mut timers_set = Vec::with_capacity(timers.len());
         for (tag, delay) in timers.drain(..) {
             // Zero-delay timers would let a re-arming handler freeze
-            // virtual time; clamp to one tick.
-            let fire_at = self.now + delay.max(1);
+            // virtual time; clamp to one tick. A delay reaching past the
+            // end of time saturates to `u64::MAX` ("never, in any run
+            // with a finite horizon") instead of panicking.
+            let fire_at = SimTime(self.now.ticks().saturating_add(delay.max(1)));
             self.push_packed(fire_at, PackedEvent::timer(pid.0, tag));
             timers_set.push((tag, fire_at));
         }
@@ -721,7 +723,7 @@ impl<P: Process, Q: EventQueue> Simulation<P, Q> {
             self.enqueue_envelope(pid, to, payload);
         }
         for (tag, delay) in timers.drain(..) {
-            let fire_at = self.now + delay.max(1);
+            let fire_at = SimTime(self.now.ticks().saturating_add(delay.max(1)));
             self.push_packed(fire_at, PackedEvent::timer(pid.0, tag));
         }
         self.scratch_out = outgoing;

@@ -93,8 +93,9 @@ impl RaMeAlt {
         }
     }
 
-    fn peers(&self) -> impl Iterator<Item = ProcessId> + '_ {
-        ProcessId::all(self.n).filter(move |&k| k != self.id)
+    fn peers(&self) -> impl Iterator<Item = ProcessId> {
+        let id = self.id;
+        ProcessId::all(self.n).filter(move |&k| k != id)
     }
 
     fn try_enter(&mut self) {
@@ -113,10 +114,10 @@ impl RaMeAlt {
     }
 
     fn release(&mut self, ctx: &mut Context<TmeMsg>) {
-        let deferred = std::mem::take(&mut self.deferred);
         let ts = self.clock.tick();
-        for k in deferred {
-            if k != self.id && k.index() < self.n {
+        let (id, n) = (self.id, self.n);
+        for k in self.deferred.drain(..) {
+            if k != id && k.index() < n {
                 ctx.send(k, TmeMsg::Reply(ts));
             }
         }
@@ -219,7 +220,7 @@ impl Process for RaMeAlt {
                 self.info.fill(None);
                 self.deferred.clear();
                 let req = self.req;
-                for k in self.peers().collect::<Vec<_>>() {
+                for k in self.peers() {
                     ctx.send(k, TmeMsg::Request(req));
                 }
                 self.try_enter();

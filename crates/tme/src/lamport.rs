@@ -57,10 +57,20 @@ pub struct LamportMe {
     clock: LamportClock,
     mode: Mode,
     req: Timestamp,
-    /// `request_queue.j`: at most one entry per process, sorted by `lt`.
+    /// `request_queue.j`: at most one entry per process, sorted by `lt`
+    /// (both only while `dirty` is clear).
     queue: Vec<(ProcessId, Timestamp)>,
+    /// Per-process index into `queue`: `slot[k]` is k's queued timestamp
+    /// (the *first* entry for k while `dirty`). Empty until the first
+    /// insert, so idle processes never pay for an n-sized index.
+    slot: Vec<Option<Timestamp>>,
+    /// Set by `corrupt()`: the queue may be unsorted or hold duplicate
+    /// and out-of-range entries until the next handler repairs it.
+    dirty: bool,
     /// `grant.j.k`: whether a reply to the current request arrived from k.
     grant: Vec<bool>,
+    /// How many peers `k ≠ j` have `grant.j.k` set.
+    granted: usize,
     eat_for: u64,
     eat_remaining: u64,
     heartbeat: u64,
@@ -68,8 +78,8 @@ pub struct LamportMe {
 }
 
 impl LamportMe {
-    /// Creates process `id` of an `n`-process system in the `Init` state:
-    /// thinking, `REQ_j = 0`, empty queue, no grants.
+    /// Creates process `id` (with `id < n`) of an `n`-process system in
+    /// the `Init` state: thinking, `REQ_j = 0`, empty queue, no grants.
     pub fn new(id: ProcessId, n: usize) -> Self {
         LamportMe {
             id,
@@ -78,7 +88,10 @@ impl LamportMe {
             mode: Mode::Thinking,
             req: Timestamp::zero(id),
             queue: Vec::new(),
+            slot: Vec::new(),
+            dirty: false,
             grant: vec![false; n],
+            granted: 0,
             eat_for: 1,
             eat_remaining: 0,
             heartbeat: HEARTBEAT,
@@ -101,35 +114,77 @@ impl LamportMe {
         &self.queue
     }
 
-    fn peers(&self) -> impl Iterator<Item = ProcessId> + '_ {
-        ProcessId::all(self.n).filter(move |&k| k != self.id)
+    fn peers(&self) -> impl Iterator<Item = ProcessId> {
+        let id = self.id;
+        ProcessId::all(self.n).filter(move |&k| k != id)
     }
 
     /// The paper's modified `Insert`: drop any previous entry of `pid`,
-    /// then insert in timestamp order.
+    /// then insert in timestamp order (after any equal timestamps). A
+    /// previous entry is moved with one rotation, which is a no-op for
+    /// the wrapper's re-sends of an unchanged request.
     fn insert(&mut self, pid: ProcessId, ts: Timestamp) {
-        self.queue.retain(|&(p, _)| p != pid);
-        let position = self
-            .queue
-            .iter()
-            .position(|&(_, other)| ts.lt(other))
-            .unwrap_or(self.queue.len());
-        self.queue.insert(position, (pid, ts));
+        if self.slot.is_empty() {
+            self.slot.resize(self.n, None);
+        }
+        let at = self.queue.partition_point(|&(_, other)| !ts.lt(other));
+        match self.entry_of(pid) {
+            None => self.queue.insert(at, (pid, ts)),
+            Some(old) => {
+                let from = self.position_of(pid, old);
+                if from < at {
+                    self.queue[from..at].rotate_left(1);
+                    self.queue[at - 1] = (pid, ts);
+                } else {
+                    self.queue[at..=from].rotate_right(1);
+                    self.queue[at] = (pid, ts);
+                }
+            }
+        }
+        self.slot[pid.index()] = Some(ts);
     }
 
     fn remove(&mut self, pid: ProcessId) {
-        self.queue.retain(|&(p, _)| p != pid);
+        if let Some(ts) = self.entry_of(pid) {
+            let at = self.position_of(pid, ts);
+            self.queue.remove(at);
+            self.slot[pid.index()] = None;
+        }
+    }
+
+    /// Index of `pid`'s queued entry `ts`. Corruption can leave several
+    /// processes queued with one equal timestamp, so this searches the
+    /// whole run of `ts`.
+    fn position_of(&self, pid: ProcessId, ts: Timestamp) -> usize {
+        debug_assert!(!self.dirty, "the queue is repaired before a search");
+        let start = self.queue.partition_point(|&(_, other)| other.lt(ts));
+        start
+            + self.queue[start..]
+                .iter()
+                .take_while(|&&(_, other)| other == ts)
+                .position(|&(p, _)| p == pid)
+                .expect("indexed entry is queued")
     }
 
     fn entry_of(&self, pid: ProcessId) -> Option<Timestamp> {
-        self.queue
-            .iter()
-            .find(|&&(p, _)| p == pid)
-            .map(|&(_, ts)| ts)
+        self.slot.get(pid.index()).copied().flatten()
+    }
+
+    fn set_grant(&mut self, k: ProcessId) {
+        let flag = &mut self.grant[k.index()];
+        if !*flag {
+            *flag = true;
+            self.granted += 1;
+        }
+    }
+
+    fn clear_grants(&mut self) {
+        self.grant.fill(false);
+        self.granted = 0;
     }
 
     fn try_enter(&mut self) -> bool {
-        let all_granted = self.peers().all(|k| self.grant[k.index()]);
+        let all_granted = self.granted + 1 >= self.n;
         let at_head = self
             .queue
             .first()
@@ -147,11 +202,11 @@ impl LamportMe {
 
     fn release(&mut self, ctx: &mut Context<TmeMsg>) {
         let ts = self.clock.tick();
-        for k in self.peers().collect::<Vec<_>>() {
+        for k in self.peers() {
             ctx.send(k, TmeMsg::Release(ts));
         }
         self.remove(self.id);
-        self.grant.fill(false);
+        self.clear_grants();
         self.req = ts;
         self.mode = Mode::Thinking;
     }
@@ -167,6 +222,22 @@ impl LamportMe {
         }
     }
 
+    /// Rebuilds `slot` from `queue`, taking each process's *first* entry
+    /// (what a linear scan finds). Unless `keep_all`, also drops every
+    /// entry that is out of range or not its process's first.
+    fn reindex(&mut self, keep_all: bool) {
+        self.slot.clear();
+        self.slot.resize(self.n, None);
+        let slot = &mut self.slot;
+        self.queue.retain(|&(p, ts)| match slot.get_mut(p.index()) {
+            Some(entry @ None) => {
+                *entry = Some(ts);
+                true
+            }
+            _ => keep_all,
+        });
+    }
+
     /// Level-1 (intra-process) self-repair, run at the start of every
     /// handler. "For any system M that everywhere implements Lspec, the
     /// internal consistency requirement of each process is satisfied at
@@ -180,13 +251,15 @@ impl LamportMe {
     ///   relation, so no level-2 wrapper could ever correct it;
     /// * while thinking there is no own entry.
     ///
-    /// In legitimate states all of this is a no-op.
+    /// Only `corrupt()` can break the first invariant (`insert` and
+    /// `remove` preserve it), so the filter, dedup and sort run only when
+    /// it set `dirty`. In legitimate states all of this is a no-op.
     fn repair_internal(&mut self) {
-        self.queue.retain(|&(p, _)| p.index() < self.n);
-        let mut seen = vec![false; self.n];
-        self.queue
-            .retain(|&(p, _)| !std::mem::replace(&mut seen[p.index()], true));
-        self.queue.sort_by_key(|&(_, a)| a);
+        if self.dirty {
+            self.dirty = false;
+            self.reindex(false);
+            self.queue.sort_by_key(|&(_, a)| a);
+        }
         if self.mode.is_thinking() {
             self.remove(self.id);
         } else if self.entry_of(self.id) != Some(self.req) {
@@ -237,7 +310,7 @@ impl Process for LamportMe {
             TmeMsg::Reply(ts) => {
                 if !self.mode.is_eating() {
                     if self.req.lt(ts) {
-                        self.grant[from.index()] = true;
+                        self.set_grant(from);
                     }
                     self.try_enter();
                 }
@@ -279,11 +352,11 @@ impl Process for LamportMe {
                 }
                 self.eat_for = eat_for.max(1);
                 self.req = self.clock.tick();
-                self.grant.fill(false);
+                self.clear_grants();
                 let req = self.req;
                 self.insert(self.id, req);
                 self.mode = Mode::Hungry;
-                for k in self.peers().collect::<Vec<_>>() {
+                for k in self.peers() {
                     ctx.send(k, TmeMsg::Request(req));
                 }
                 self.try_enter();
@@ -370,6 +443,11 @@ impl Corruptible for LamportMe {
         self.clock.set_time(time % 64);
         self.eat_remaining = u64::from(rng.next_u32() % 16);
         self.eat_for = u64::from(rng.next_u32() % 16).max(1);
+        // Keep the derived state exact; the queue itself is repaired by
+        // the next handler, so until then it stays observable as drawn.
+        self.dirty = true;
+        self.reindex(true);
+        self.granted = self.peers().filter(|k| self.grant[k.index()]).count();
     }
 }
 
@@ -507,7 +585,7 @@ mod tests {
         p.insert(ProcessId(0), ts(5, 0));
         // No grant yet: does not precede.
         assert!(!p.my_req_precedes(ProcessId(1)));
-        p.grant[1] = true;
+        p.set_grant(ProcessId(1));
         // Granted and k absent from queue: precedes.
         assert!(p.my_req_precedes(ProcessId(1)));
         // k ahead in queue: does not precede.

@@ -91,14 +91,14 @@ impl RaMe {
         self.received[k.index()]
     }
 
-    fn peers(&self) -> impl Iterator<Item = ProcessId> + '_ {
-        ProcessId::all(self.n).filter(move |&k| k != self.id)
+    fn peers(&self) -> impl Iterator<Item = ProcessId> {
+        let id = self.id;
+        ProcessId::all(self.n).filter(move |&k| k != id)
     }
 
-    fn deferred_set(&self) -> Vec<ProcessId> {
+    fn deferred_set(&self) -> impl Iterator<Item = ProcessId> + '_ {
         self.peers()
             .filter(|&k| self.received[k.index()] && self.req.lt(self.local_req[k.index()]))
-            .collect()
     }
 
     fn try_enter(&mut self) -> bool {
@@ -116,9 +116,8 @@ impl RaMe {
     }
 
     fn release(&mut self, ctx: &mut Context<TmeMsg>) {
-        let deferred = self.deferred_set();
         let ts = self.clock.tick();
-        for k in deferred {
+        for k in self.deferred_set() {
             ctx.send(k, TmeMsg::Reply(ts));
         }
         self.req = ts;
@@ -216,7 +215,7 @@ impl Process for RaMe {
                 self.req = self.clock.tick();
                 self.mode = Mode::Hungry;
                 let req = self.req;
-                for k in self.peers().collect::<Vec<_>>() {
+                for k in self.peers() {
                     ctx.send(k, TmeMsg::Request(req));
                 }
                 self.try_enter(); // n = 1 degenerates to immediate grant

@@ -141,9 +141,10 @@ impl WrapperConfig {
         self.strategy != WrapperStrategy::Off
     }
 
-    /// The wrapper's firing period in ticks.
+    /// The wrapper's firing period in ticks. Saturates, so `θ = u64::MAX`
+    /// means the wrapper never re-fires.
     pub fn period(&self) -> u64 {
-        self.theta + 1
+        self.theta.saturating_add(1)
     }
 
     /// Short label for experiment tables.
@@ -252,7 +253,10 @@ where
     fn next_period(&mut self, sent: u64) -> u64 {
         if let WrapperStrategy::Backoff { max_theta } = self.config.strategy {
             if sent > 0 {
-                self.current_period = (self.current_period * 2).min(max_theta + 1);
+                self.current_period = self
+                    .current_period
+                    .saturating_mul(2)
+                    .min(max_theta.saturating_add(1));
             } else {
                 self.current_period = self.config.period();
             }
@@ -426,6 +430,7 @@ mod tests {
     fn eager_wrapper_is_theta_zero() {
         assert_eq!(WrapperConfig::eager(), WrapperConfig::timeout(0));
         assert_eq!(WrapperConfig::eager().period(), 1);
+        assert_eq!(WrapperConfig::timeout(u64::MAX).period(), u64::MAX);
         assert!(WrapperConfig::eager().enabled());
         assert!(!WrapperConfig::off().enabled());
     }
