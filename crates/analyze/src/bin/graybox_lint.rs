@@ -43,7 +43,7 @@ use graybox_core::{FiniteSystem, StateSet};
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: graybox-lint tme [--n N] [--no-wrapper] [--independence] [--json PATH|-]\n\
+        "usage: graybox-lint tme [--n N] [--no-wrapper] [--json PATH|-]\n\
          \x20      graybox-lint csr FILE [--json PATH|-]\n\
          \x20      graybox-lint certify [--mutant dropped-guard|bad-rank] [--json PATH|-]"
     );
@@ -110,7 +110,6 @@ fn run_tme(args: &[String]) -> ExitCode {
     };
     let mut n = 3usize;
     let mut with_wrapper = true;
-    let mut independence = false;
     let mut it = rest.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -122,16 +121,8 @@ fn run_tme(args: &[String]) -> ExitCode {
                 }
             },
             "--no-wrapper" => with_wrapper = false,
-            "--independence" => independence = true,
             _ => return usage(),
         }
-    }
-    if independence {
-        // The commutation relation the partial-order reduction consumes,
-        // printed for audit — static footprints only, no state sweep.
-        let (program, _) = graybox_core::tme_abstract::program_nproc_ir(n, with_wrapper);
-        print!("{}", graybox_analyze::independence_report(&program));
-        return ExitCode::SUCCESS;
     }
     let report = lint_tme(n, with_wrapper);
     render_and_exit(&report, json.as_deref())

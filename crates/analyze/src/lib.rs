@@ -46,20 +46,16 @@
 //! * [`tme::stair_cert`] — the flagship level-2 TME stair certificate
 //!   and its deliberately broken mutants.
 //!
-//! [`independence`] sharpens the footprint commutation relation the
-//! partial-order reduction consumes with interval-refined
-//! never-co-enabled pairs. [`report`] aggregates findings into a
-//! machine-readable [`Report`] (hand-rolled JSON; the workspace is
-//! dependency-free), and [`tme`] wires the passes to the n-process TME
-//! abstraction shipped by `graybox-core`. The `graybox-lint` binary
-//! fronts all of it.
+//! [`report`] aggregates findings into a machine-readable [`Report`]
+//! (hand-rolled JSON; the workspace is dependency-free), and [`tme`]
+//! wires the passes to the n-process TME abstraction shipped by
+//! `graybox-core`. The `graybox-lint` binary fronts all of it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod absint;
 pub mod footprint;
-pub mod independence;
 pub mod interference;
 pub mod locality;
 pub mod param;
@@ -71,7 +67,6 @@ pub mod wrapper;
 
 pub use absint::{diagnose_command, diagnose_program, CommandDiagnosis, Interval};
 pub use footprint::{command_footprint, program_footprints, Footprint, OpaqueCommand};
-pub use independence::{independence_report, refined_independence, RefinementStats};
 pub use interference::{check_interference, Conflict, ConflictKind};
 pub use locality::{check_locality, Access, LocalityViolation, Partition, VarClass};
 pub use report::{render_and_exit, Finding, Report, Severity};

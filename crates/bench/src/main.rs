@@ -11,8 +11,7 @@
 //! against the retained pre-instrumentation loop
 //! (`simnet_overhead/relay-ring`: bare vs idle vs recording), and
 //! writes the results to `BENCH_core.json`. Dependency-free (plain `std::time::Instant` loops)
-//! so it runs in the offline tier-1 environment; the criterion suite in
-//! `crates/bench/criterion` is the networked, statistical counterpart.
+//! so it runs in the offline tier-1 environment.
 //!
 //! Usage:
 //!
@@ -635,7 +634,7 @@ fn main() {
 
     // --- GCL compilation: packed streaming vs decode/encode reference,
     // on the wrapped 2-process TME abstraction (the real case-study
-    // workload, 648 states x 14 commands, full fair compile). ---
+    // workload, 2,592 states x 12 commands, full fair compile). ---
     {
         let (packed, packed_init) = tme_abstract::program_2proc(true);
         let (reference, reference_init) = tme_abstract::program_2proc_reference(true);

@@ -62,12 +62,10 @@
 //! ```
 
 pub mod ir;
-pub mod por;
 mod reduce;
 pub mod reference;
 pub mod sym;
 
-use std::collections::HashMap;
 use std::fmt;
 use std::ops::Range;
 
@@ -842,173 +840,6 @@ impl Program {
         })
     }
 
-    /// Compiles only the init-reachable fragment of the state space by
-    /// interned frontier BFS over packed words: states are discovered
-    /// from the initial predicate outward and renumbered densely in
-    /// discovery order (initial states first), so init-anchored queries
-    /// (invariants over legitimate behaviour, `reachable_from_init`)
-    /// never pay for the full domain product.
-    ///
-    /// The full space is still *scanned once* (cheaply, no guard
-    /// evaluation) to enumerate the states matching `init`; large
-    /// spaces shard that scan, and the BFS expands large levels in
-    /// parallel while merging rows in queue order — the dense
-    /// numbering and edge list are bit-identical to the serial
-    /// compiler's for every worker count.
-    ///
-    /// # Errors
-    ///
-    /// See [`GclError`].
-    pub fn compile_reachable(
-        &self,
-        init: impl for<'a, 'b> Fn(&'a State<'b>) -> bool + Sync,
-    ) -> Result<ReachableProgram, GclError> {
-        let layout = self.layout()?;
-        let workers = default_workers(narrow(layout.total));
-        self.compile_reachable_with(layout, workers, &init)
-    }
-
-    /// [`compile_reachable`](Self::compile_reachable) with an explicit
-    /// worker count (`workers <= 1` runs fully serial). Output is
-    /// identical for every worker count.
-    ///
-    /// # Errors
-    ///
-    /// See [`GclError`].
-    pub fn compile_reachable_on(
-        &self,
-        workers: usize,
-        init: impl for<'a, 'b> Fn(&'a State<'b>) -> bool + Sync,
-    ) -> Result<ReachableProgram, GclError> {
-        let layout = self.layout()?;
-        self.compile_reachable_with(layout, workers, &init)
-    }
-
-    fn compile_reachable_with(
-        &self,
-        layout: Layout,
-        workers: usize,
-        init: &(impl for<'a, 'b> Fn(&'a State<'b>) -> bool + Sync),
-    ) -> Result<ReachableProgram, GclError> {
-        let total = narrow(layout.total);
-        let workers = workers.max(1);
-        let layout_ref = &layout;
-
-        // Init scan, sharded: concatenating the chunks in order
-        // reproduces the serial ascending-word enumeration exactly.
-        let init_tasks: Vec<_> = chunk_ranges(total, workers, CHUNK_ALIGN)
-            .into_iter()
-            .map(|range| {
-                move || {
-                    let mut found: Vec<u64> = Vec::new();
-                    let mut view = State::new(layout_ref);
-                    view.load(range.start as u64);
-                    for _ in range {
-                        if init(&view) {
-                            found.push(view.word);
-                        }
-                        view.advance();
-                    }
-                    found
-                }
-            })
-            .collect();
-        let mut words: Vec<u64> = Vec::new();
-        for part in join_all(init_tasks) {
-            words.extend(part);
-        }
-        if words.is_empty() {
-            return Err(GclError::NoInitialState);
-        }
-        let mut ids: HashMap<u64, usize> =
-            words.iter().enumerate().map(|(id, &w)| (w, id)).collect();
-        let num_init = words.len();
-
-        // Level-synchronized BFS: each level is a contiguous slice of
-        // the discovery queue. Workers expand disjoint sub-slices and
-        // the rows are interned in queue order, which reproduces the
-        // serial FIFO discovery order (hence dense ids, words, and
-        // edges) bit for bit.
-        let mut edges: Vec<(usize, usize)> = Vec::new();
-        let mut row: Vec<usize> = Vec::with_capacity(self.commands.len().max(1));
-        let mut view = State::new(layout_ref);
-        let mut level_start = 0usize;
-        while level_start < words.len() {
-            let level_end = words.len();
-            if workers <= 1 || level_end - level_start < REACH_LEVEL_MIN {
-                for cursor in level_start..level_end {
-                    view.load(words[cursor]);
-                    self.successor_row(&mut view, &mut row)
-                        .map_err(|c| self.out_of_domain(c))?;
-                    intern_row(&mut ids, &mut words, &mut edges, cursor, &row);
-                }
-            } else {
-                let level = &words[level_start..level_end];
-                let tasks: Vec<_> = chunk_ranges(level.len(), workers, 1)
-                    .into_iter()
-                    .map(|chunk| {
-                        let slice = &level[chunk];
-                        move || self.expand_level_chunk(layout_ref, slice)
-                    })
-                    .collect();
-                let results = join_all(tasks);
-                let mut cursor = level_start;
-                for result in results {
-                    // First error in chunk order = first error in queue
-                    // order = the serial compiler's error.
-                    let (counts, targets) = result?;
-                    let mut at = 0usize;
-                    for count in counts {
-                        intern_row(
-                            &mut ids,
-                            &mut words,
-                            &mut edges,
-                            cursor,
-                            &targets[at..at + count],
-                        );
-                        at += count;
-                        cursor += 1;
-                    }
-                }
-                debug_assert_eq!(cursor, level_end);
-            }
-            level_start = level_end;
-        }
-
-        let system = FiniteSystem::builder(words.len())
-            .initials(0..num_init)
-            .edges(edges)
-            .build()?;
-        Ok(ReachableProgram {
-            system,
-            words,
-            var_info: self.vars.clone(),
-            layout,
-        })
-    }
-
-    /// Expands one slice of a BFS level: per-state successor-row
-    /// lengths plus the flattened targets, for in-order interning by
-    /// the caller.
-    fn expand_level_chunk(
-        &self,
-        layout: &Layout,
-        slice: &[u64],
-    ) -> Result<(Vec<usize>, Vec<usize>), GclError> {
-        let mut counts: Vec<usize> = Vec::with_capacity(slice.len());
-        let mut targets: Vec<usize> = Vec::new();
-        let mut row: Vec<usize> = Vec::with_capacity(self.commands.len().max(1));
-        let mut view = State::new(layout);
-        for &word in slice {
-            view.load(word);
-            self.successor_row(&mut view, &mut row)
-                .map_err(|c| self.out_of_domain(c))?;
-            counts.push(row.len());
-            targets.extend_from_slice(&row);
-        }
-        Ok((counts, targets))
-    }
-
     /// Decides, in streaming fashion, whether the weakly fair composition
     /// of this program's commands is stabilizing to the program's own
     /// init-reachable ("legitimate") behaviour — the question both TME
@@ -1446,25 +1277,6 @@ fn stitch_init(total: usize, chunks: &[Range<usize>], parts: Vec<Vec<u64>>) -> S
         blocks[base..base + part.len()].copy_from_slice(&part);
     }
     init_set
-}
-
-/// Appends one discovered successor row to the interned BFS state of
-/// [`Program::compile_reachable`]: new targets get the next dense id
-/// in row order — the serial FIFO discovery order.
-fn intern_row(
-    ids: &mut HashMap<u64, usize>,
-    words: &mut Vec<u64>,
-    edges: &mut Vec<(usize, usize)>,
-    cursor: usize,
-    row: &[usize],
-) {
-    for &target in row {
-        let next = *ids.entry(target as u64).or_insert_with(|| {
-            words.push(target as u64);
-            words.len() - 1
-        });
-        edges.push((cursor, next));
-    }
 }
 
 /// Iterative Tarjan over 32-bit CSR rows (no recursion, no per-state

@@ -1,26 +1,21 @@
-//! The shared reduced reachable explorer: level-synchronized BFS with an
-//! optional symmetry quotient ([`sym`](super::sym)) and optional static
-//! ample-set partial-order reduction ([`por`](super::por)), composed in
-//! that order (canonicalize first, then prune interleavings) and sharded
-//! exactly like [`Program::compile_reachable_on`] — bit-identical output
-//! at every worker count.
+//! The crate's one reachable-state explorer: level-synchronized BFS
+//! over packed words with an optional symmetry quotient
+//! ([`sym`](super::sym)). Without a symmetry it is
+//! [`Program::compile_reachable`]; with one it is the quotient
+//! exploration behind [`Program::compile_reachable_sym`] and
+//! [`Program::sym_reach_words`].
 //!
-//! The POR cycle proviso is enforced dynamically and level-monotonically:
-//! a singleton ample edge is accepted only when its (canonical) target
-//! was **not** discovered before the current BFS level started. Every
-//! accepted ample edge therefore strictly increases the BFS level, so no
-//! cycle of the reduced graph consists of ample edges only — the
-//! "ignoring" pathology cannot arise. Workers check the same rule
-//! against the frozen level-start interning map, which is why the
-//! parallel exploration reproduces the serial one exactly (the frozen
-//! map holds precisely the ids below the level-start watermark).
+//! Every target is canonicalized first, then the level is sharded:
+//! workers expand disjoint slices of the current level into sorted,
+//! deduplicated rows, and the caller interns those rows in chunk order.
+//! That reproduces the serial FIFO discovery order (dense ids, words
+//! and edges) bit for bit at every worker count.
 
 use std::collections::HashMap;
 
 use crate::sweep::{chunk_ranges, join_all};
 use crate::FiniteSystem;
 
-use super::por::PorSpec;
 use super::sym::SymmetrySpec;
 use super::{
     default_workers, narrow, GclError, Layout, Program, ReachableProgram, State, CHUNK_ALIGN,
@@ -39,8 +34,8 @@ pub struct SymReach {
     pub hit: Option<(u64, usize)>,
 }
 
-/// What a reduced BFS hands back: canonical words in intern order, the
-/// quotient edge list (empty unless requested), the seed count, and the
+/// What the BFS hands back: (canonical) words in intern order, the
+/// edge list (empty unless requested), the seed count, and the
 /// first target hit with its BFS level.
 type ReducedBfs = (Vec<u64>, Vec<(usize, usize)>, usize, Option<(u64, usize)>);
 
@@ -63,6 +58,48 @@ impl<F> Clone for Seeds<'_, F> {
 impl<F> Copy for Seeds<'_, F> {}
 
 impl Program {
+    /// Compiles only the init-reachable fragment of the state space by
+    /// interned frontier BFS over packed words: states are discovered
+    /// from the initial predicate outward and renumbered densely in
+    /// discovery order (initial states first), so init-anchored queries
+    /// (invariants over legitimate behaviour, `reachable_from_init`)
+    /// never pay for the full domain product.
+    ///
+    /// The full space is still *scanned once* (cheaply, no guard
+    /// evaluation) to enumerate the states matching `init`; large
+    /// spaces shard that scan, and the BFS expands large levels in
+    /// parallel while merging rows in queue order — the dense
+    /// numbering and edge list are bit-identical to the serial
+    /// exploration's for every worker count.
+    ///
+    /// # Errors
+    ///
+    /// See [`GclError`].
+    pub fn compile_reachable(
+        &self,
+        init: impl for<'a, 'b> Fn(&'a State<'b>) -> bool + Sync,
+    ) -> Result<ReachableProgram, GclError> {
+        let layout = self.layout()?;
+        let workers = default_workers(narrow(layout.total));
+        self.reachable_with(layout, workers, None, &init)
+    }
+
+    /// [`compile_reachable`](Program::compile_reachable) with an explicit
+    /// worker count (`workers <= 1` runs fully serial). Output is
+    /// identical for every worker count.
+    ///
+    /// # Errors
+    ///
+    /// See [`GclError`].
+    pub fn compile_reachable_on(
+        &self,
+        workers: usize,
+        init: impl for<'a, 'b> Fn(&'a State<'b>) -> bool + Sync,
+    ) -> Result<ReachableProgram, GclError> {
+        let layout = self.layout()?;
+        self.reachable_with(layout, workers, None, &init)
+    }
+
     /// [`compile_reachable`](Program::compile_reachable) on the symmetry
     /// quotient: BFS over canonical representatives only. Requires the
     /// contract of [`fair_self_check_sym`](Program::fair_self_check_sym)
@@ -79,7 +116,7 @@ impl Program {
     ) -> Result<ReachableProgram, GclError> {
         let layout = self.layout()?;
         let workers = default_workers(narrow(layout.total));
-        self.reduced_reachable_with(layout, workers, Some(sym), None, &init)
+        self.reachable_with(layout, workers, Some(sym), &init)
     }
 
     /// [`compile_reachable_sym`](Program::compile_reachable_sym) with an
@@ -95,94 +132,20 @@ impl Program {
         init: impl for<'a, 'b> Fn(&'a State<'b>) -> bool + Sync,
     ) -> Result<ReachableProgram, GclError> {
         let layout = self.layout()?;
-        self.reduced_reachable_with(layout, workers, Some(sym), None, &init)
+        self.reachable_with(layout, workers, Some(sym), &init)
     }
 
-    /// [`compile_reachable`](Program::compile_reachable) under static
-    /// ample-set partial-order reduction: at states where a safe command
-    /// is enabled and the cycle proviso holds, only that command's edge
-    /// is explored. Deadlocks (quiescent states) and reachability of
-    /// predicates over the [`PorSpec`]'s visible variables are preserved.
-    ///
-    /// # Errors
-    ///
-    /// See [`GclError`].
-    pub fn compile_reachable_reduced(
-        &self,
-        por: &PorSpec,
-        init: impl for<'a, 'b> Fn(&'a State<'b>) -> bool + Sync,
-    ) -> Result<ReachableProgram, GclError> {
-        let layout = self.layout()?;
-        let workers = default_workers(narrow(layout.total));
-        self.reduced_reachable_with(layout, workers, None, Some(por), &init)
-    }
-
-    /// [`compile_reachable_reduced`](Program::compile_reachable_reduced)
-    /// with an explicit worker count; output is identical at every count.
-    ///
-    /// # Errors
-    ///
-    /// See [`GclError`].
-    pub fn compile_reachable_reduced_on(
-        &self,
-        workers: usize,
-        por: &PorSpec,
-        init: impl for<'a, 'b> Fn(&'a State<'b>) -> bool + Sync,
-    ) -> Result<ReachableProgram, GclError> {
-        let layout = self.layout()?;
-        self.reduced_reachable_with(layout, workers, None, Some(por), &init)
-    }
-
-    /// Both reductions composed: canonicalize every target, then prune
-    /// interleavings. Sound when, additionally, the safe commands and
-    /// the visible set are themselves symmetric (the group maps safe
-    /// commands to safe commands) — the TME generator and the
-    /// differential suite construct exactly such programs.
-    ///
-    /// # Errors
-    ///
-    /// See [`GclError`].
-    pub fn compile_reachable_sym_reduced(
-        &self,
-        sym: &SymmetrySpec,
-        por: &PorSpec,
-        init: impl for<'a, 'b> Fn(&'a State<'b>) -> bool + Sync,
-    ) -> Result<ReachableProgram, GclError> {
-        let layout = self.layout()?;
-        let workers = default_workers(narrow(layout.total));
-        self.reduced_reachable_with(layout, workers, Some(sym), Some(por), &init)
-    }
-
-    /// [`compile_reachable_sym_reduced`](Program::compile_reachable_sym_reduced)
-    /// with an explicit worker count; output is identical at every count.
-    ///
-    /// # Errors
-    ///
-    /// See [`GclError`].
-    pub fn compile_reachable_sym_reduced_on(
-        &self,
-        workers: usize,
-        sym: &SymmetrySpec,
-        por: &PorSpec,
-        init: impl for<'a, 'b> Fn(&'a State<'b>) -> bool + Sync,
-    ) -> Result<ReachableProgram, GclError> {
-        let layout = self.layout()?;
-        self.reduced_reachable_with(layout, workers, Some(sym), Some(por), &init)
-    }
-
-    fn reduced_reachable_with(
+    fn reachable_with(
         &self,
         layout: Layout,
         workers: usize,
         sym: Option<&SymmetrySpec>,
-        por: Option<&PorSpec>,
         init: &(impl for<'a, 'b> Fn(&'a State<'b>) -> bool + Sync),
     ) -> Result<ReachableProgram, GclError> {
         let (words, edges, num_init, _) = self.reduced_bfs(
             &layout,
             workers,
             sym,
-            por,
             Seeds::Predicate(init),
             usize::MAX,
             None::<&fn(u64) -> bool>,
@@ -261,7 +224,6 @@ impl Program {
             layout,
             workers,
             Some(sym),
-            None,
             Seeds::<for<'a, 'b> fn(&'a State<'b>) -> bool>::Words(seeds),
             cap,
             target,
@@ -270,14 +232,13 @@ impl Program {
         Ok(SymReach { words, hit })
     }
 
-    /// The core reduced BFS. Returns `(words, edges, num_init, hit)`.
+    /// The one reachable BFS. Returns `(words, edges, num_init, hit)`.
     #[allow(clippy::too_many_arguments)]
     fn reduced_bfs(
         &self,
         layout: &Layout,
         workers: usize,
         sym: Option<&SymmetrySpec>,
-        por: Option<&PorSpec>,
         seeds: Seeds<'_, impl for<'a, 'b> Fn(&'a State<'b>) -> bool + Sync>,
         cap: usize,
         target: Option<&(impl Fn(u64) -> bool + Sync)>,
@@ -295,13 +256,6 @@ impl Program {
                 sym.num_commands(),
                 self.commands.len(),
                 "spec/program arity mismatch"
-            );
-        }
-        if let Some(por) = por {
-            assert_eq!(
-                por.num_commands(),
-                self.commands.len(),
-                "POR/program arity mismatch"
             );
         }
 
@@ -371,10 +325,11 @@ impl Program {
             return Ok((words, Vec::new(), num_init, hit));
         }
 
-        // Level-synchronized BFS, mirroring `compile_reachable_with`:
-        // the POR proviso reads the interning map through the
-        // level-start watermark, so frozen-map workers and the live
-        // serial loop accept exactly the same ample edges.
+        // Level-synchronized BFS: each level is a contiguous slice of
+        // the discovery queue. Workers expand disjoint sub-slices and
+        // the rows are interned in queue order, which reproduces the
+        // serial FIFO discovery order (hence dense ids, words, and
+        // edges) bit for bit.
         let mut edges: Vec<(usize, usize)> = Vec::new();
         let mut row: Vec<u64> = Vec::with_capacity(self.commands.len().max(1));
         let mut view = State::new(layout);
@@ -386,7 +341,7 @@ impl Program {
             if workers <= 1 || level_end - level_start < REACH_LEVEL_MIN {
                 for cursor in level_start..level_end {
                     view.load(words[cursor]);
-                    self.reduced_row(layout, sym, por, &ids, level_end, &mut view, &mut row)
+                    self.reduced_row(layout, sym, &mut view, &mut row)
                         .map_err(|c| self.out_of_domain(c))?;
                     if let Some(found) = intern_words(
                         &mut ids,
@@ -402,7 +357,6 @@ impl Program {
                 }
             } else {
                 let level_words = &words[level_start..level_end];
-                let frozen = &ids;
                 let tasks: Vec<_> = chunk_ranges(level_words.len(), workers, 1)
                     .into_iter()
                     .map(|chunk| {
@@ -414,10 +368,8 @@ impl Program {
                             let mut view = State::new(layout);
                             for &word in slice {
                                 view.load(word);
-                                self.reduced_row(
-                                    layout, sym, por, frozen, level_end, &mut view, &mut row,
-                                )
-                                .map_err(|c| self.out_of_domain(c))?;
+                                self.reduced_row(layout, sym, &mut view, &mut row)
+                                    .map_err(|c| self.out_of_domain(c))?;
                                 counts.push(row.len());
                                 targets.extend_from_slice(&row);
                             }
@@ -428,6 +380,8 @@ impl Program {
                 let results = join_all(tasks);
                 let mut cursor = level_start;
                 for result in results {
+                    // First error in chunk order = first error in queue
+                    // order = the serial exploration's error.
                     let (counts, targets) = result?;
                     let mut at = 0usize;
                     for count in counts {
@@ -463,53 +417,33 @@ impl Program {
         Ok((words, edges, num_init, hit))
     }
 
-    /// One reduced successor row (canonical words, sorted, deduplicated,
-    /// with the quiescence stutter): under POR, the first enabled safe
-    /// command whose canonical target passes the level proviso — the
-    /// target had no id below `level_end`, the watermark frozen when the
-    /// current level started — contributes the whole row.
-    #[allow(clippy::too_many_arguments)]
+    /// One successor row of the state in `view`: the (canonical, under a
+    /// symmetry) target of every enabled command, sorted, deduplicated,
+    /// with the quiescence stutter. Returns the index of the first
+    /// enabled command whose effect left its domain, as `Err`.
     fn reduced_row(
         &self,
         layout: &Layout,
         sym: Option<&SymmetrySpec>,
-        por: Option<&PorSpec>,
-        ids: &HashMap<u64, usize>,
-        level_end: usize,
         view: &mut State<'_>,
         row: &mut Vec<u64>,
     ) -> Result<(), usize> {
-        // Each target is canonicalized on the live post-effect buffer,
-        // before the effect is rolled back — no re-decode of the word.
-        let successor = |view: &mut State<'_>, index: usize| {
-            view.finish_effect_with(|values, word| match sym {
-                Some(sym) => sym.canon(layout, values, word).0,
-                None => word,
-            })
-            .map_err(|()| index)
-        };
         row.clear();
-        if let Some(por) = por {
-            for (index, command) in self.commands.iter().enumerate() {
-                if !por.safe(index) || !command.enabled(view) {
-                    continue;
-                }
-                view.begin_effect();
-                command.apply(view);
-                let canon = successor(view, index)?;
-                if ids.get(&canon).is_none_or(|&id| id >= level_end) {
-                    row.push(canon);
-                    return Ok(());
-                }
-            }
-        }
         for (index, command) in self.commands.iter().enumerate() {
             if !command.enabled(view) {
                 continue;
             }
             view.begin_effect();
             command.apply(view);
-            row.push(successor(view, index)?);
+            // Each target is canonicalized on the live post-effect
+            // buffer, before the effect is rolled back — no re-decode.
+            let target = view
+                .finish_effect_with(|values, word| match sym {
+                    Some(sym) => sym.canon(layout, values, word).0,
+                    None => word,
+                })
+                .map_err(|()| index)?;
+            row.push(target);
         }
         if row.is_empty() {
             row.push(view.word);
@@ -520,7 +454,7 @@ impl Program {
     }
 }
 
-/// Interns one reduced row: new canonical words get the next dense id in
+/// Interns one successor row: new words get the next dense id in
 /// row order (the serial FIFO discovery order); returns the first target
 /// hit, if any.
 fn intern_words(
@@ -557,7 +491,6 @@ fn intern_words(
 #[cfg(test)]
 mod tests {
     use super::super::ir::{Expr, IrCommand, Stmt};
-    use super::super::por::{Independence, PorSpec};
     use super::super::sym::{SymmetryElement, SymmetrySpec};
     use super::*;
 
@@ -610,39 +543,6 @@ mod tests {
     }
 
     #[test]
-    fn por_explores_a_subset_reaching_every_deadlock() {
-        let (p, _) = counters();
-        let indep = Independence::from_program(&p);
-        let por = PorSpec::new(&p, &indep, &[]);
-        assert_eq!(por.num_safe(), 2);
-        let full = p.compile_reachable(init).unwrap();
-        let reduced = p.compile_reachable_reduced(&por, init).unwrap();
-        assert!(reduced.system().num_states() <= full.system().num_states());
-        // The single quiescent state (3, 3) must survive the reduction.
-        let quiescent = |words: Vec<u64>| -> Vec<u64> {
-            words
-                .into_iter()
-                .filter(|&w| p.step(narrow(w)).unwrap() == vec![narrow(w)])
-                .collect()
-        };
-        let full_words: Vec<u64> = (0..full.system().num_states())
-            .map(|id| full.word(id))
-            .collect();
-        let red_words: Vec<u64> = (0..reduced.system().num_states())
-            .map(|id| reduced.word(id))
-            .collect();
-        let mut dq_full = quiescent(full_words);
-        let mut dq_red = quiescent(red_words);
-        dq_full.sort_unstable();
-        dq_red.sort_unstable();
-        assert_eq!(dq_full, vec![15]);
-        assert_eq!(dq_full, dq_red);
-        // The reduced fragment is genuinely smaller here: one chain
-        // instead of the full 4x4 grid.
-        assert!(reduced.system().num_states() < full.system().num_states());
-    }
-
-    #[test]
     fn sym_reach_words_finds_targets_at_their_bfs_level() {
         let (p, spec) = counters();
         let reach = p
@@ -662,15 +562,9 @@ mod tests {
     #[test]
     fn reduced_explorations_are_worker_invariant() {
         let (p, spec) = counters();
-        let indep = Independence::from_program(&p);
-        let por = PorSpec::new(&p, &indep, &[]);
-        let serial = p
-            .compile_reachable_sym_reduced_on(1, &spec, &por, init)
-            .unwrap();
+        let serial = p.compile_reachable_sym_on(1, &spec, init).unwrap();
         for workers in [2, 4] {
-            let par = p
-                .compile_reachable_sym_reduced_on(workers, &spec, &por, init)
-                .unwrap();
+            let par = p.compile_reachable_sym_on(workers, &spec, init).unwrap();
             let serial_words: Vec<u64> = (0..serial.system().num_states())
                 .map(|id| serial.word(id))
                 .collect();

@@ -1057,7 +1057,6 @@ struct SymUnionChunk {
 #[cfg(test)]
 mod tests {
     use super::super::ir::{Expr, IrCommand, Stmt};
-    use super::super::por::{Independence, PorSpec};
     use super::*;
     use crate::tme_abstract::{nproc_symmetry, program_nproc_ir};
 
@@ -1298,7 +1297,7 @@ mod tests {
     }
 
     /// Two IR counters over `0..d` whose increments leave the domain at
-    /// `d - 1`, with the swap symmetry; both commands are POR-safe.
+    /// `d - 1`, with the swap symmetry.
     fn overflowing_counters(d: usize) -> (Program, SymmetrySpec) {
         let mut p = Program::new();
         let x = p.var("x", d);
@@ -1323,9 +1322,6 @@ mod tests {
     fn out_of_domain_effects_surface_on_the_in_place_paths() {
         let (p, spec) = overflowing_counters(3);
         let init = |s: &State<'_>| s.word == 0;
-        let indep = Independence::from_program(&p);
-        let por = PorSpec::new(&p, &indep, &[]);
-        assert_eq!(por.num_safe(), 2);
         let is_out_of_domain = |err: GclError| matches!(err, GclError::OutOfDomain { .. });
         for workers in [1, 2] {
             let sym_check = p.fair_self_check_sym_on(workers, &spec, init).unwrap_err();
@@ -1340,10 +1336,6 @@ mod tests {
                 is_out_of_domain(reach),
                 "compile_reachable_sym at {workers}"
             );
-            let both = p
-                .compile_reachable_sym_reduced_on(workers, &spec, &por, init)
-                .unwrap_err();
-            assert!(is_out_of_domain(both), "sym + POR at {workers}");
             let words = p
                 .sym_reach_words_on(workers, &spec, &[0], usize::MAX, None::<&fn(u64) -> bool>)
                 .unwrap_err();

@@ -6,8 +6,10 @@
 //! decode/encode reference compiler ([`graybox_core::gcl::reference`]),
 //! and asserts the two pipelines agree on everything observable:
 //! compiled systems (edges and inits), fair components and unions,
-//! `is_stabilizing_to` verdicts, and the streaming `fair_self_check`
-//! verdict against the materialized fair-composition check.
+//! `is_stabilizing_to` verdicts, the streaming `fair_self_check`
+//! verdict against the materialized fair-composition check, and the
+//! reachable explorer's fragment against the reference system's
+//! init-reachable states and the edges among them.
 
 mod common;
 
@@ -51,6 +53,41 @@ fn check_seed(seed: u64) {
         p_verdict.holds(),
         r_verdict.holds(),
         "seed {seed}: stabilization verdicts diverge"
+    );
+
+    // The reachable explorer against the reference system: its words
+    // (packed word = full-space state id) are exactly the reference's
+    // init-reachable states, and its edges are the subgraph they induce.
+    let reach = packed
+        .compile_reachable(p_init)
+        .unwrap_or_else(|e| panic!("seed {seed}: reachable {e}"));
+    let words: Vec<usize> = (0..reach.system().num_states())
+        .map(|id| usize::try_from(reach.word(id)).unwrap())
+        .collect();
+    let mut word_set = words.clone();
+    word_set.sort_unstable();
+    let reachable = r_plain.system().reachable_from_init();
+    assert_eq!(
+        word_set,
+        reachable.iter().collect::<Vec<_>>(),
+        "seed {seed}: reachable fragment diverges from the reference"
+    );
+    let mut edges: Vec<(usize, usize)> = reach
+        .system()
+        .edges()
+        .into_iter()
+        .map(|(from, to)| (words[from], words[to]))
+        .collect();
+    edges.sort_unstable();
+    let induced: Vec<(usize, usize)> = r_plain
+        .system()
+        .edges()
+        .into_iter()
+        .filter(|&(from, to)| reachable.contains(from) && reachable.contains(to))
+        .collect();
+    assert_eq!(
+        edges, induced,
+        "seed {seed}: reachable edges diverge from the induced subgraph"
     );
 
     if spec.commands.is_empty() {

@@ -1,9 +1,8 @@
-//! Differential suite for the state-space reductions: on hundreds of
+//! Differential suite for the state-space reduction: on hundreds of
 //! seeded random **block-rotation-symmetric** IR programs, the symmetry
-//! quotient and the static partial-order reduction must agree with the
-//! unreduced pipeline on every verdict the checks expose —
-//! stabilization (fair self-check), weak reachability, and the
-//! quiescent-deadlock set.
+//! quotient must agree with the unreduced pipeline on every verdict the
+//! checks expose — stabilization (fair self-check), weak reachability,
+//! and the quiescent-deadlock set.
 //!
 //! The generator builds `k ∈ {2,3}` identical variable blocks and
 //! instantiates every command template once per block (guards and
@@ -13,7 +12,6 @@
 //! independently for every seed.
 
 use graybox_core::gcl::ir::{Cond, Expr, IrCommand, Stmt};
-use graybox_core::gcl::por::{Independence, PorSpec};
 use graybox_core::gcl::sym::{SymmetryElement, SymmetrySpec};
 use graybox_core::gcl::{Program, ReachableProgram, State, VarRef};
 use graybox_rng::rngs::SmallRng;
@@ -237,71 +235,8 @@ fn symmetry_quotient_matches_the_full_pipeline_on_200_seeds() {
             .collect();
         canon_full.sort_unstable();
         canon_full.dedup();
-        assert_eq!(canon_full, words_of(&sym_reach), "seed {seed}");
-    }
-}
-
-#[test]
-fn partial_order_reduction_preserves_deadlocks_and_visible_reachability_on_200_seeds() {
-    for seed in 0..200u64 {
-        let inst = rotation_instance(seed);
-        let init = inst.init();
-        let indep = Independence::from_program(&inst.program);
-        // The checked predicates below mention only the first variable,
-        // so that is the visible set.
-        let visible = [inst.vars[0]];
-        let por = PorSpec::new(&inst.program, &indep, &visible);
-
-        let full_reach = inst.program.compile_reachable(init).unwrap();
-        let reduced = inst.program.compile_reachable_reduced(&por, init).unwrap();
-        let full_words = words_of(&full_reach);
-        let red_words = words_of(&reduced);
-
-        // The reduced fragment is a subset of the full one.
-        assert!(
-            red_words
-                .iter()
-                .all(|w| full_words.binary_search(w).is_ok()),
-            "seed {seed}: reduced fragment escaped the full one"
-        );
-
-        // Every quiescent state survives the reduction, and none appear.
-        assert_eq!(
-            quiescent(&inst.program, &full_words),
-            quiescent(&inst.program, &red_words),
-            "seed {seed}"
-        );
-
-        // Visible-predicate reachability: the set of reachable values of
-        // the visible variable is preserved.
-        let values = |compiled: &ReachableProgram| {
-            let mut seen: Vec<usize> = (0..compiled.system().num_states())
-                .map(|id| compiled.decode(id)[0])
-                .collect();
-            seen.sort_unstable();
-            seen.dedup();
-            seen
-        };
-        assert_eq!(values(&full_reach), values(&reduced), "seed {seed}");
-    }
-}
-
-#[test]
-fn composed_symmetry_and_por_agree_with_the_full_pipeline_on_200_seeds() {
-    for seed in 0..200u64 {
-        let inst = rotation_instance(seed);
-        let init = inst.init();
-        let indep = Independence::from_program(&inst.program);
-        // Empty visible set: the checked property below (quiescence) is
-        // about the transition structure, not any variable's value.
-        let por = PorSpec::new(&inst.program, &indep, &[]);
-
-        let full_reach = inst.program.compile_reachable(init).unwrap();
-        let both = inst
-            .program
-            .compile_reachable_sym_reduced(&inst.spec, &por, init)
-            .unwrap();
-        let both_words = words_of(&both);
+        let sym_words = words_of(&sym_reach);
+        assert_eq!(canon_full, sym_words, "seed {seed}");
 
         // Canonical quiescent states agree (quiescence is
         // orbit-invariant, so comparing canonical forms covers every
@@ -317,7 +252,7 @@ fn composed_symmetry_and_por_agree_with_the_full_pipeline_on_200_seeds() {
         canon_full_quiescent.dedup();
         assert_eq!(
             canon_full_quiescent,
-            quiescent(&inst.program, &both_words),
+            quiescent(&inst.program, &sym_words),
             "seed {seed}"
         );
     }
@@ -328,19 +263,17 @@ fn reduced_explorations_are_bit_deterministic_across_worker_counts() {
     for seed in [0u64, 7, 13, 42, 99, 123, 177] {
         let inst = rotation_instance(seed);
         let init = inst.init();
-        let indep = Independence::from_program(&inst.program);
-        let por = PorSpec::new(&inst.program, &indep, &[]);
 
         let serial_sym = inst
             .program
             .fair_self_check_sym_on(1, &inst.spec, init)
             .unwrap();
-        let serial_both = inst
+        let serial_reach = inst
             .program
-            .compile_reachable_sym_reduced_on(1, &inst.spec, &por, init)
+            .compile_reachable_sym_on(1, &inst.spec, init)
             .unwrap();
-        let serial_words: Vec<u64> = (0..serial_both.system().num_states())
-            .map(|id| serial_both.word(id))
+        let serial_words: Vec<u64> = (0..serial_reach.system().num_states())
+            .map(|id| serial_reach.word(id))
             .collect();
         for workers in [2usize, 3, 4] {
             let par = inst
@@ -356,12 +289,12 @@ fn reduced_explorations_are_bit_deterministic_across_worker_counts() {
                 par.divergent_witness, serial_sym.divergent_witness,
                 "seed {seed} w{workers}"
             );
-            let par_both = inst
+            let par_reach = inst
                 .program
-                .compile_reachable_sym_reduced_on(workers, &inst.spec, &por, init)
+                .compile_reachable_sym_on(workers, &inst.spec, init)
                 .unwrap();
-            let par_words: Vec<u64> = (0..par_both.system().num_states())
-                .map(|id| par_both.word(id))
+            let par_words: Vec<u64> = (0..par_reach.system().num_states())
+                .map(|id| par_reach.word(id))
                 .collect();
             assert_eq!(par_words, serial_words, "seed {seed} w{workers}");
         }
