@@ -7,11 +7,11 @@
 //! (`gcl_compile/{2proc,3proc}`, plus the end-to-end streaming
 //! `tme_exhaustive/3proc` check), and the sharded parallel pipeline
 //! against its own serial sweep (worker-count scaling at 1/2/4/8
-//! threads, honoring `GRAYBOX_THREADS`), and the instrumented simulator
-//! against the retained pre-instrumentation loop
-//! (`simnet_overhead/relay-ring`: bare vs idle vs recording), and
-//! writes the results to `BENCH_core.json`. Dependency-free (plain `std::time::Instant` loops)
-//! so it runs in the offline tier-1 environment.
+//! threads, honoring `GRAYBOX_THREADS`), and oplog recording against an
+//! idle run of the same simulator (`simnet_overhead/relay-ring`: idle vs
+//! recording), and writes the results to `BENCH_core.json`.
+//! Dependency-free (plain `std::time::Instant` loops) so it runs in the
+//! offline tier-1 environment.
 //!
 //! Usage:
 //!
@@ -39,8 +39,8 @@ use graybox_faults::{build_sim, RunConfig};
 use graybox_rng::rngs::SmallRng;
 use graybox_rng::{Rng, SeedableRng};
 use graybox_simnet::{
-    BareSimulation, Context, EventQueue, HeapQueue, PackedEvent, Process, ReferenceSimulation,
-    SimConfig, SimTime, Simulation, TimerWheel,
+    Context, EventQueue, HeapQueue, PackedEvent, Process, ReferenceSimulation, SimConfig, SimTime,
+    Simulation, TimerWheel,
 };
 use graybox_tme::{ring, Implementation, RingConfig, TmeClient, Workload, WorkloadConfig};
 use graybox_wrapper::WrapperConfig;
@@ -153,9 +153,8 @@ fn random_mixed(n: usize, seed: u64) -> Instance {
 
 /// Deterministic chatter for the simulator-overhead benchmark: every
 /// received token is re-sent to the next process in the ring until its
-/// hop budget is spent. Mirrors the `Relay` the `graybox-simnet`
-/// differential test uses to pin `BareSimulation` and an idle
-/// `Simulation` step-identical.
+/// hop budget is spent. The root `determinism` test pins this ring's
+/// idle schedule to golden constants.
 #[derive(Debug)]
 struct Relay {
     id: ProcessId,
@@ -396,25 +395,15 @@ fn main() {
         }));
     }
 
-    // --- Simulator instrumentation overhead: the retained
-    // pre-instrumentation FIFO loop (`BareSimulation`) vs the
-    // instrumented `Simulation` with no sink attached ("idle") and with
-    // oplog recording on, all three driving the identical fault-free
-    // relay-ring workload. A differential test in graybox-simnet pins
-    // the bare and idle runs step-identical, so the ratio measures the
-    // entropy/failpoint layer, not a different schedule. ---
-    let overhead_factors: (f64, f64);
+    // --- Oplog recording cost: `Simulation` with no sink attached
+    // ("idle") vs the same engine with oplog recording on, both driving
+    // the identical fault-free relay-ring workload, so the ratio
+    // measures the recording layer alone. ---
+    let recording_factor: f64;
     {
         const HOPS: u32 = 400;
         const STARTS: [u64; 3] = [1, 5, 9];
         let limit = SimTime::from(50_000);
-        let run_bare = || {
-            let mut sim = BareSimulation::new(relays(3), SimConfig::with_seed(2024));
-            for t in STARTS {
-                sim.schedule_client(SimTime::from(t), ProcessId(0), HOPS);
-            }
-            sim.run_until(limit).len()
-        };
         let run_idle = || {
             let mut sim = Simulation::new(relays(3), SimConfig::with_seed(2024));
             for t in STARTS {
@@ -432,12 +421,11 @@ fn main() {
             let oplog = sim.take_oplog().expect("recording was on");
             (steps, oplog.len())
         };
-        // Sanity: all three engines execute the same schedule.
-        let bare_steps = run_bare();
-        assert!(bare_steps > 1_000, "relay workload too small to time");
-        assert_eq!(bare_steps, run_idle());
+        // Sanity: both runs execute the same schedule.
+        let idle_steps = run_idle();
+        assert!(idle_steps > 1_000, "relay workload too small to time");
         let (recording_steps, ops) = run_recording();
-        assert_eq!(bare_steps, recording_steps);
+        assert_eq!(idle_steps, recording_steps);
         assert!(ops > 0, "recording run must produce a non-empty oplog");
 
         // The overhead gate below compares ratios near 1.0, where
@@ -445,33 +433,29 @@ fn main() {
         // measurement — unlike the order-of-magnitude engine benches, so
         // this section keeps a floor time budget even in smoke mode.
         // Noise is one-sided (preemption only ever adds time), so run
-        // five rounds and score each round's *ratio*: bare and idle are
-        // timed back to back within a round, so congestion hits both
+        // five rounds and score each round's *ratio*: idle and recording
+        // are timed back to back within a round, so congestion hits both
         // sides of the fraction, and one clean round out of five gives
         // an honest overhead figure even on a busy box.
         let overhead_ms = target_ms.max(150);
         let name = "simnet_overhead/relay-ring".to_string();
-        let (mut bare, mut idle, mut recording) = (Vec::new(), Vec::new(), Vec::new());
+        let (mut idle, mut recording) = (Vec::new(), Vec::new());
         for _round in 0..5 {
-            bare.push(bench(&name, "bare", overhead_ms, run_bare));
             idle.push(bench(&name, "idle", overhead_ms, run_idle));
             recording.push(bench(&name, "recording", overhead_ms, run_recording));
         }
-        let round_ratio = |others: &[Sample]| {
-            bare.iter()
-                .zip(others)
-                .map(|(b, o)| o.ns_per_iter / b.ns_per_iter)
-                .min_by(f64::total_cmp)
-                .expect("five rounds ran")
-        };
-        overhead_factors = (round_ratio(&idle), round_ratio(&recording));
+        recording_factor = idle
+            .iter()
+            .zip(&recording)
+            .map(|(i, r)| r.ns_per_iter / i.ns_per_iter)
+            .min_by(f64::total_cmp)
+            .expect("five rounds ran");
         let best = |rounds: Vec<Sample>| {
             rounds
                 .into_iter()
                 .min_by(|a, b| a.ns_per_iter.total_cmp(&b.ns_per_iter))
                 .expect("five rounds ran")
         };
-        samples.push(best(bare));
         samples.push(best(idle));
         samples.push(best(recording));
     }
@@ -877,12 +861,10 @@ fn main() {
     speedups.extend(speedup("reachable_from/n=1000", "csr", "reference"));
     speedups.extend(speedup("box_compose+decide/n=1000", "csr", "reference"));
     speedups.extend(speedup("sweep/64x(n=400)", "parallel", "serial"));
-    // Overhead factors (engine ns / bare ns, best same-round ratio —
+    // Overhead factor (recording ns / idle ns, best same-round ratio —
     // lower is better, 1.0 = free).
-    let (idle_factor, recording_factor) = overhead_factors;
-    speedups.push(("simnet_overhead/idle-over-bare".to_string(), idle_factor));
     speedups.push((
-        "simnet_overhead/recording-over-bare".to_string(),
+        "simnet_overhead/recording-over-idle".to_string(),
         recording_factor,
     ));
     speedups.extend(speedup("sim_scale/ring-n=1e4", "wheel", "heap-ref"));
@@ -1043,38 +1025,19 @@ fn main() {
         "packed GCL compiler regressed: only {compile_speedup:.1}x over the reference at 2proc"
     );
 
-    // Failpoint/entropy instrumentation must stay effectively cheap when
-    // nothing consumes it: an idle `Simulation` may cost at most 15%
-    // over the retained pre-instrumentation loop on the same workload.
-    // The budget was 1.10x when both engines were std BinaryHeaps; the
-    // timer-wheel engine trades a few ns/event of constant factor on
-    // this tiny 3-process ring (it measures 1.09-1.14x run to run on a
-    // 1-core box) for the asymptotic wins the sim_scale gates below
-    // hold it to.
-    let overhead = speedups
-        .iter()
-        .find(|(name, _)| name == "simnet_overhead/idle-over-bare")
-        .map(|&(_, f)| f)
-        .unwrap_or(f64::INFINITY);
-    assert!(
-        overhead <= 1.15,
-        "simnet instrumentation regressed: idle Simulation costs {overhead:.2}x \
-         the bare loop (budget 1.15x)"
-    );
-
     // Oplog recording — packed ops, interned site names, segmented
     // storage so appends never relocate the log — may cost at most 50%
-    // over the bare loop on the same workload (it was 2.22x before the
-    // packed encoding, and flirted with the budget until segmentation
-    // removed the doubling-realloc copies; it measures 1.1-1.25x now).
+    // over an idle run of the same engine on the same workload. The idle
+    // path's own cost is guarded end to end by `bench-workload`'s `op_ms`
+    // on `ring-1e6` and `protocol-n128`.
     let recording_overhead = speedups
         .iter()
-        .find(|(name, _)| name == "simnet_overhead/recording-over-bare")
+        .find(|(name, _)| name == "simnet_overhead/recording-over-idle")
         .map(|&(_, f)| f)
         .unwrap_or(f64::INFINITY);
     assert!(
         recording_overhead <= 1.50,
-        "oplog recording regressed: {recording_overhead:.2}x the bare loop (budget 1.50x)"
+        "oplog recording regressed: {recording_overhead:.2}x the idle engine (budget 1.50x)"
     );
 
     // The timer wheel must beat the reference heap by 5x where the

@@ -1,7 +1,7 @@
 //! Sparse channel storage: active `(from, to)` pairs only, with a slab
 //! arena for in-flight envelopes.
 //!
-//! The original simulator allocated a dense `Vec<Vec<Channel>>` matrix —
+//! The original simulator allocated a dense n × n matrix of queues —
 //! O(n²) memory even when every channel is empty, which at n = 10⁶
 //! processes is a non-starter. [`ChannelStore`] keeps per-pair state in a
 //! hash map keyed by the packed `(from << 32) | to` pair and threads each
@@ -411,8 +411,7 @@ impl<M> ChannelStore<M> {
     }
 }
 
-/// Read access to one channel of a [`crate::Simulation`] — the sparse
-/// replacement for handing out `&Channel`.
+/// Read access to one channel of a [`crate::Simulation`].
 #[derive(Debug)]
 pub struct ChannelView<'a, M> {
     pub(crate) store: &'a ChannelStore<M>,

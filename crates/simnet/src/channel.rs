@@ -1,5 +1,3 @@
-use std::collections::VecDeque;
-
 use graybox_clock::ProcessId;
 
 use crate::SimTime;
@@ -22,104 +20,4 @@ pub struct Envelope<M> {
     pub payload: M,
     /// When the message was sent (or injected).
     pub sent_at: SimTime,
-}
-
-/// A FIFO interprocess channel (one per ordered process pair).
-///
-/// The Communication Spec requires FIFO order; the simulator preserves it
-/// by scheduling per-channel delivery times monotonically and always
-/// delivering the queue head. This dense per-pair form remains the
-/// substrate of [`crate::BareSimulation`]; the instrumented
-/// [`crate::Simulation`] stores channels sparsely in a
-/// [`crate::chanmap::ChannelStore`], which is where fault injection
-/// (drop/duplicate/corrupt/inject/flush/reorder) manipulates queues.
-#[derive(Debug, Clone)]
-pub struct Channel<M> {
-    queue: VecDeque<Envelope<M>>,
-    last_scheduled: SimTime,
-}
-
-impl<M> Default for Channel<M> {
-    fn default() -> Self {
-        Channel {
-            queue: VecDeque::new(),
-            last_scheduled: SimTime::ZERO,
-        }
-    }
-}
-
-impl<M> Channel<M> {
-    /// Creates an empty channel (the paper's `Init` requires all channels
-    /// empty; fault injection can violate that afterwards).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Messages currently in flight, head first.
-    pub fn messages(&self) -> impl Iterator<Item = &Envelope<M>> {
-        self.queue.iter()
-    }
-
-    /// Number of in-flight messages.
-    pub fn len(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// True when nothing is in flight.
-    pub fn is_empty(&self) -> bool {
-        self.queue.is_empty()
-    }
-
-    pub(crate) fn push_back(&mut self, envelope: Envelope<M>) {
-        self.queue.push_back(envelope);
-    }
-
-    pub(crate) fn pop_front(&mut self) -> Option<Envelope<M>> {
-        self.queue.pop_front()
-    }
-
-    /// Computes the next delivery time honouring FIFO: at least `proposed`,
-    /// and never earlier than a previously scheduled delivery.
-    pub(crate) fn schedule(&mut self, proposed: SimTime) -> SimTime {
-        let time = proposed.max(self.last_scheduled);
-        self.last_scheduled = time;
-        time
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn env(id: MsgId, payload: &str) -> Envelope<String> {
-        Envelope {
-            id,
-            from: ProcessId(0),
-            to: ProcessId(1),
-            payload: payload.to_string(),
-            sent_at: SimTime::ZERO,
-        }
-    }
-
-    #[test]
-    fn fifo_order_is_preserved() {
-        let mut ch = Channel::new();
-        ch.push_back(env(1, "a"));
-        ch.push_back(env(2, "b"));
-        assert_eq!(ch.len(), 2);
-        assert_eq!(ch.pop_front().unwrap().payload, "a");
-        assert_eq!(ch.pop_front().unwrap().payload, "b");
-        assert!(ch.pop_front().is_none());
-    }
-
-    #[test]
-    fn schedule_is_monotone() {
-        let mut ch: Channel<String> = Channel::new();
-        let t1 = ch.schedule(SimTime::from(10));
-        let t2 = ch.schedule(SimTime::from(5)); // earlier proposal bumped
-        let t3 = ch.schedule(SimTime::from(20));
-        assert_eq!(t1, SimTime::from(10));
-        assert_eq!(t2, SimTime::from(10));
-        assert_eq!(t3, SimTime::from(20));
-    }
 }

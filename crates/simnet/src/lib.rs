@@ -52,7 +52,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod baseline;
 pub mod chanmap;
 mod channel;
 mod corrupt;
@@ -65,9 +64,8 @@ pub mod replay;
 mod sim;
 mod time;
 
-pub use baseline::BareSimulation;
 pub use chanmap::ChannelView;
-pub use channel::{Channel, Envelope, MsgId};
+pub use channel::{Envelope, MsgId};
 pub use corrupt::Corruptible;
 pub use failpoint::FailpointRegistry;
 pub use oplog::{DrawStream, Op, OpLog};

@@ -4,9 +4,14 @@
 //! seed; these tests pin that property across the whole stack, including
 //! fault targeting and trace recording.
 
+use graybox::clock::ProcessId;
 use graybox::faults::{
     replay_campaign, run_campaign, run_tme, run_tme_trace, scenarios, FaultKind, FaultPlan,
     RunConfig,
+};
+use graybox::simnet::{
+    Context, EventQueue, Process, ReferenceSimulation, SimConfig, SimTime, Simulation, StepKind,
+    StepRecord,
 };
 use graybox::spec::TraceEventKind;
 use graybox::tme::Implementation;
@@ -113,4 +118,120 @@ fn fault_descriptions_are_deterministic() {
             .collect()
     };
     assert_eq!(collect(), collect());
+}
+
+/// Deterministic chatter on a ring: every received token is re-sent to
+/// the next process until its hop budget is spent.
+#[derive(Debug)]
+struct Relay {
+    id: ProcessId,
+    n: u32,
+}
+
+impl Process for Relay {
+    type Msg = u32;
+    type Client = u32;
+
+    fn id(&self) -> ProcessId {
+        self.id
+    }
+
+    fn on_message(&mut self, _from: ProcessId, hops: u32, ctx: &mut Context<u32>) {
+        if hops > 0 {
+            ctx.send(ProcessId((self.id.0 + 1) % self.n), hops - 1);
+        }
+    }
+
+    fn on_timer(&mut self, _tag: u32, _ctx: &mut Context<u32>) {}
+
+    fn on_client(&mut self, hops: u32, ctx: &mut Context<u32>) {
+        ctx.send(ProcessId((self.id.0 + 1) % self.n), hops);
+    }
+}
+
+fn relays(n: u32) -> Vec<Relay> {
+    (0..n)
+        .map(|id| Relay {
+            id: ProcessId(id),
+            n,
+        })
+        .collect()
+}
+
+/// FNV-1a over each record's `(time, pid, kind, sends, timers_set)`,
+/// every field widened to a little-endian `u64`.
+fn schedule_digest(records: &[StepRecord<u32, u32>]) -> u64 {
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut feed = |word: u64| {
+        for byte in word.to_le_bytes() {
+            hash ^= u64::from(byte);
+            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    for record in records {
+        feed(record.time.ticks());
+        feed(u64::from(record.pid.0));
+        match &record.kind {
+            StepKind::Deliver {
+                from,
+                msg_id,
+                payload,
+            } => {
+                feed(0);
+                feed(u64::from(from.0));
+                feed(*msg_id);
+                feed(u64::from(*payload));
+            }
+            StepKind::Timer { tag } => {
+                feed(1);
+                feed(u64::from(*tag));
+            }
+            StepKind::Client { event } => {
+                feed(2);
+                feed(u64::from(*event));
+            }
+            StepKind::Start => feed(3),
+            StepKind::Skipped => feed(4),
+        }
+        feed(record.sends.len() as u64);
+        for send in &record.sends {
+            feed(send.msg_id);
+            feed(u64::from(send.to.0));
+            feed(u64::from(send.payload));
+        }
+        feed(record.timers_set.len() as u64);
+        for &(tag, fire_at) in &record.timers_set {
+            feed(u64::from(tag));
+            feed(fire_at.ticks());
+        }
+    }
+    hash
+}
+
+/// Golden schedule of an idle, fault-free FIFO run: the 3-relay ring,
+/// seed 2024, clients at t = 1, 5, 9 with 20 hops each. The constants
+/// were produced by the pre-instrumentation event loop, so any change to
+/// delay draws, FIFO scheduling or tie-breaking shows up here on both the
+/// timer-wheel engine and the heap-scheduled reference.
+#[test]
+fn idle_relay_ring_follows_the_golden_schedule() {
+    const STEPS: usize = 69;
+    const DIGEST: u64 = 0x9c0a_ed69_76a0_0a01;
+    fn run<Q: EventQueue>(mut sim: Simulation<Relay, Q>) -> Vec<StepRecord<u32, u32>> {
+        for t in [1u64, 5, 9] {
+            sim.schedule_client(SimTime::from(t), ProcessId(0), 20);
+        }
+        sim.run_until(SimTime::from(2_000))
+    }
+    let config = SimConfig::with_seed(2024);
+    let wheel = run(Simulation::new(relays(3), config));
+    let heap = run(ReferenceSimulation::with_queue(relays(3), config));
+    for (engine, records) in [("wheel", &wheel), ("heap", &heap)] {
+        assert_eq!(records.len(), STEPS, "{engine}: step count");
+        assert_eq!(
+            schedule_digest(records),
+            DIGEST,
+            "{engine}: schedule digest"
+        );
+    }
 }
