@@ -39,7 +39,7 @@ use std::process::ExitCode;
 use graybox_analyze::report::{render_and_exit, Finding, Report, Severity};
 use graybox_analyze::tme::lint_tme;
 use graybox_analyze::tme::stair_cert::{certify_tme, CertifyTarget};
-use graybox_core::{FiniteSystem, StateSet};
+use graybox_core::{FiniteSystem, StateSet, SystemError};
 
 fn usage() -> ExitCode {
     eprintln!(
@@ -148,8 +148,11 @@ fn run_csr(args: &[String]) -> ExitCode {
 
 /// Parses the textual CSR format and validates it via
 /// `FiniteSystem::try_from_csr`. Parsing is deliberately lax about
-/// structure (missing rows become empty rows) so that the checked
-/// constructor — not the parser — is what rejects malformed systems.
+/// structure (rows may be empty, unsorted or duplicated) so that the
+/// checked constructor — not the parser — is what rejects malformed
+/// systems. The parser itself rejects only what it must to stay bounded
+/// by its input: rows and initial states outside `0..states`, and a
+/// `states` header larger than the rows given for it.
 fn lint_csr_text(path: &str, text: &str) -> Report {
     let mut report = Report {
         target: format!("csr:{path}"),
@@ -164,7 +167,7 @@ fn lint_csr_text(path: &str, text: &str) -> Report {
     };
 
     let mut num_states: Option<usize> = None;
-    let mut init = StateSet::new();
+    let mut init: Vec<usize> = Vec::new();
     let mut rows: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
     for (lineno, line) in text.lines().enumerate() {
         let line = line.split('#').next().unwrap_or("").trim();
@@ -177,11 +180,7 @@ fn lint_csr_text(path: &str, text: &str) -> Report {
         let tokens: Vec<&str> = line.split_whitespace().collect();
         let parsed = match tokens.as_slice() {
             ["states", n] => n.parse().ok().map(|n| num_states = Some(n)),
-            ["init", states @ ..] => parse_all(states).map(|states| {
-                for s in states {
-                    init.insert(s);
-                }
-            }),
+            ["init", states @ ..] => parse_all(states).map(|states| init.extend(states)),
             [row, targets @ ..] if row.ends_with(':') => row[..row.len() - 1]
                 .parse()
                 .ok()
@@ -205,24 +204,35 @@ fn lint_csr_text(path: &str, text: &str) -> Report {
             .push(error("missing \"states N\" header".to_string()));
         return report;
     };
-    let mut fwd_off = Vec::with_capacity(num_states + 1);
-    let mut fwd_to = Vec::new();
-    fwd_off.push(0);
-    for state in 0..num_states {
-        if let Some(targets) = rows.get(&state) {
-            fwd_to.extend_from_slice(targets);
-        }
-        fwd_off.push(fwd_to.len());
-    }
     for (&state, _) in rows.range(num_states..) {
         report
             .findings
             .push(error(format!("row {state} is outside 0..{num_states}")));
     }
+    if let Some(&state) = init.iter().find(|&&state| state >= num_states) {
+        let err = SystemError::StateOutOfRange { state, num_states };
+        report.findings.push(error(format!("init: {err}")));
+    }
+    // A total system has a row for every state, so the first state
+    // without one lies within `rows.len()` steps: finding it bounds
+    // `num_states` by the input before anything is allocated for it.
+    if let Some(state) = (0..num_states).find(|state| !rows.contains_key(state)) {
+        report
+            .findings
+            .push(error(SystemError::NotTotal { state }.to_string()));
+    }
     if !report.findings.is_empty() {
         return report;
     }
 
+    let mut fwd_off = Vec::with_capacity(num_states + 1);
+    let mut fwd_to = Vec::new();
+    fwd_off.push(0);
+    for targets in rows.values() {
+        fwd_to.extend_from_slice(targets);
+        fwd_off.push(fwd_to.len());
+    }
+    let init: StateSet = init.into_iter().collect();
     match FiniteSystem::try_from_csr(num_states, init, fwd_off, fwd_to) {
         Ok(system) => {
             report.certified.push(format!(
@@ -241,7 +251,7 @@ fn lint_csr_text(path: &str, text: &str) -> Report {
 
 #[cfg(test)]
 mod tests {
-    use super::lint_csr_text;
+    use super::{lint_csr_text, Severity};
 
     #[test]
     fn well_formed_csr_is_certified() {
@@ -258,6 +268,34 @@ mod tests {
         let report = lint_csr_text("bad", "states 3\ninit 0\n0: 1\n1: 0\n");
         assert!(!report.is_clean());
         assert!(report.findings[0].message.contains("no outgoing"));
+    }
+
+    /// Lints `text` and returns the one `csr-input` error it must raise.
+    fn single_csr_error(text: &str) -> String {
+        let report = lint_csr_text("hostile", text);
+        assert_eq!(report.findings.len(), 1, "{report}");
+        let finding = &report.findings[0];
+        assert_eq!(finding.pass, "csr-input");
+        assert_eq!(finding.severity, Severity::Error);
+        finding.message.clone()
+    }
+
+    #[test]
+    fn huge_init_id_is_out_of_range() {
+        let message = single_csr_error("states 2\ninit 18446744073709551615\n0: 1\n1: 0\n");
+        assert!(message.contains("out of range"), "{message}");
+    }
+
+    #[test]
+    fn max_state_count_is_not_total_at_its_first_missing_row() {
+        let message = single_csr_error("states 18446744073709551615\ninit 0\n0: 1\n1: 0\n");
+        assert!(message.contains("state 2 has no outgoing"), "{message}");
+    }
+
+    #[test]
+    fn unallocatable_state_count_is_not_total() {
+        let message = single_csr_error("states 100000000000\ninit 0\n0: 0\n");
+        assert!(message.contains("state 1 has no outgoing"), "{message}");
     }
 
     #[test]

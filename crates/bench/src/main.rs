@@ -618,10 +618,10 @@ fn main() {
 
     // --- GCL compilation: packed streaming vs decode/encode reference,
     // on the wrapped 2-process TME abstraction (the real case-study
-    // workload, 2,592 states x 12 commands, full fair compile). ---
+    // workload, 648 states x 14 commands, full fair compile). ---
     {
-        let (packed, packed_init) = tme_abstract::program_2proc(true);
-        let (reference, reference_init) = tme_abstract::program_2proc_reference(true);
+        let (packed, packed_init) = tme_abstract::program_nproc(2, true);
+        let (reference, reference_init) = tme_abstract::program_nproc_reference(2, true);
         // Sanity: the two compilers must produce identical systems before
         // we time them.
         {

@@ -25,7 +25,11 @@
 //! guarded-command language the paper uses for implementations; [`unity`]
 //! provides `unless` / `stable` / `invariant` / `leads-to` over finite
 //! systems; [`dijkstra`] exercises the framework on the classic K-state
-//! token ring.
+//! token ring; [`tme_abstract`] model-checks the paper's TME case study
+//! exhaustively, with [`tme_abstract::build_n`]`(2)` as its 2-process
+//! case. [`reference`](mod@reference) is the one differential oracle for
+//! the CSR engine: the original `BTreeSet` representation, which the
+//! property tests and `graybox-bench` run against [`FiniteSystem`].
 //!
 //! ## Example: the Figure 1 counterexample
 //!
@@ -43,7 +47,6 @@
 #![warn(missing_docs)]
 
 mod bitset;
-pub mod bruteforce;
 mod compose;
 pub mod dijkstra;
 pub mod fairness;

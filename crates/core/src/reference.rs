@@ -209,8 +209,8 @@ mod tests {
 
     #[test]
     fn engines_agree_on_2000_random_instances() {
-        // Same seed schedule as the bruteforce cross-validation test, so
-        // three independent deciders cover the same instance family.
+        // The core cross-validation: two independent deciders, thousands
+        // of random instances, identical divergent edges.
         let mut positive = 0;
         let mut negative = 0;
         for seed in 0..2_000u64 {

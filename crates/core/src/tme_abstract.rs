@@ -8,46 +8,39 @@
 //! is just some state, and the model checker proves convergence from all
 //! of them.
 //!
-//! Two abstractions live here:
+//! The abstraction is parametric in the number of processes `n ≥ 2`:
+//! [`build_n`]`(2)` is the 2-process case (648 states, materializable in
+//! milliseconds) and [`build_n`]`(3)` the ≈7.6M-state workload checked by
+//! the streaming [`Program::fair_self_check`] pipeline, which never
+//! materializes per-command components. The same model comes in three
+//! encodings that compile to identical systems: closures
+//! ([`program_nproc`]), IR syntax trees ([`program_nproc_ir`], what the
+//! static passes read), and the retained [`crate::gcl::reference`] DSL
+//! ([`program_nproc_reference`], the compiler oracle and benchmark
+//! baseline).
 //!
-//! * [`build`] — the original 2-process model (≈2.6k states), with
-//!   explicit deferred-reply bits. It materializes full
-//!   [`FairComposition`]s and remains the smoke/tier-1 path; a twin
-//!   written in the retained [`crate::gcl::reference`] DSL
-//!   ([`build_reference`]) cross-validates the packed compiler and serves
-//!   as the benchmark baseline.
-//! * [`build_n`] — the n-process generalization (≈7.6M states at `n = 3`)
-//!   checked by the streaming [`Program::fair_self_check`] pipeline,
-//!   which never materializes per-command components. This is the
-//!   workload the packed compiler exists for.
+//! ## The n-process abstraction
 //!
-//! ## The 2-process abstraction
-//!
-//! Timestamps collapse to a ground-truth order bit `ord` (who of two
-//! simultaneously hungry processes requested first) and per-process belief
-//! bits `k_i` (“my local information confirms my request precedes the
-//! peer's” — the abstraction of `REQ_i lt i.REQ_j`). Channels are
-//! single-slot (`empty` / `request` / `reply`); sending overwrites, which
-//! subsumes loss and duplication. Deferred replies are a bit `d_i`.
+//! Timestamps collapse to a ground-truth order and per-pair belief bits;
+//! channels are single-slot (`empty` / `request` / `reply`), and sending
+//! overwrites, which subsumes loss and duplication.
 //!
 //! | paper | here |
 //! |---|---|
 //! | `t.i / h.i / e.i` | `m_i ∈ {0,1,2}` |
-//! | `REQ_i lt i.REQ_j` | `k_i = 1` |
-//! | deferred set | `d_i = 1` |
+//! | `REQ_i lt i.REQ_j` | `k_ij = 1` |
+//! | deferred set | a request left pending in `c_ji` |
 //! | FIFO channel `i→j` | slot `c_ij ∈ {empty, request, reply}` |
-//! | wrapper `W_i` | `h.i ∧ ¬k_i → resend request` (never clobbering a reply in flight) |
+//! | wrapper `W_i` | `h.i ∧ ¬k_ij → resend request to j` (never clobbering a reply in flight) |
 //!
-//! ## The n-process abstraction
-//!
-//! With `n` processes the pairwise structure becomes explicit: one
+//! With `n` processes the pairwise structure is explicit: one
 //! single-slot channel `c_ij` and one belief bit `k_ij` ("i's information
 //! confirms its request precedes j's") per ordered pair, and `ord`
-//! becomes a permutation of the processes — the ground-truth order in
+//! is a permutation of the processes — the ground-truth order in
 //! which currently-hungry processes requested (requesting moves a process
-//! to the back). Two representation changes keep the space at
-//! `3^n · 3^{n(n-1)} · 2^{n(n-1)} · n!` (7 558 272 for `n = 3`) instead
-//! of hundreds of millions:
+//! to the back). Two representation choices keep the space at
+//! `3^n · 3^{n(n-1)} · 2^{n(n-1)} · n!` (648 for `n = 2`, 7 558 272 for
+//! `n = 3`) instead of hundreds of millions:
 //!
 //! * **no deferred bits** — deferring a reply is modelled by *leaving the
 //!   request in its slot*: `recv_request` is guarded to fire only when
@@ -72,15 +65,10 @@
 
 use std::collections::HashMap;
 
-use crate::fairness::FairComposition;
 use crate::gcl::ir::{Cond, Expr, IrCommand, Stmt};
-use crate::gcl::reference::{
-    CompiledProgram as RefCompiledProgram, Program as RefProgram, Valuation,
-};
+use crate::gcl::reference::{Program as RefProgram, Valuation};
 use crate::gcl::sym::{SymmetryElement, SymmetrySpec};
-use crate::gcl::{CompiledProgram, GclError, Program, State, VarRef};
-use crate::synthesis::stutter_closure;
-use crate::FiniteSystem;
+use crate::gcl::{GclError, Program, State, VarRef};
 
 /// Mode values of the abstraction.
 pub const THINKING: usize = 0;
@@ -95,374 +83,6 @@ pub const EMPTY: usize = 0;
 pub const REQUEST: usize = 1;
 /// A reply is in flight.
 pub const REPLY: usize = 2;
-
-#[derive(Debug, Clone, Copy)]
-struct Vars {
-    m: [VarRef; 2],
-    c: [VarRef; 2], // c[0] = channel 0→1, c[1] = channel 1→0
-    k: [VarRef; 2],
-    d: [VarRef; 2],
-    ord: VarRef,
-}
-
-fn declare(program: &mut Program) -> Vars {
-    Vars {
-        m: [program.var("m0", 3), program.var("m1", 3)],
-        c: [program.var("c01", 3), program.var("c10", 3)],
-        k: [program.var("k0", 2), program.var("k1", 2)],
-        d: [program.var("d0", 2), program.var("d1", 2)],
-        ord: program.var("ord", 2),
-    }
-}
-
-fn protocol_commands(program: &mut Program, v: Vars, with_wrapper: bool) {
-    for i in 0..2usize {
-        let j = 1 - i;
-        // Request CS: t → h, send request, forget stale belief; fix the
-        // ground-truth order (a peer already hungry *or eating* precedes),
-        // and void any reply still in flight to us — in the real protocol
-        // a reply approves one specific request via its timestamp (the
-        // monotonicity behind invariant I); the bit abstraction carries no
-        // timestamp, so freshness is modelled by purging at request time.
-        program.command(
-            format!("request{i}"),
-            move |s: &State<'_>| s.get(v.m[i]) == THINKING,
-            move |s: &mut State<'_>| {
-                s.set(v.m[i], HUNGRY);
-                s.set(v.c[i], REQUEST);
-                s.set(v.k[i], 0);
-                s.set(v.ord, if s.get(v.m[j]) != THINKING { j } else { i });
-                if s.get(v.c[j]) == REPLY {
-                    s.set(v.c[j], EMPTY);
-                }
-            },
-        );
-        // Receive request: consume it; reply unless we are hungry with the
-        // earlier request (then defer and *learn* we precede) or eating
-        // (then defer).
-        program.command(
-            format!("recv_request{i}"),
-            move |s: &State<'_>| s.get(v.c[j]) == REQUEST,
-            move |s: &mut State<'_>| {
-                s.set(v.c[j], EMPTY);
-                let earlier = s.get(v.m[i]) == HUNGRY && s.get(v.ord) == i;
-                if s.get(v.m[i]) == EATING || earlier {
-                    s.set(v.d[i], 1);
-                    if earlier {
-                        s.set(v.k[i], 1);
-                    }
-                } else {
-                    s.set(v.c[i], REPLY);
-                }
-            },
-        );
-        // Receive reply: while hungry it confirms precedence.
-        program.command(
-            format!("recv_reply{i}"),
-            move |s: &State<'_>| s.get(v.c[j]) == REPLY,
-            move |s: &mut State<'_>| {
-                s.set(v.c[j], EMPTY);
-                if s.get(v.m[i]) == HUNGRY {
-                    s.set(v.k[i], 1);
-                }
-            },
-        );
-        // Grant CS.
-        program.command(
-            format!("enter{i}"),
-            move |s: &State<'_>| s.get(v.m[i]) == HUNGRY && s.get(v.k[i]) == 1,
-            move |s: &mut State<'_>| s.set(v.m[i], EATING),
-        );
-        // Release CS: back to thinking, send the deferred reply.
-        program.command(
-            format!("release{i}"),
-            move |s: &State<'_>| s.get(v.m[i]) == EATING,
-            move |s: &mut State<'_>| {
-                s.set(v.m[i], THINKING);
-                s.set(v.k[i], 0);
-                if s.get(v.d[i]) == 1 {
-                    s.set(v.d[i], 0);
-                    s.set(v.c[i], REPLY);
-                }
-            },
-        );
-        if with_wrapper {
-            // The graybox wrapper: while hungry without confirmed
-            // precedence, re-send the request (into an empty or
-            // request-holding slot; a reply in flight is not clobbered —
-            // the single-slot abstraction of FIFO).
-            program.command(
-                format!("wrapper{i}"),
-                move |s: &State<'_>| {
-                    s.get(v.m[i]) == HUNGRY && s.get(v.k[i]) == 0 && s.get(v.c[i]) != REPLY
-                },
-                move |s: &mut State<'_>| s.set(v.c[i], REQUEST),
-            );
-        }
-    }
-}
-
-fn is_init(v: Vars) -> impl for<'a, 'b> Fn(&'a State<'b>) -> bool + Sync {
-    move |s| {
-        (0..2).all(|i| {
-            s.get(v.m[i]) == THINKING
-                && s.get(v.c[i]) == EMPTY
-                && s.get(v.k[i]) == 0
-                && s.get(v.d[i]) == 0
-        }) && s.get(v.ord) == 0
-    }
-}
-
-/// Assembles the 2-process model as a packed [`Program`] (with or
-/// without the wrapper commands) plus its initial predicate — the unit
-/// the benchmarks time and the differential suite compares.
-pub fn program_2proc(
-    with_wrapper: bool,
-) -> (Program, impl for<'a, 'b> Fn(&'a State<'b>) -> bool + Sync) {
-    let mut program = Program::new();
-    let vars = declare(&mut program);
-    protocol_commands(&mut program, vars, with_wrapper);
-    (program, is_init(vars))
-}
-
-// ---------------------------------------------------------------------
-// The reference-DSL twin of the 2-process model: identical declarations
-// and commands, written against the retained decode/encode compiler.
-// Used as the benchmark baseline and to cross-validate the packed
-// pipeline on the real case study (not just random programs).
-// ---------------------------------------------------------------------
-
-fn declare_reference(program: &mut RefProgram) -> Vars {
-    Vars {
-        m: [program.var("m0", 3), program.var("m1", 3)],
-        c: [program.var("c01", 3), program.var("c10", 3)],
-        k: [program.var("k0", 2), program.var("k1", 2)],
-        d: [program.var("d0", 2), program.var("d1", 2)],
-        ord: program.var("ord", 2),
-    }
-}
-
-fn protocol_commands_reference(program: &mut RefProgram, v: Vars, with_wrapper: bool) {
-    for i in 0..2usize {
-        let j = 1 - i;
-        program.command(
-            format!("request{i}"),
-            move |s: &Valuation| s[v.m[i]] == THINKING,
-            move |s: &mut Valuation| {
-                s[v.m[i]] = HUNGRY;
-                s[v.c[i]] = REQUEST;
-                s[v.k[i]] = 0;
-                s[v.ord] = if s[v.m[j]] != THINKING { j } else { i };
-                if s[v.c[j]] == REPLY {
-                    s[v.c[j]] = EMPTY;
-                }
-            },
-        );
-        program.command(
-            format!("recv_request{i}"),
-            move |s: &Valuation| s[v.c[j]] == REQUEST,
-            move |s: &mut Valuation| {
-                s[v.c[j]] = EMPTY;
-                let earlier = s[v.m[i]] == HUNGRY && s[v.ord] == i;
-                if s[v.m[i]] == EATING || earlier {
-                    s[v.d[i]] = 1;
-                    if earlier {
-                        s[v.k[i]] = 1;
-                    }
-                } else {
-                    s[v.c[i]] = REPLY;
-                }
-            },
-        );
-        program.command(
-            format!("recv_reply{i}"),
-            move |s: &Valuation| s[v.c[j]] == REPLY,
-            move |s: &mut Valuation| {
-                s[v.c[j]] = EMPTY;
-                if s[v.m[i]] == HUNGRY {
-                    s[v.k[i]] = 1;
-                }
-            },
-        );
-        program.command(
-            format!("enter{i}"),
-            move |s: &Valuation| s[v.m[i]] == HUNGRY && s[v.k[i]] == 1,
-            move |s: &mut Valuation| s[v.m[i]] = EATING,
-        );
-        program.command(
-            format!("release{i}"),
-            move |s: &Valuation| s[v.m[i]] == EATING,
-            move |s: &mut Valuation| {
-                s[v.m[i]] = THINKING;
-                s[v.k[i]] = 0;
-                if s[v.d[i]] == 1 {
-                    s[v.d[i]] = 0;
-                    s[v.c[i]] = REPLY;
-                }
-            },
-        );
-        if with_wrapper {
-            program.command(
-                format!("wrapper{i}"),
-                move |s: &Valuation| s[v.m[i]] == HUNGRY && s[v.k[i]] == 0 && s[v.c[i]] != REPLY,
-                move |s: &mut Valuation| s[v.c[i]] = REQUEST,
-            );
-        }
-    }
-}
-
-/// The reference-DSL twin of [`program_2proc`].
-pub fn program_2proc_reference(with_wrapper: bool) -> (RefProgram, impl Fn(&Valuation) -> bool) {
-    let mut program = RefProgram::new();
-    let vars = declare_reference(&mut program);
-    protocol_commands_reference(&mut program, vars, with_wrapper);
-    (program, move |s: &Valuation| {
-        (0..2).all(|i| {
-            s[vars.m[i]] == THINKING
-                && s[vars.c[i]] == EMPTY
-                && s[vars.k[i]] == 0
-                && s[vars.d[i]] == 0
-        }) && s[vars.ord] == 0
-    })
-}
-
-/// The compiled abstract 2-process TME instance.
-#[derive(Debug)]
-pub struct AbstractTme {
-    protocol: CompiledProgram,
-    wrapped: CompiledProgram,
-    fair_unwrapped: FairComposition,
-    fair_wrapped: FairComposition,
-    vars: Vars,
-}
-
-/// Builds the 2-process abstraction (protocol, and its weakly fair
-/// compositions with and without the wrapper command).
-///
-/// # Errors
-///
-/// Returns [`GclError`] if compilation fails (it cannot, absent bugs).
-pub fn build() -> Result<AbstractTme, GclError> {
-    let mut plain = Program::new();
-    let vars = declare(&mut plain);
-    protocol_commands(&mut plain, vars, false);
-    let (fair_unwrapped, protocol) = plain.compile_fair(is_init(vars))?;
-
-    let (wrapped_program, winit) = program_2proc(true);
-    let (fair_wrapped, wrapped) = wrapped_program.compile_fair(winit)?;
-
-    Ok(AbstractTme {
-        protocol,
-        wrapped,
-        fair_unwrapped,
-        fair_wrapped,
-        vars,
-    })
-}
-
-/// Builds the 2-process abstraction with the retained reference
-/// compiler; [`build`] and this must agree exactly (and a test asserts
-/// it).
-///
-/// # Errors
-///
-/// Returns [`GclError`] if compilation fails (it cannot, absent bugs).
-pub fn build_reference() -> Result<
-    (
-        FairComposition,
-        RefCompiledProgram,
-        FairComposition,
-        RefCompiledProgram,
-    ),
-    GclError,
-> {
-    let (plain, init) = program_2proc_reference(false);
-    let (fair_unwrapped, protocol) = plain.compile_fair(init)?;
-    let (wrapped_program, winit) = program_2proc_reference(true);
-    let (fair_wrapped, wrapped) = wrapped_program.compile_fair(winit)?;
-    Ok((fair_unwrapped, protocol, fair_wrapped, wrapped))
-}
-
-impl AbstractTme {
-    /// The compiled protocol (its system's init-reachable part is the
-    /// legitimate behaviour).
-    pub fn protocol(&self) -> &FiniteSystem {
-        self.protocol.system()
-    }
-
-    /// Total number of global states.
-    pub fn num_states(&self) -> usize {
-        self.protocol.system().num_states()
-    }
-
-    /// The wrapped system (protocol plus wrapper commands) — the finite
-    /// stand-in for `Lspec`: by Lemma 6 the wrapper's re-sends are
-    /// behaviour the specification allows, so legitimacy and the
-    /// convergence target are defined over this system.
-    pub fn wrapped(&self) -> &FiniteSystem {
-        self.wrapped.system()
-    }
-
-    /// Number of legitimate (init-reachable, wrapper included) states.
-    pub fn num_legitimate(&self) -> usize {
-        self.wrapped.system().reachable_from_init().len()
-    }
-
-    /// ME1 over legitimate behaviour (wrapper included): never both eating.
-    pub fn me1_invariant(&self) -> bool {
-        let v = self.vars;
-        let decode = |state: usize| self.protocol.decode(state);
-        let not_both_eating = move |state: usize| {
-            let values = decode(state);
-            !(values[v.m[0].index()] == EATING && values[v.m[1].index()] == EATING)
-        };
-        // Invariant over the init-reachable subgraph of the wrapped system
-        // (a superset of the bare protocol's — Lemma 6 interference
-        // freedom is part of what is being checked here).
-        self.wrapped
-            .system()
-            .reachable_from_init()
-            .iter()
-            .all(not_both_eating)
-    }
-
-    /// Is the *unwrapped* protocol stabilizing to its own legitimate
-    /// behaviour? (No — the §4 deadlock is a quiescent illegitimate state.)
-    pub fn unwrapped_stabilizes(&self) -> bool {
-        self.fair_unwrapped
-            .is_stabilizing_to(&stutter_closure(self.protocol.system()))
-            .holds()
-    }
-
-    /// Is the *wrapped* composition stabilizing to the legitimate
-    /// behaviour of the wrapped system (the `Lspec` stand-in), from every
-    /// state, under weak fairness? This is Theorem 8 in miniature:
-    /// `M ⊓ W` is stabilizing to `Lspec` — and `Lspec` admits the
-    /// wrapper's re-sends (Lemma 6), so the target includes them.
-    pub fn wrapped_stabilizes(&self) -> bool {
-        self.fair_wrapped
-            .is_stabilizing_to(&stutter_closure(self.wrapped.system()))
-            .holds()
-    }
-
-    /// Encodes the §4 deadlock state: both hungry, channels empty, neither
-    /// believing it precedes, nothing deferred.
-    pub fn deadlock_state(&self) -> usize {
-        // Mixed-radix with declaration order m0,m1,c01,c10,k0,k1,d0,d1,ord
-        // (component 0 least significant, domains 3,3,3,3,2,2,2,2,2).
-        let values = [HUNGRY, HUNGRY, EMPTY, EMPTY, 0, 0, 0, 0, 0];
-        let domains = [3usize, 3, 3, 3, 2, 2, 2, 2, 2];
-        values
-            .iter()
-            .zip(domains)
-            .rev()
-            .fold(0, |acc, (&value, domain)| acc * domain + value)
-    }
-}
-
-// ---------------------------------------------------------------------
-// The n-process abstraction.
-// ---------------------------------------------------------------------
 
 /// Variable handles of the n-process model, plus the permutation tables
 /// behind `ord`.
@@ -1251,9 +871,9 @@ impl TmeVerdicts {
 }
 
 /// Builds the n-process abstraction (`n ≥ 2`). `build_n(3)` is the
-/// 7 558 272-state workload T9 checks at full scale; `build_n(2)` is a
-/// smaller cousin of [`build`] (pairwise beliefs, no deferred bits) used
-/// to cross-validate the streaming checker against the materialized one.
+/// 7 558 272-state workload T9 checks at full scale; `build_n(2)` is the
+/// 648-state 2-process case T9 always checks, small enough to
+/// cross-validate the streaming checker against the materialized one.
 ///
 /// # Errors
 ///
@@ -1634,98 +1254,7 @@ pub struct TmeReachableVerdicts {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn state_space_is_the_expected_size() {
-        let tme = build().unwrap();
-        assert_eq!(tme.num_states(), 3 * 3 * 3 * 3 * 2 * 2 * 2 * 2 * 2);
-        let legit = tme.num_legitimate();
-        assert!(legit > 1 && legit < tme.num_states());
-    }
-
-    #[test]
-    fn legitimate_behaviour_satisfies_me1() {
-        assert!(build().unwrap().me1_invariant());
-    }
-
-    #[test]
-    fn deadlock_state_decodes_correctly() {
-        let tme = build().unwrap();
-        let values = tme.protocol.decode(tme.deadlock_state());
-        assert_eq!(&values[..4], &[HUNGRY, HUNGRY, EMPTY, EMPTY]);
-    }
-
-    #[test]
-    fn deadlock_state_is_quiescent_and_illegitimate_unwrapped() {
-        let tme = build().unwrap();
-        let deadlock = tme.deadlock_state();
-        // No protocol command is enabled: the only transition is the
-        // compiler's quiescence stutter.
-        let succ: Vec<usize> = tme.protocol().successors(deadlock).collect();
-        assert_eq!(succ, vec![deadlock]);
-        assert!(!tme.protocol().reachable_from_init().contains(deadlock));
-        // And it stays illegitimate even for the Lspec stand-in (the
-        // wrapped system cannot reach it from Init either).
-        assert!(!tme.wrapped().reachable_from_init().contains(deadlock));
-    }
-
-    #[test]
-    fn unwrapped_protocol_is_not_stabilizing() {
-        assert!(!build().unwrap().unwrapped_stabilizes());
-    }
-
-    #[test]
-    fn wrapped_protocol_is_stabilizing_from_all_states() {
-        // The paper's Theorem 8 in miniature, checked exhaustively over
-        // every global state (including every possible corruption).
-        assert!(build().unwrap().wrapped_stabilizes());
-    }
-
-    #[test]
-    fn wrapper_breaks_the_deadlock_specifically() {
-        let tme = build().unwrap();
-        let deadlock = tme.deadlock_state();
-        // In the wrapped system the deadlock state has a non-stutter
-        // successor (the wrapper re-sends a request).
-        let succ: Vec<usize> = tme
-            .fair_wrapped
-            .union()
-            .successors(deadlock)
-            .filter(|&next| next != deadlock)
-            .collect();
-        assert!(!succ.is_empty(), "wrapper enabled no move at the deadlock");
-    }
-
-    #[test]
-    fn packed_and_reference_compilers_agree_on_the_case_study() {
-        // The full cross-validation on the real model (random-program
-        // differential tests live in tests/gcl_differential.rs): systems,
-        // components, unions, and verdicts must be identical.
-        let tme = build().unwrap();
-        let (ref_fair_unwrapped, ref_protocol, ref_fair_wrapped, ref_wrapped) =
-            build_reference().unwrap();
-        assert_eq!(tme.protocol.system(), ref_protocol.system());
-        assert_eq!(tme.wrapped.system(), ref_wrapped.system());
-        assert_eq!(tme.fair_unwrapped.union(), ref_fair_unwrapped.union());
-        assert_eq!(tme.fair_wrapped.union(), ref_fair_wrapped.union());
-        assert_eq!(
-            tme.fair_unwrapped.components(),
-            ref_fair_unwrapped.components()
-        );
-        assert_eq!(tme.fair_wrapped.components(), ref_fair_wrapped.components());
-        assert_eq!(
-            tme.unwrapped_stabilizes(),
-            ref_fair_unwrapped
-                .is_stabilizing_to(&stutter_closure(ref_protocol.system()))
-                .holds()
-        );
-        assert_eq!(
-            tme.wrapped_stabilizes(),
-            ref_fair_wrapped
-                .is_stabilizing_to(&stutter_closure(ref_wrapped.system()))
-                .holds()
-        );
-    }
+    use crate::synthesis::stutter_closure;
 
     #[test]
     fn ir_and_closure_nproc_twins_agree_at_n2() {
@@ -1831,12 +1360,30 @@ mod tests {
 
     #[test]
     fn nproc_packed_and_reference_twins_agree_at_n2() {
+        // The full cross-validation on the real model (random-program
+        // differential tests live in tests/gcl_differential.rs): systems,
+        // per-command components, unions, and verdicts must be identical.
         for with_wrapper in [false, true] {
             let (packed, packed_init) = program_nproc(2, with_wrapper);
             let (reference, reference_init) = program_nproc_reference(2, with_wrapper);
-            let a = packed.compile(packed_init).unwrap();
-            let b = reference.compile(reference_init).unwrap();
+            let (fair_a, a) = packed.compile_fair(packed_init).unwrap();
+            let (fair_b, b) = reference.compile_fair(reference_init).unwrap();
             assert_eq!(a.system(), b.system(), "wrapper={with_wrapper}");
+            assert_eq!(fair_a.union(), fair_b.union(), "wrapper={with_wrapper}");
+            assert_eq!(
+                fair_a.components(),
+                fair_b.components(),
+                "wrapper={with_wrapper}"
+            );
+            assert_eq!(
+                fair_a
+                    .is_stabilizing_to(&stutter_closure(a.system()))
+                    .holds(),
+                fair_b
+                    .is_stabilizing_to(&stutter_closure(b.system()))
+                    .holds(),
+                "wrapper={with_wrapper}"
+            );
         }
     }
 
@@ -1871,9 +1418,9 @@ mod tests {
 
     #[test]
     fn n2_streaming_check_matches_the_materialized_verdicts() {
-        // build_n(2) is a *different* (smaller) model than build(), but
-        // its streaming verdicts must agree with compiling the same two
-        // programs through the materialized FairComposition pipeline.
+        // The streaming verdicts of the 2-process case must agree with
+        // compiling the same two programs through the materialized
+        // FairComposition pipeline.
         let tme = build_n(2).unwrap();
         assert_eq!(tme.num_states(), 9 * 9 * 4 * 2);
         let verdicts = tme.check().unwrap();
@@ -2018,76 +1565,5 @@ mod tests {
         assert!(reach.deadlock_illegitimate);
         assert!(reach.recovery_steps.is_some());
         assert_eq!(reach.group_order, 24);
-    }
-}
-
-#[cfg(test)]
-mod debug_tests {
-    use super::*;
-
-    #[test]
-    #[ignore]
-    fn find_me1_violation() {
-        use std::collections::{BTreeMap, VecDeque};
-        let tme = build().unwrap();
-        let v = tme.vars;
-        let sys = tme.protocol.system();
-        let target = tme
-            .protocol
-            .system()
-            .reachable_from_init()
-            .iter()
-            .find(|&s| {
-                let values = tme.protocol.decode(s);
-                values[v.m[0].index()] == EATING && values[v.m[1].index()] == EATING
-            });
-        let Some(target) = target else {
-            panic!("no violation")
-        };
-        // BFS with predecessors.
-        let mut pred: BTreeMap<usize, usize> = BTreeMap::new();
-        let mut queue: VecDeque<usize> = sys.init().iter().collect();
-        let mut seen: std::collections::BTreeSet<usize> = sys.init().iter().collect();
-        while let Some(state) = queue.pop_front() {
-            for next in sys.successors(state) {
-                if seen.insert(next) {
-                    pred.insert(next, state);
-                    queue.push_back(next);
-                }
-            }
-        }
-        let mut path = vec![target];
-        while let Some(&p) = pred.get(path.last().unwrap()) {
-            path.push(p);
-            if sys.init().contains(p) {
-                break;
-            }
-        }
-        path.reverse();
-        for s in path {
-            eprintln!(
-                "  {s}: {:?} (m0,m1,c01,c10,k0,k1,d0,d1,ord)",
-                tme.protocol.decode(s)
-            );
-        }
-        panic!("done");
-    }
-
-    #[test]
-    #[ignore]
-    fn find_wrapped_divergence() {
-        let tme = build().unwrap();
-        let target = stutter_closure(tme.protocol.system());
-        let report = tme.fair_wrapped.is_stabilizing_to(&target);
-        if let Some((from, to)) = report.divergent_edge {
-            eprintln!(
-                "divergent edge {from}->{to}: {:?} -> {:?}",
-                tme.protocol.decode(from),
-                tme.protocol.decode(to)
-            );
-            eprintln!("from legit: {}", report.legitimate_states.contains(from));
-            eprintln!("to legit: {}", report.legitimate_states.contains(to));
-        }
-        panic!("done");
     }
 }

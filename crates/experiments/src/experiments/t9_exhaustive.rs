@@ -1,73 +1,49 @@
 //! T9 — exhaustive model checking of the abstract TME case study.
 
-use graybox_core::sweep::sweep_seeds;
-use graybox_core::tme_abstract;
+use graybox_core::tme_abstract::{self, TmeVerdicts};
 
 use crate::table::{mark, Table};
 
 use super::{ExperimentResult, Scale};
 
+/// Appends the four verdict rows of one n-process check.
+fn verdict_rows(table: &mut Table, label: &str, v: &TmeVerdicts) {
+    table.row(vec![
+        format!("{label}: ME1 (never two eating) on legitimate behaviour"),
+        format!("{} legitimate states", v.num_legitimate),
+        mark(v.me1),
+    ]);
+    table.row(vec![
+        format!("{label}: unwrapped protocol stabilizing (expected: NO)"),
+        format!("all {} states", v.num_states),
+        mark(v.unwrapped_stabilizes),
+    ]);
+    table.row(vec![
+        format!("{label}: wrapped protocol stabilizing (Theorem 8)"),
+        format!("all {} states", v.num_states),
+        mark(v.wrapped_stabilizes),
+    ]);
+    table.row(vec![
+        format!("{label}: §4 deadlock state quiescent & illegitimate"),
+        format!("state #{}", v.deadlock_state),
+        mark(v.deadlock_quiescent && v.deadlock_illegitimate),
+    ]);
+}
+
 pub fn run(scale: Scale) -> ExperimentResult {
-    let tme = tme_abstract::build().expect("abstraction compiles");
-    // The four verdicts are independent model checks over the same shared
-    // (immutable) abstraction; evaluate them in parallel.
-    let deadlock = tme.deadlock_state();
-    let verdicts = sweep_seeds(0..4u64, |check| match check {
-        0 => tme.me1_invariant(),
-        1 => tme.unwrapped_stabilizes(),
-        2 => tme.wrapped_stabilizes(),
-        _ => {
-            tme.protocol().successors(deadlock).collect::<Vec<_>>() == vec![deadlock]
-                && !tme.wrapped().reachable_from_init().contains(deadlock)
-        }
-    });
     let mut table = Table::new(&["property", "checked over", "holds"]);
-    table.row(vec![
-        "2proc: ME1 (never both eating) on legitimate behaviour".into(),
-        format!("{} legitimate states", tme.num_legitimate()),
-        mark(verdicts[0]),
-    ]);
-    table.row(vec![
-        "2proc: unwrapped protocol stabilizing (expected: NO)".into(),
-        format!("all {} states", tme.num_states()),
-        mark(verdicts[1]),
-    ]);
-    table.row(vec![
-        "2proc: wrapped protocol stabilizing (Theorem 8)".into(),
-        format!("all {} states", tme.num_states()),
-        mark(verdicts[2]),
-    ]);
-    table.row(vec![
-        "2proc: §4 deadlock state quiescent & illegitimate".into(),
-        format!("state #{deadlock}"),
-        mark(verdicts[3]),
-    ]);
+    let v2 = tme_abstract::build_n(2)
+        .and_then(|tme| tme.check())
+        .expect("2-process check runs");
+    verdict_rows(&mut table, "2proc", &v2);
 
     // At full scale, the packed streaming pipeline makes the 3-process
     // abstraction (≈7.6M states) exhaustively checkable too.
     if scale == Scale::Full {
-        let tme3 = tme_abstract::build_n(3).expect("3-process abstraction compiles");
-        let v3 = tme3.check().expect("3-process check runs");
-        table.row(vec![
-            "3proc: ME1 (never two eating) on legitimate behaviour".into(),
-            format!("{} legitimate states", v3.num_legitimate),
-            mark(v3.me1),
-        ]);
-        table.row(vec![
-            "3proc: unwrapped protocol stabilizing (expected: NO)".into(),
-            format!("all {} states", v3.num_states),
-            mark(v3.unwrapped_stabilizes),
-        ]);
-        table.row(vec![
-            "3proc: wrapped protocol stabilizing (Theorem 8)".into(),
-            format!("all {} states", v3.num_states),
-            mark(v3.wrapped_stabilizes),
-        ]);
-        table.row(vec![
-            "3proc: generalized deadlock quiescent & illegitimate".into(),
-            format!("state #{}", v3.deadlock_state),
-            mark(v3.deadlock_quiescent && v3.deadlock_illegitimate),
-        ]);
+        let v3 = tme_abstract::build_n(3)
+            .and_then(|tme| tme.check())
+            .expect("3-process check runs");
+        verdict_rows(&mut table, "3proc", &v3);
     }
 
     ExperimentResult {
@@ -81,7 +57,7 @@ pub fn run(scale: Scale) -> ExperimentResult {
                 to legitimate behaviour with the wrapper, and the unwrapped \
                 protocol provably does not (the §4 deadlock is a quiescent \
                 illegitimate state); at full scale the packed streaming \
-                compiler extends the check from the 2-process (2.6k-state) \
+                compiler extends the check from the 2-process (648-state) \
                 to the 3-process (7.6M-state) abstraction",
         rendered: table.render(),
     }
