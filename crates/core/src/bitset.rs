@@ -128,17 +128,11 @@ impl StateSet {
 
     /// Crate-internal: wraps raw `u64` blocks (bit `i` of block `b`
     /// encodes state `b * 64 + i`) without copying. The sharded GCL
-    /// compiler assembles init sets this way from 64-aligned chunks.
+    /// compiler assembles init sets this way: its chunks start at
+    /// multiples of 64 and all but the last span whole blocks, so the
+    /// chunks' blocks laid end to end form the global set.
     pub(crate) fn from_blocks(blocks: Vec<u64>) -> StateSet {
         StateSet { blocks }
-    }
-
-    /// Crate-internal: mutable raw block view for aligned block-wise
-    /// merges. The set must have been sized (via
-    /// [`with_capacity`](Self::with_capacity)) to cover every block the
-    /// caller writes.
-    pub(crate) fn blocks_mut(&mut self) -> &mut [u64] {
-        &mut self.blocks
     }
 
     /// Adds every state of `other` to `self`.

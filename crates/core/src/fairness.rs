@@ -114,55 +114,40 @@ impl FairComposition {
         // many components can act inside it (an edge (u, v) is inside its
         // SCC iff scc[u] == scc[v]); one pass over the union's edges then
         // looks for a divergent inner edge of a fully-represented SCC.
-        // Replaces the per-SCC edge rescans: O(Σ|E_i| + E) total. On
-        // large spaces the marking fans out over disjoint component
-        // subsets — each component is counted wholly by one worker, so
-        // summing the per-worker counts gives the serial tally.
+        // Replaces the per-SCC edge rescans: O(Σ|E_i| + E) total. The
+        // marking runs over disjoint component subsets (one subset per
+        // worker, a single one on small spaces) — each component is
+        // counted wholly by one subset, so summing the per-subset counts
+        // gives the same tally at every worker count.
         let scc = self.union.scc_ids();
         let ncomp = self.components.len();
         let scc_count = self.union.scc_count();
-        let workers = if self.union.num_states() >= crate::par::PAR_MIN_STATES {
-            crate::sweep::available_workers().min(ncomp)
-        } else {
-            1
-        };
-        let mut present = vec![0usize; scc_count];
-        if workers > 1 {
-            let tasks: Vec<_> = crate::sweep::chunk_ranges(ncomp, workers, 1)
-                .into_iter()
-                .map(|range| {
-                    let components = &self.components[range];
-                    move || {
-                        let mut present = vec![0usize; scc_count];
-                        let mut last_seen = vec![usize::MAX; scc_count];
-                        for (ci, component) in components.iter().enumerate() {
-                            for (from, to) in component.edges() {
-                                let id = scc[from];
-                                if scc[to] == id && last_seen[id] != ci {
-                                    last_seen[id] = ci;
-                                    present[id] += 1;
-                                }
+        let workers = crate::par::default_workers(self.union.num_states()).min(ncomp);
+        let tasks: Vec<_> = crate::sweep::chunk_ranges(ncomp, workers, 1)
+            .into_iter()
+            .map(|range| {
+                let components = &self.components[range];
+                move || {
+                    let mut present = vec![0usize; scc_count];
+                    let mut last_seen = vec![usize::MAX; scc_count];
+                    for (ci, component) in components.iter().enumerate() {
+                        for (from, to) in component.edges() {
+                            let id = scc[from];
+                            if scc[to] == id && last_seen[id] != ci {
+                                last_seen[id] = ci;
+                                present[id] += 1;
                             }
                         }
-                        present
                     }
-                })
-                .collect();
-            for partial in crate::sweep::join_all(tasks) {
-                for (sum, part) in present.iter_mut().zip(partial) {
-                    *sum += part;
+                    present
                 }
-            }
-        } else {
-            let mut last_seen = vec![usize::MAX; scc_count];
-            for (ci, component) in self.components.iter().enumerate() {
-                for (from, to) in component.edges() {
-                    let id = scc[from];
-                    if scc[to] == id && last_seen[id] != ci {
-                        last_seen[id] = ci;
-                        present[id] += 1;
-                    }
-                }
+            })
+            .collect();
+        let mut partials = crate::sweep::join_all(tasks).into_iter();
+        let mut present = partials.next().expect("a composition has components");
+        for partial in partials {
+            for (sum, part) in present.iter_mut().zip(partial) {
+                *sum += part;
             }
         }
         for (from, to) in self.union.edges() {

@@ -68,11 +68,12 @@ pub mod sym;
 
 use std::fmt;
 use std::ops::Range;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::bitset::StateSet;
 use crate::fairness::FairComposition;
-use crate::par::{self, U32Graph};
-use crate::sweep::{available_workers, chunk_ranges, join_all};
+use crate::par;
+use crate::sweep::{chunk_ranges, join_all};
 use crate::{FiniteSystem, SystemError};
 
 /// Default cap on compiled state-space size, to catch accidental blowups.
@@ -545,10 +546,10 @@ impl Program {
     /// One streaming sweep evaluates guards and effects on the packed
     /// word and appends each staged row directly to the CSR arrays. On
     /// spaces large enough to amortize thread startup the sweep is
-    /// *sharded*: [`available_workers`] contiguous chunks run odometer
-    /// sweeps concurrently and their row segments are stitched by
-    /// prefix-sum offsets — the output is bit-identical to the serial
-    /// sweep's regardless of worker count.
+    /// *sharded*: [`available_workers`](crate::sweep::available_workers)
+    /// contiguous chunks run odometer sweeps concurrently and their row
+    /// segments are stitched by prefix-sum offsets — the output is
+    /// bit-identical regardless of worker count.
     ///
     /// # Errors
     ///
@@ -558,12 +559,12 @@ impl Program {
         init: impl for<'a, 'b> Fn(&'a State<'b>) -> bool + Sync,
     ) -> Result<CompiledProgram, GclError> {
         let layout = self.layout()?;
-        let workers = default_workers(narrow(layout.total));
+        let workers = par::default_workers(narrow(layout.total));
         self.compile_with(&layout, workers, &init)
     }
 
     /// [`compile`](Self::compile) with an explicit worker count
-    /// (`workers <= 1` runs the serial sweep on the calling thread).
+    /// (`workers <= 1` runs the sweep as one chunk on the calling thread).
     /// Output is identical for every worker count.
     ///
     /// # Errors
@@ -594,19 +595,19 @@ impl Program {
             })
             .collect();
         // `collect` keeps the error of the lowest failing chunk — the
-        // same error the serial sweep would hit first.
+        // same error a one-chunk sweep would hit first.
         let parts: Vec<PlainChunk> = join_all(tasks).into_iter().collect::<Result<_, _>>()?;
         let mut csr_parts = Vec::with_capacity(parts.len());
-        let mut init_parts = Vec::with_capacity(parts.len());
+        let mut init_blocks = Vec::with_capacity(total.div_ceil(64));
         for part in parts {
             csr_parts.push((part.off, part.to));
-            init_parts.push(part.init_blocks);
+            init_blocks.extend(part.init_blocks);
         }
-        let init_set = stitch_init(total, &chunks, init_parts);
+        let init_set = StateSet::from_blocks(init_blocks);
         if init_set.is_empty() {
             return Err(GclError::NoInitialState);
         }
-        let (fwd_off, fwd_to) = stitch_csr(total, &chunks, csr_parts);
+        let (fwd_off, fwd_to) = par::stitch_csr(total, &chunks, csr_parts);
         let system = FiniteSystem::from_csr(total, init_set, fwd_off, fwd_to)?;
         Ok(CompiledProgram {
             system,
@@ -666,12 +667,12 @@ impl Program {
         init: impl for<'a, 'b> Fn(&'a State<'b>) -> bool + Sync,
     ) -> Result<(FairComposition, CompiledProgram), GclError> {
         let layout = self.layout()?;
-        let workers = default_workers(narrow(layout.total));
+        let workers = par::default_workers(narrow(layout.total));
         self.compile_fair_with(&layout, workers, &init)
     }
 
     /// [`compile_fair`](Self::compile_fair) with an explicit worker
-    /// count (`workers <= 1` runs the serial sweep on the calling
+    /// count (`workers <= 1` runs the sweep as one chunk on the calling
     /// thread). Output is identical for every worker count.
     ///
     /// # Errors
@@ -722,18 +723,18 @@ impl Program {
         let parts: Vec<FairChunk> = join_all(tasks).into_iter().collect::<Result<_, _>>()?;
         let mut plain_parts = Vec::with_capacity(parts.len());
         let mut union_parts = Vec::with_capacity(parts.len());
-        let mut init_parts = Vec::with_capacity(parts.len());
+        let mut init_blocks = Vec::with_capacity(total.div_ceil(64));
         for part in parts {
             plain_parts.push((part.off, part.to));
             union_parts.push((part.union_off, part.union_to));
-            init_parts.push(part.init_blocks);
+            init_blocks.extend(part.init_blocks);
         }
-        let init_set = stitch_init(total, &chunks, init_parts);
+        let init_set = StateSet::from_blocks(init_blocks);
         if init_set.is_empty() {
             return Err(GclError::NoInitialState);
         }
-        let (fwd_off, fwd_to) = stitch_csr(total, &chunks, plain_parts);
-        let (union_off, union_to) = stitch_csr(total, &chunks, union_parts);
+        let (fwd_off, fwd_to) = par::stitch_csr(total, &chunks, plain_parts);
+        let (union_off, union_to) = par::stitch_csr(total, &chunks, union_parts);
         let plain = FiniteSystem::from_csr(total, init_set.clone(), fwd_off, fwd_to)?;
 
         if ncmd == 0 {
@@ -867,15 +868,15 @@ impl Program {
         init: impl for<'a, 'b> Fn(&'a State<'b>) -> bool + Sync,
     ) -> Result<FairSelfReport, GclError> {
         let layout = self.layout()?;
-        let workers = default_workers(narrow(layout.total));
+        let workers = par::default_workers(narrow(layout.total));
         self.fair_self_check_with(&layout, workers, &init)
     }
 
     /// [`fair_self_check`](Self::fair_self_check) with an explicit
-    /// worker count for the sharded sweeps and the reachability closure
-    /// (`workers <= 1` runs them serially on the calling thread; the SCC
-    /// pass is the sequential Tarjan at every count). The report is
-    /// identical for every worker count.
+    /// worker count for the sharded sweeps, the reachability closure and
+    /// the violation scan (`workers <= 1` runs each as one chunk on the
+    /// calling thread; the SCC pass is the sequential Tarjan at every
+    /// count). The report is identical for every worker count.
     ///
     /// # Errors
     ///
@@ -889,10 +890,6 @@ impl Program {
         self.fair_self_check_with(&layout, workers, &init)
     }
 
-    // Every `as u32` below is in range by the upfront guard: states and
-    // edge counts are bounded by `total * (ncmd + 1)`, which is checked
-    // against `u32::MAX` before the sweeps start.
-    #[allow(clippy::cast_possible_truncation)]
     fn fair_self_check_with(
         &self,
         layout: &Layout,
@@ -904,24 +901,14 @@ impl Program {
         if ncmd == 0 {
             return Err(GclError::System(SystemError::EmptyStateSpace));
         }
-        // The union CSR is staged in 32-bit arrays: both the state ids
-        // and the running edge count (each row has at most `ncmd + 1`
-        // entries after dedup) must fit `u32`.
-        let max_edges = (total as u64).saturating_mul(ncmd as u64 + 1);
-        if u32::try_from(total).is_err() || max_edges > u64::from(u32::MAX) {
-            return Err(GclError::TooManyStates {
-                actual: total,
-                max: narrow(u64::from(u32::MAX) / (ncmd as u64 + 1)),
-            });
-        }
-        let workers = workers.max(1);
+        check_u32_csr(total, ncmd)?;
         let chunks = chunk_ranges(total, workers, CHUNK_ALIGN);
 
         // Sweep 1, sharded: the union graph (every enabled command's
         // target, plus a skip self-loop wherever some command is
         // disabled) as per-chunk 32-bit CSR segments; stitching in
-        // chunk order makes the arrays bit-identical to the serial
-        // sweep's, and the seed list ascending like the serial one.
+        // chunk order makes the arrays and the ascending seed list the
+        // same at every worker count.
         let union_tasks: Vec<_> = chunks
             .iter()
             .map(|range| {
@@ -932,163 +919,58 @@ impl Program {
         let union_parts: Vec<UnionChunk> = join_all(union_tasks)
             .into_iter()
             .collect::<Result<_, _>>()?;
-        let (off, to, init_seeds) = if union_parts.len() == 1 {
-            let part = union_parts.into_iter().next().expect("one part");
-            (part.off, part.to, part.init_seeds)
-        } else {
-            let num_edges: usize = union_parts.iter().map(|p| p.to.len()).sum();
-            let mut off = vec![0u32; total + 1];
-            let mut to: Vec<u32> = Vec::with_capacity(num_edges);
-            let mut init_seeds: Vec<usize> = Vec::new();
-            for (range, part) in chunks.iter().zip(union_parts) {
-                let base = to.len() as u32;
-                for (local, state) in range.clone().enumerate() {
-                    off[state + 1] = base + part.off[local + 1];
-                }
-                to.extend(part.to);
-                init_seeds.extend(part.init_seeds);
-            }
-            (off, to, init_seeds)
-        };
+        let (off, to, init_seeds) = UnionChunk::stitch(total, &chunks, union_parts);
         if init_seeds.is_empty() {
             return Err(GclError::NoInitialState);
         }
 
         // Legitimate set: closure of the initial states. Self-loops never
         // change reachability, so the union rows decide it exactly as the
-        // plain compilation would. One worker keeps the serial DFS;
-        // otherwise a level-synchronized BFS computes the same set.
-        let legitimate = if workers > 1 {
-            par::reach(
-                &U32Graph { off: &off, to: &to },
-                workers,
-                init_seeds.iter().copied(),
-            )
-        } else {
-            let mut legitimate = StateSet::with_capacity(total);
-            let mut frontier: Vec<usize> = Vec::new();
-            for &seed in &init_seeds {
-                if legitimate.insert(seed) {
-                    frontier.push(seed);
-                }
-            }
-            while let Some(state) = frontier.pop() {
-                for &next in &to[off[state] as usize..off[state + 1] as usize] {
-                    if legitimate.insert(next as usize) {
-                        frontier.push(next as usize);
-                    }
-                }
-            }
-            legitimate
-        };
+        // plain compilation would.
+        let legitimate = par::reach(&off, &to, workers, init_seeds);
 
         // SCC ids: sequential Tarjan at every worker count. The union
         // graph is dominated by singleton components (skip self-loops
         // everywhere), where one O(V + E) pass beats any parallel
         // decomposition.
-        let (scc_id, scc_count) = tarjan_u32(total, &off, &to);
+        let (scc_id, scc_count) = par::tarjan(&off, &to);
 
-        // Sweep 2: how many commands can act inside each union SCC. An
-        // edge acts inside iff both endpoints share the SCC; a disabled
-        // command's skip (s, s) always does. This sweep visits states
-        // (not commands) outermost, so deduplication needs a full
-        // per-(SCC, command) bitmask — a last-command-seen marker would
-        // recount commands across states of the same SCC.
+        // Sweep 2, sharded: which commands can act inside each union
+        // SCC. An edge acts inside iff both endpoints share the SCC; a
+        // disabled command's skip (s, s) always does. Every chunk ORs a
+        // state's inside-mask straight into the per-(SCC, command) bit
+        // table; OR commutes, so the table (and the fully represented
+        // SCCs read off it by popcount) is the same at every worker
+        // count.
         let words = ncmd.div_ceil(64);
-        let mut seen_cmd = vec![0u64; scc_count * words];
-        let mut present = vec![0u32; scc_count];
-        if chunks.len() == 1 {
-            // Serial fallback: aggregate in place, no staging.
-            let mut view = State::new(layout);
-            for state in 0..total {
-                let id = scc_id[state] as usize;
-                for (index, command) in self.commands.iter().enumerate() {
-                    let inside = if command.enabled(&view) {
-                        view.begin_effect();
-                        command.apply(&mut view);
-                        let target = view
-                            .finish_effect()
-                            .map_err(|()| self.out_of_domain(index))?;
-                        scc_id[target as usize] == scc_id[state]
-                    } else {
-                        true
-                    };
-                    if inside {
-                        let word = &mut seen_cmd[id * words + index / 64];
-                        let mask = 1u64 << (index % 64);
-                        if *word & mask == 0 {
-                            *word |= mask;
-                            present[id] += 1;
-                        }
-                    }
-                }
-                view.advance();
-            }
-        } else {
-            // Sharded: each chunk stages a per-state bitmask of the
-            // commands acting inside that state's SCC; a serial fold
-            // then aggregates distinct commands per SCC, visiting
-            // states in exactly the serial sweep's order.
-            let scc_ref: &[u32] = &scc_id;
-            let mask_tasks: Vec<_> = chunks
-                .iter()
-                .map(|range| {
-                    let range = range.clone();
-                    move || self.inside_masks_chunk(layout, range, words, scc_ref)
-                })
-                .collect();
-            let mask_parts: Vec<Vec<u64>> =
-                join_all(mask_tasks).into_iter().collect::<Result<_, _>>()?;
-            let mut state = 0usize;
-            for part in &mask_parts {
-                for masks in part.chunks_exact(words) {
-                    let id = scc_id[state] as usize;
-                    for (w, &mask) in masks.iter().enumerate() {
-                        let slot = &mut seen_cmd[id * words + w];
-                        let fresh = mask & !*slot;
-                        if fresh != 0 {
-                            *slot |= fresh;
-                            present[id] += fresh.count_ones();
-                        }
-                    }
-                    state += 1;
-                }
-            }
-            debug_assert_eq!(state, total);
-        }
-        drop(seen_cmd);
-
-        // Scan: a divergent edge (one endpoint illegitimate) inside a
-        // fully represented SCC hosts a fair violating computation.
-        // Chunks scan disjoint state ranges; the first hit in chunk
-        // order is the first hit in state order — the serial witness.
-        let ncmd = ncmd as u32;
-        let scan_tasks: Vec<_> = chunks
+        let inside: Vec<AtomicU64> = (0..scc_count * words).map(|_| AtomicU64::new(0)).collect();
+        let mask_tasks: Vec<_> = chunks
             .iter()
             .map(|range| {
                 let range = range.clone();
-                let (off, to, scc_id, present, legitimate) =
-                    (&off, &to, &scc_id, &present, &legitimate);
-                move || -> Option<(usize, usize)> {
-                    for state in range {
-                        let id = scc_id[state];
-                        if present[id as usize] != ncmd {
-                            continue;
-                        }
-                        for &next in &to[off[state] as usize..off[state + 1] as usize] {
-                            if scc_id[next as usize] == id
-                                && !(legitimate.contains(state)
-                                    && legitimate.contains(next as usize))
-                            {
-                                return Some((state, next as usize));
-                            }
-                        }
-                    }
-                    None
-                }
+                let (scc_id, inside) = (&scc_id, &inside);
+                move || self.inside_masks_chunk(layout, range, scc_id, inside)
             })
             .collect();
-        let divergent_witness = join_all(scan_tasks).into_iter().flatten().next();
+        join_all(mask_tasks)
+            .into_iter()
+            .collect::<Result<(), _>>()?;
+        let mut full = StateSet::with_capacity(scc_count);
+        for (id, masks) in inside.chunks_exact(words).enumerate() {
+            let acting: u32 = masks
+                .iter()
+                .map(|mask| mask.load(Ordering::Relaxed).count_ones())
+                .sum();
+            if acting as usize == ncmd {
+                full.insert(id);
+            }
+        }
+        drop(inside);
+
+        // Scan: a divergent edge (one endpoint illegitimate) inside a
+        // fully represented SCC hosts a fair violating computation.
+        let divergent_witness =
+            par::divergent_edge(&off, &to, &scc_id, &full, &legitimate, workers);
 
         Ok(FairSelfReport {
             num_states: total,
@@ -1153,21 +1035,24 @@ impl Program {
     }
 
     /// Sweep-2 worker of [`fair_self_check`](Self::fair_self_check):
-    /// for each state of `range`, the bitmask of commands whose edge
+    /// for each state of `range`, ORs the mask of commands whose edge
     /// stays inside the state's SCC (a disabled command's skip always
-    /// does). `words` is `ncmd.div_ceil(64)`.
+    /// does) into that SCC's row of `table` (`ncmd.div_ceil(64)` words
+    /// per SCC).
     fn inside_masks_chunk(
         &self,
         layout: &Layout,
         range: Range<usize>,
-        words: usize,
         scc_id: &[u32],
-    ) -> Result<Vec<u64>, GclError> {
-        let mut masks = vec![0u64; range.len() * words];
+        table: &[AtomicU64],
+    ) -> Result<(), GclError> {
+        let words = self.commands.len().div_ceil(64);
+        let mut masks = vec![0u64; words];
         let mut view = State::new(layout);
         view.load(range.start as u64);
-        for (local, state) in range.enumerate() {
+        for state in range {
             let id = scc_id[state];
+            masks.fill(0);
             for (index, command) in self.commands.iter().enumerate() {
                 let inside = if command.enabled(&view) {
                     view.begin_effect();
@@ -1180,24 +1065,37 @@ impl Program {
                     true
                 };
                 if inside {
-                    masks[local * words + index / 64] |= 1u64 << (index % 64);
+                    masks[index / 64] |= 1u64 << (index % 64);
+                }
+            }
+            let row = &table[id as usize * words..][..words];
+            for (slot, &mask) in row.iter().zip(&masks) {
+                // Relaxed suffices: the table publishes no other data,
+                // the scope's join orders every OR before the popcount
+                // read, and OR commutes.
+                if slot.load(Ordering::Relaxed) & mask != mask {
+                    slot.fetch_or(mask, Ordering::Relaxed);
                 }
             }
             view.advance();
         }
-        Ok(masks)
+        Ok(())
     }
 }
 
-/// Worker count for a default (non-`_on`) compile entry point: the
-/// full crew when the space is large enough to amortize thread
-/// startup and stitching, one otherwise.
-fn default_workers(total: usize) -> usize {
-    if total >= par::PAR_MIN_STATES {
-        available_workers()
-    } else {
-        1
+/// Rejects state spaces whose union CSR would not fit the 32-bit arrays
+/// the fair self-checks stage it in: the state ids and the running edge
+/// count (each row has at most `ncmd + 1` entries after dedup) must fit
+/// `u32`.
+fn check_u32_csr(states: usize, ncmd: usize) -> Result<(), GclError> {
+    let max_edges = (states as u64).saturating_mul(ncmd as u64 + 1);
+    if u32::try_from(states).is_err() || max_edges > u64::from(u32::MAX) {
+        return Err(GclError::TooManyStates {
+            actual: states,
+            max: narrow(u64::from(u32::MAX) / (ncmd as u64 + 1)),
+        });
     }
+    Ok(())
 }
 
 /// Alignment of sharded sweep chunk boundaries: 64 keeps every chunk's
@@ -1229,118 +1127,34 @@ struct FairChunk {
     init_blocks: Vec<u64>,
 }
 
-/// One chunk of the sharded `fair_self_check` union sweep.
+/// One chunk of a sharded fair self-check union sweep (full or
+/// quotient): 32-bit union rows with chunk-relative offsets and the
+/// chunk's initial states (absolute, ascending).
 struct UnionChunk {
     off: Vec<u32>,
     to: Vec<u32>,
     init_seeds: Vec<usize>,
 }
 
-/// Stitches per-chunk relative CSR rows into one global CSR by
-/// prefix-sum offsets; the single-chunk (serial fallback) case moves
-/// the arrays through unchanged.
-fn stitch_csr(
-    total: usize,
-    chunks: &[Range<usize>],
-    parts: Vec<(Vec<usize>, Vec<usize>)>,
-) -> (Vec<usize>, Vec<usize>) {
-    debug_assert_eq!(chunks.len(), parts.len());
-    if parts.len() == 1 {
-        let (off, to) = parts.into_iter().next().expect("one part");
-        return (off, to);
+impl UnionChunk {
+    /// The global union CSR and the ascending initial-state list of the
+    /// `total` states `chunks` cover.
+    fn stitch(
+        total: usize,
+        chunks: &[Range<usize>],
+        parts: Vec<UnionChunk>,
+    ) -> (Vec<u32>, Vec<u32>, Vec<usize>) {
+        let mut init_seeds = Vec::new();
+        let rows = parts
+            .into_iter()
+            .map(|part| {
+                init_seeds.extend(part.init_seeds);
+                (part.off, part.to)
+            })
+            .collect();
+        let (off, to) = par::stitch_csr(total, chunks, rows);
+        (off, to, init_seeds)
     }
-    let num_edges: usize = parts.iter().map(|(_, to)| to.len()).sum();
-    let mut off = vec![0usize; total + 1];
-    let mut to: Vec<usize> = Vec::with_capacity(num_edges);
-    for (range, (part_off, part_to)) in chunks.iter().zip(parts) {
-        let base = to.len();
-        for (local, state) in range.clone().enumerate() {
-            off[state + 1] = base + part_off[local + 1];
-        }
-        to.extend(part_to);
-    }
-    (off, to)
-}
-
-/// Assembles the initial-state set from per-chunk bit blocks. Chunks
-/// start at multiples of 64, so each chunk's blocks are disjoint from
-/// every other chunk's.
-fn stitch_init(total: usize, chunks: &[Range<usize>], parts: Vec<Vec<u64>>) -> StateSet {
-    debug_assert_eq!(chunks.len(), parts.len());
-    if parts.len() == 1 {
-        return StateSet::from_blocks(parts.into_iter().next().expect("one part"));
-    }
-    let mut init_set = StateSet::with_capacity(total);
-    let blocks = init_set.blocks_mut();
-    for (range, part) in chunks.iter().zip(parts) {
-        let base = range.start / 64;
-        blocks[base..base + part.len()].copy_from_slice(&part);
-    }
-    init_set
-}
-
-/// Iterative Tarjan over 32-bit CSR rows (no recursion, no per-state
-/// allocation); returns SCC ids in completion (reverse topological)
-/// order, matching [`FiniteSystem::scc_ids`].
-// State ids fit `u32`: the caller (`fair_self_check`) rejects state
-// spaces beyond `u32::MAX` before building the 32-bit CSR.
-#[allow(clippy::cast_possible_truncation)]
-pub(crate) fn tarjan_u32(num_states: usize, off: &[u32], to: &[u32]) -> (Vec<u32>, usize) {
-    const UNSET: u32 = u32::MAX;
-    let mut index = vec![UNSET; num_states];
-    let mut low = vec![0u32; num_states];
-    let mut on_stack = StateSet::with_capacity(num_states);
-    let mut scc_id = vec![UNSET; num_states];
-    let mut stack: Vec<u32> = Vec::new();
-    let mut call: Vec<(u32, u32)> = Vec::new();
-    let mut next_index = 0u32;
-    let mut next_scc = 0u32;
-
-    for root in 0..num_states {
-        if index[root] != UNSET {
-            continue;
-        }
-        index[root] = next_index;
-        low[root] = next_index;
-        next_index += 1;
-        stack.push(root as u32);
-        on_stack.insert(root);
-        call.push((root as u32, off[root]));
-        while let Some(&mut (state, ref mut pos)) = call.last_mut() {
-            let state = state as usize;
-            if *pos < off[state + 1] {
-                let next = to[*pos as usize] as usize;
-                *pos += 1;
-                if index[next] == UNSET {
-                    index[next] = next_index;
-                    low[next] = next_index;
-                    next_index += 1;
-                    stack.push(next as u32);
-                    on_stack.insert(next);
-                    call.push((next as u32, off[next]));
-                } else if on_stack.contains(next) {
-                    low[state] = low[state].min(index[next]);
-                }
-            } else {
-                call.pop();
-                if let Some(&(parent, _)) = call.last() {
-                    let parent = parent as usize;
-                    low[parent] = low[parent].min(low[state]);
-                }
-                if low[state] == index[state] {
-                    while let Some(member) = stack.pop() {
-                        on_stack.remove(member as usize);
-                        scc_id[member as usize] = next_scc;
-                        if member as usize == state {
-                            break;
-                        }
-                    }
-                    next_scc += 1;
-                }
-            }
-        }
-    }
-    (scc_id, next_scc as usize)
 }
 
 /// The verdict of [`Program::fair_self_check`].

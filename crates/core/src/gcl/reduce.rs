@@ -13,13 +13,13 @@
 
 use std::collections::HashMap;
 
+use crate::par;
 use crate::sweep::{chunk_ranges, join_all};
 use crate::FiniteSystem;
 
 use super::sym::SymmetrySpec;
 use super::{
-    default_workers, narrow, GclError, Layout, Program, ReachableProgram, State, CHUNK_ALIGN,
-    REACH_LEVEL_MIN,
+    narrow, GclError, Layout, Program, ReachableProgram, State, CHUNK_ALIGN, REACH_LEVEL_MIN,
 };
 
 /// The outcome of a frontier-only quotient BFS
@@ -80,7 +80,7 @@ impl Program {
         init: impl for<'a, 'b> Fn(&'a State<'b>) -> bool + Sync,
     ) -> Result<ReachableProgram, GclError> {
         let layout = self.layout()?;
-        let workers = default_workers(narrow(layout.total));
+        let workers = par::default_workers(narrow(layout.total));
         self.reachable_with(layout, workers, None, &init)
     }
 
@@ -115,7 +115,7 @@ impl Program {
         init: impl for<'a, 'b> Fn(&'a State<'b>) -> bool + Sync,
     ) -> Result<ReachableProgram, GclError> {
         let layout = self.layout()?;
-        let workers = default_workers(narrow(layout.total));
+        let workers = par::default_workers(narrow(layout.total));
         self.reachable_with(layout, workers, Some(sym), &init)
     }
 
@@ -189,7 +189,7 @@ impl Program {
         target: Option<&(impl Fn(u64) -> bool + Sync)>,
     ) -> Result<SymReach, GclError> {
         let layout = self.layout()?;
-        let workers = default_workers(narrow(layout.total));
+        let workers = par::default_workers(narrow(layout.total));
         self.sym_reach_words_with(&layout, workers, sym, seeds, cap, target)
     }
 

@@ -24,11 +24,11 @@ use std::collections::HashMap;
 use std::ops::Range;
 
 use crate::bitset::StateSet;
-use crate::par::{self, U32Graph};
+use crate::par;
 use crate::sweep::{chunk_ranges, join_all};
 use crate::SystemError;
 
-use super::{narrow, tarjan_u32, GclError, Layout, Program, State, CHUNK_ALIGN};
+use super::{check_u32_csr, narrow, GclError, Layout, Program, State, UnionChunk, CHUNK_ALIGN};
 
 /// One group element of a program symmetry, in caller-facing form.
 ///
@@ -690,13 +690,14 @@ impl Program {
         init: impl for<'a, 'b> Fn(&'a State<'b>) -> bool + Sync,
     ) -> Result<SymSelfReport, GclError> {
         let layout = self.layout()?;
-        let workers = super::default_workers(narrow(layout.total));
+        let workers = par::default_workers(narrow(layout.total));
         self.fair_self_check_sym_with(&layout, sym, workers, &init)
     }
 
     /// [`fair_self_check_sym`](Program::fair_self_check_sym) with an
-    /// explicit worker count (`workers <= 1` runs fully serial). The
-    /// report is identical for every worker count.
+    /// explicit worker count (`workers <= 1` runs every sharded phase as
+    /// one chunk on the calling thread). The report is identical for
+    /// every worker count.
     ///
     /// # Errors
     ///
@@ -733,7 +734,6 @@ impl Program {
             "spec/program arity mismatch"
         );
         assert_eq!(sym.num_commands(), ncmd, "spec/program arity mismatch");
-        let workers = workers.max(1);
 
         // Phase A — canonical enumeration: sharded ascending odometer
         // sweeps keep exactly the orbit minima; concatenating the chunks
@@ -763,14 +763,8 @@ impl Program {
         }
         let num_canon = words.len();
         // The quotient CSR is staged in 32-bit arrays, like the
-        // unreduced check's guard but against the canonical count.
-        let max_edges = (num_canon as u64).saturating_mul(ncmd as u64 + 1);
-        if u32::try_from(num_canon).is_err() || max_edges > u64::from(u32::MAX) {
-            return Err(GclError::TooManyStates {
-                actual: num_canon,
-                max: narrow(u64::from(u32::MAX) / (ncmd as u64 + 1)),
-            });
-        }
+        // unreduced check's but sized by the canonical count.
+        check_u32_csr(num_canon, ncmd)?;
 
         // Phase B — quotient union rows: per canonical state, every
         // enabled command's target canonicalized and resolved by binary
@@ -784,27 +778,10 @@ impl Program {
                 move || self.sym_union_chunk(layout, sym, words_ref, range, init)
             })
             .collect();
-        let union_parts: Vec<SymUnionChunk> = join_all(union_tasks)
+        let union_parts: Vec<UnionChunk> = join_all(union_tasks)
             .into_iter()
             .collect::<Result<_, _>>()?;
-        let (off, to, init_seeds) = if union_parts.len() == 1 {
-            let part = union_parts.into_iter().next().expect("one part");
-            (part.off, part.to, part.init_seeds)
-        } else {
-            let num_edges: usize = union_parts.iter().map(|p| p.to.len()).sum();
-            let mut off = vec![0u32; num_canon + 1];
-            let mut to: Vec<u32> = Vec::with_capacity(num_edges);
-            let mut init_seeds: Vec<usize> = Vec::new();
-            for (range, part) in canon_chunks.iter().zip(union_parts) {
-                let base = to.len() as u32;
-                for (local, state) in range.clone().enumerate() {
-                    off[state + 1] = base + part.off[local + 1];
-                }
-                to.extend(part.to);
-                init_seeds.extend(part.init_seeds);
-            }
-            (off, to, init_seeds)
-        };
+        let (off, to, init_seeds) = UnionChunk::stitch(num_canon, &canon_chunks, union_parts);
         if init_seeds.is_empty() {
             return Err(GclError::NoInitialState);
         }
@@ -812,29 +789,7 @@ impl Program {
         // Phase C — legitimate canonical states: closure of the seeds
         // over the quotient union rows (exactly the canonical image of
         // the full-space closure when `init` is orbit-closed).
-        let legitimate = if workers > 1 {
-            par::reach(
-                &U32Graph { off: &off, to: &to },
-                workers,
-                init_seeds.iter().copied(),
-            )
-        } else {
-            let mut legitimate = StateSet::with_capacity(num_canon);
-            let mut frontier: Vec<usize> = Vec::new();
-            for &seed in &init_seeds {
-                if legitimate.insert(seed) {
-                    frontier.push(seed);
-                }
-            }
-            while let Some(state) = frontier.pop() {
-                for &next in &to[off[state] as usize..off[state + 1] as usize] {
-                    if legitimate.insert(next as usize) {
-                        frontier.push(next as usize);
-                    }
-                }
-            }
-            legitimate
-        };
+        let legitimate = par::reach(&off, &to, workers, init_seeds);
 
         // Orbit-size sum: how many full states the legitimate canonical
         // set stands for (orbit-stabilizer per member).
@@ -859,7 +814,7 @@ impl Program {
 
         // Phase D — SCCs of the quotient union graph: sequential Tarjan
         // at every worker count (Phases E and F read only the partition).
-        let (scc_id, scc_count) = tarjan_u32(num_canon, &off, &to);
+        let (scc_id, scc_count) = par::tarjan(&off, &to);
 
         // Phase E — holonomy-exact command presence per quotient SCC.
         // Serial (one recompute sweep, worker-independent): each SCC is
@@ -869,7 +824,7 @@ impl Program {
         // non-tree internal edges contribute stabilizer generators the
         // fact set is closed under. See DESIGN.md §13.
         let cmd_words = ncmd.div_ceil(64);
-        let mut present = vec![0u32; scc_count];
+        let mut full = StateSet::with_capacity(scc_count);
         {
             const UNSET: u16 = u16::MAX;
             let mut annot: Vec<u16> = vec![UNSET; num_canon];
@@ -949,39 +904,17 @@ impl Program {
                         }
                     }
                 }
-                present[scc as usize] = facts.iter().map(|w| w.count_ones()).sum::<u32>();
+                if facts.iter().map(|w| w.count_ones()).sum::<u32>() as usize == ncmd {
+                    full.insert(scc as usize);
+                }
             }
         }
 
         // Phase F — divergent scan over the stored quotient CSR: first
         // hit in canonical state order, reported as full packed words.
-        let ncmd32 = ncmd as u32;
-        let scan_tasks: Vec<_> = canon_chunks
-            .iter()
-            .map(|range| {
-                let range = range.clone();
-                let (off, to, scc_id, present, legitimate, words) =
-                    (&off, &to, &scc_id, &present, &legitimate, &words);
-                move || -> Option<(u64, u64)> {
-                    for state in range {
-                        let id = scc_id[state];
-                        if present[id as usize] != ncmd32 {
-                            continue;
-                        }
-                        for &next in &to[off[state] as usize..off[state + 1] as usize] {
-                            if scc_id[next as usize] == id
-                                && !(legitimate.contains(state)
-                                    && legitimate.contains(next as usize))
-                            {
-                                return Some((words[state], words[next as usize]));
-                            }
-                        }
-                    }
-                    None
-                }
-            })
-            .collect();
-        let divergent_witness = join_all(scan_tasks).into_iter().flatten().next();
+        let divergent_witness =
+            par::divergent_edge(&off, &to, &scc_id, &full, &legitimate, workers)
+                .map(|(state, next)| (words[state], words[next]));
 
         Ok(SymSelfReport {
             num_states: total,
@@ -1003,7 +936,7 @@ impl Program {
         words: &[u64],
         range: Range<usize>,
         init: &(impl for<'a, 'b> Fn(&'a State<'b>) -> bool + Sync),
-    ) -> Result<SymUnionChunk, GclError> {
+    ) -> Result<UnionChunk, GclError> {
         let len = range.len();
         let ncmd = self.commands.len();
         let mut off = vec![0u32; len + 1];
@@ -1039,19 +972,12 @@ impl Program {
             to.extend_from_slice(&row);
             off[local + 1] = to.len() as u32;
         }
-        Ok(SymUnionChunk {
+        Ok(UnionChunk {
             off,
             to,
             init_seeds,
         })
     }
-}
-
-/// One chunk of the sharded quotient union sweep.
-struct SymUnionChunk {
-    off: Vec<u32>,
-    to: Vec<u32>,
-    init_seeds: Vec<usize>,
 }
 
 #[cfg(test)]

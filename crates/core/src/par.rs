@@ -1,99 +1,121 @@
-//! Shared parallel graph kernel: level-synchronized BFS.
+//! The crate's one CSR graph kernel: closure, SCCs, stitching and the
+//! fair-violation scan.
 //!
-//! The kernel works over any CSR-shaped graph through the [`ParGraph`]
-//! trait — [`FiniteSystem`]'s `usize` rows and the GCL streaming
-//! pipeline's 32-bit union rows — and is std-only (`thread::scope` via
-//! [`crate::sweep::join_all`], no rayon, no unsafe).
+//! Every graph in the verdict pipeline is a CSR pair `(off, to)`:
+//! [`FiniteSystem`](crate::FiniteSystem)'s `usize` rows and the GCL
+//! streaming checks' 32-bit union rows. The kernels here are generic
+//! over the index width through [`Idx`], so each job has exactly one
+//! implementation, std-only (`thread::scope` via
+//! [`crate::sweep::join_all`], no rayon, no unsafe):
 //!
-//! The frontier of each BFS level is split into contiguous chunks, one
-//! per worker. Workers read the shared `seen` bitset **immutably** and
-//! emit candidate successors into private buffers; at the level barrier
-//! the calling thread merges the buffers into `seen` serially (insert
-//! deduplicates across workers), so no atomics touch the bitset and the
-//! resulting closure is exactly the serial one. Levels smaller than a
-//! threshold expand inline — tiny levels are not worth a fan-out.
-//!
-//! SCC decomposition has no parallel engine: the iterative Tarjan
-//! ([`crate::gcl::tarjan_u32`] and `FiniteSystem`'s own) runs at every
-//! worker count. The verdict pipeline's union graphs are dominated by
-//! singleton components, where one `O(V + E)` pass beats any
-//! forward-backward split (DESIGN.md §11).
+//! - [`reach`] is a level-synchronized BFS. The frontier of each level
+//!   is split into contiguous chunks, one per worker. Workers read the
+//!   shared `seen` bitset **immutably** and emit candidate successors
+//!   into private buffers; at the level barrier the calling thread
+//!   merges the buffers into `seen` serially (insert deduplicates across
+//!   workers), so no atomics touch the bitset and the closure is the
+//!   same at every worker count. Levels smaller than a threshold (and
+//!   every level at `workers <= 1`) expand inline.
+//! - [`tarjan`] is the iterative Tarjan, sequential at every worker
+//!   count. The verdict pipeline's union graphs are dominated by
+//!   singleton components, where one `O(V + E)` pass beats any
+//!   forward-backward split (DESIGN.md §11).
+//! - [`stitch_csr`] joins per-chunk rows of a sharded sweep.
+//! - [`divergent_edge`] finds the first divergent edge inside a fully
+//!   represented SCC: the witness of a weakly fair computation that
+//!   never converges.
+
+use std::ops::{Add, Range};
 
 use crate::bitset::StateSet;
-use crate::sweep::{chunk_ranges, join_all};
-use crate::FiniteSystem;
+use crate::sweep::{available_workers, chunk_ranges, join_all};
 
 /// Parallel engines engage only at or above this many states; below it
-/// the serial algorithms win on constant factors, and the serial
-/// fallback doubles as the ≤1-core path.
-pub(crate) const PAR_MIN_STATES: usize = 1 << 17;
+/// one worker wins on constant factors.
+const PAR_MIN_STATES: usize = 1 << 17;
 
 /// A BFS level is expanded in parallel only when its frontier has at
 /// least this many states; smaller levels run inline on the caller.
 const PAR_FRONTIER_MIN: usize = 1 << 13;
 
-/// A CSR-shaped directed graph the parallel BFS can traverse.
-pub(crate) trait ParGraph: Sync {
-    /// Number of states (vertices) in the graph.
-    fn num_states(&self) -> usize;
-    /// Calls `f` once per successor of `v` (ascending, duplicates-free).
-    fn succ_each(&self, v: usize, f: impl FnMut(usize));
+/// Worker count for the default (non-`_on`) entry points over a graph
+/// or sweep of `states` states: the full crew when the space is large
+/// enough to amortize thread startup and stitching, one otherwise.
+pub(crate) fn default_workers(states: usize) -> usize {
+    if states >= PAR_MIN_STATES {
+        available_workers()
+    } else {
+        1
+    }
 }
 
-/// [`ParGraph`] view of a [`FiniteSystem`]'s CSR rows.
-pub(crate) struct SysGraph<'a>(pub &'a FiniteSystem);
+/// Index width of a CSR graph's `(off, to)` arrays and of the SCC ids
+/// computed over it. Callers guarantee every value fits.
+pub(crate) trait Idx: Copy + Ord + Send + Sync + Add<Output = Self> {
+    /// Sentinel for "not yet visited"; never a valid index.
+    const UNSET: Self;
+    /// Narrows a `usize` known to be in range.
+    fn of(value: usize) -> Self;
+    /// Widens to `usize`.
+    fn at(self) -> usize;
+}
 
-impl ParGraph for SysGraph<'_> {
-    fn num_states(&self) -> usize {
-        self.0.num_states()
+impl Idx for u32 {
+    const UNSET: u32 = u32::MAX;
+
+    // The 32-bit graphs are built only after a guard that every state
+    // id and edge count fits `u32`.
+    #[allow(clippy::cast_possible_truncation)]
+    #[inline]
+    fn of(value: usize) -> u32 {
+        value as u32
     }
 
     #[inline]
-    fn succ_each(&self, v: usize, mut f: impl FnMut(usize)) {
-        for &t in self.0.successors_slice(v) {
-            f(t);
-        }
+    fn at(self) -> usize {
+        self as usize
     }
 }
 
-/// [`ParGraph`] view over 32-bit CSR arrays (the GCL streaming
-/// pipeline's union graph).
-pub(crate) struct U32Graph<'a> {
-    pub(crate) off: &'a [u32],
-    pub(crate) to: &'a [u32],
-}
+impl Idx for usize {
+    const UNSET: usize = usize::MAX;
 
-impl ParGraph for U32Graph<'_> {
-    fn num_states(&self) -> usize {
-        self.off.len() - 1
+    #[inline]
+    fn of(value: usize) -> usize {
+        value
     }
 
     #[inline]
-    fn succ_each(&self, v: usize, mut f: impl FnMut(usize)) {
-        for &t in &self.to[self.off[v] as usize..self.off[v + 1] as usize] {
-            f(t as usize);
-        }
+    fn at(self) -> usize {
+        self
     }
 }
 
-/// States reachable from `seeds` (seeds included). Identical to the
-/// serial closure for every worker count; `workers <= 1` runs fully
-/// inline.
-pub(crate) fn reach<G: ParGraph>(
-    g: &G,
+/// The successors of `v` (ascending, duplicate-free).
+#[inline]
+fn row<'a, I: Idx>(off: &[I], to: &'a [I], v: usize) -> &'a [I] {
+    &to[off[v].at()..off[v + 1].at()]
+}
+
+/// States reachable from `seeds` (seeds included). The set is the same
+/// for every worker count; `workers <= 1` expands every level inline.
+pub(crate) fn reach<I: Idx>(
+    off: &[I],
+    to: &[I],
     workers: usize,
     seeds: impl IntoIterator<Item = usize>,
 ) -> StateSet {
-    reach_impl(g, workers, seeds, PAR_FRONTIER_MIN)
+    reach_impl(off, to, workers, seeds, PAR_FRONTIER_MIN)
 }
 
-fn reach_impl<G: ParGraph>(
-    g: &G,
+fn reach_impl<I: Idx>(
+    off: &[I],
+    to: &[I],
     workers: usize,
     seeds: impl IntoIterator<Item = usize>,
     frontier_min: usize,
 ) -> StateSet {
-    let mut seen = StateSet::with_capacity(g.num_states());
+    let mut seen = StateSet::with_capacity(off.len() - 1);
     let mut frontier: Vec<usize> = Vec::new();
     for seed in seeds {
         if seen.insert(seed) {
@@ -103,13 +125,12 @@ fn reach_impl<G: ParGraph>(
     let mut next: Vec<usize> = Vec::new();
     while !frontier.is_empty() {
         if workers <= 1 || frontier.len() < frontier_min {
-            // Inline expansion of a small level.
             for &state in &frontier {
-                g.succ_each(state, |t| {
-                    if seen.insert(t) {
-                        next.push(t);
+                for &t in row(off, to, state) {
+                    if seen.insert(t.at()) {
+                        next.push(t.at());
                     }
-                });
+                }
             }
         } else {
             // Fan the level out: workers read `seen` immutably and emit
@@ -124,11 +145,11 @@ fn reach_impl<G: ParGraph>(
                     move || {
                         let mut found: Vec<usize> = Vec::new();
                         for &state in chunk {
-                            g.succ_each(state, |t| {
-                                if !seen_ref.contains(t) {
-                                    found.push(t);
+                            for &t in row(off, to, state) {
+                                if !seen_ref.contains(t.at()) {
+                                    found.push(t.at());
                                 }
-                            });
+                            }
                         }
                         found
                     }
@@ -146,6 +167,132 @@ fn reach_impl<G: ParGraph>(
         next.clear();
     }
     seen
+}
+
+/// Iterative Tarjan (no recursion, no per-state allocation): the SCC id
+/// of every state and the number of SCCs. Ids are assigned in
+/// completion order, i.e. reverse topological order of the
+/// condensation (sinks get lower ids than their predecessors).
+pub(crate) fn tarjan<I: Idx>(off: &[I], to: &[I]) -> (Vec<I>, usize) {
+    let num_states = off.len() - 1;
+    let mut index = vec![I::UNSET; num_states];
+    let mut low = vec![I::UNSET; num_states];
+    let mut on_stack = StateSet::with_capacity(num_states);
+    let mut scc_id = vec![I::UNSET; num_states];
+    let mut stack: Vec<I> = Vec::new();
+    // Explicit call stack of (state, next position in `to`).
+    let mut call: Vec<(I, I)> = Vec::new();
+    let mut next_index = 0usize;
+    let mut next_scc = 0usize;
+
+    for root in 0..num_states {
+        if index[root] != I::UNSET {
+            continue;
+        }
+        index[root] = I::of(next_index);
+        low[root] = I::of(next_index);
+        next_index += 1;
+        stack.push(I::of(root));
+        on_stack.insert(root);
+        call.push((I::of(root), off[root]));
+        while let Some(&mut (state, ref mut pos)) = call.last_mut() {
+            let state = state.at();
+            if *pos < off[state + 1] {
+                let next = to[pos.at()].at();
+                *pos = I::of(pos.at() + 1);
+                if index[next] == I::UNSET {
+                    index[next] = I::of(next_index);
+                    low[next] = I::of(next_index);
+                    next_index += 1;
+                    stack.push(I::of(next));
+                    on_stack.insert(next);
+                    call.push((I::of(next), off[next]));
+                } else if on_stack.contains(next) {
+                    low[state] = low[state].min(index[next]);
+                }
+            } else {
+                call.pop();
+                if let Some(&(parent, _)) = call.last() {
+                    let parent = parent.at();
+                    low[parent] = low[parent].min(low[state]);
+                }
+                if low[state] == index[state] {
+                    while let Some(member) = stack.pop() {
+                        on_stack.remove(member.at());
+                        scc_id[member.at()] = I::of(next_scc);
+                        if member.at() == state {
+                            break;
+                        }
+                    }
+                    next_scc += 1;
+                }
+            }
+        }
+    }
+    (scc_id, next_scc)
+}
+
+/// Stitches per-chunk CSR rows (offsets relative to the chunk,
+/// `off[0] == 0`; absolute targets) into one global CSR by prefix-sum
+/// offsets. `chunks` are the contiguous ranges the parts cover, in
+/// order; a single chunk's arrays move through unchanged.
+pub(crate) fn stitch_csr<I: Idx>(
+    total: usize,
+    chunks: &[Range<usize>],
+    parts: Vec<(Vec<I>, Vec<I>)>,
+) -> (Vec<I>, Vec<I>) {
+    debug_assert_eq!(chunks.len(), parts.len());
+    if parts.len() == 1 {
+        return parts.into_iter().next().expect("one part");
+    }
+    let num_edges: usize = parts.iter().map(|(_, to)| to.len()).sum();
+    let mut off = vec![I::of(0); total + 1];
+    let mut to: Vec<I> = Vec::with_capacity(num_edges);
+    for (range, (part_off, part_to)) in chunks.iter().zip(parts) {
+        let base = I::of(to.len());
+        for (local, state) in range.clone().enumerate() {
+            off[state + 1] = base + part_off[local + 1];
+        }
+        to.extend(part_to);
+    }
+    (off, to)
+}
+
+/// The first edge `(s, t)` in state order that lies inside an SCC
+/// marked in `full` (`scc_id[s] == scc_id[t]`) and is divergent (`s` or
+/// `t` lies outside `legitimate`). Such an edge hosts a weakly fair
+/// computation that never converges when `full` holds the SCCs in which
+/// every command can act. Chunks scan disjoint state ranges; the first
+/// hit in chunk order is the first hit in state order, so the witness is
+/// the same at every worker count.
+pub(crate) fn divergent_edge<I: Idx>(
+    off: &[I],
+    to: &[I],
+    scc_id: &[I],
+    full: &StateSet,
+    legitimate: &StateSet,
+    workers: usize,
+) -> Option<(usize, usize)> {
+    let tasks: Vec<_> = chunk_ranges(off.len() - 1, workers, 1)
+        .into_iter()
+        .map(|range| {
+            move || {
+                range.into_iter().find_map(|state| {
+                    let id = scc_id[state];
+                    if !full.contains(id.at()) {
+                        return None;
+                    }
+                    row(off, to, state).iter().find_map(|&next| {
+                        let next = next.at();
+                        (scc_id[next] == id
+                            && !(legitimate.contains(state) && legitimate.contains(next)))
+                        .then_some((state, next))
+                    })
+                })
+            }
+        })
+        .collect();
+    join_all(tasks).into_iter().flatten().next()
 }
 
 #[cfg(test)]
@@ -183,16 +330,62 @@ mod tests {
         builder.stutter_quiescent().build().unwrap()
     }
 
+    /// The system's CSR rows narrowed to 32 bits.
+    fn narrow_csr(sys: &FiniteSystem) -> (Vec<u32>, Vec<u32>) {
+        let mut off = vec![0u32];
+        let mut to = Vec::new();
+        for state in 0..sys.num_states() {
+            to.extend(sys.successors_slice(state).iter().map(|&t| u32::of(t)));
+            off.push(u32::of(to.len()));
+        }
+        (off, to)
+    }
+
     #[test]
-    fn parallel_reach_matches_serial_closure() {
+    fn parallel_reach_matches_inline_closure() {
         for seed in 0..20u64 {
             let sys = random_system(seed.wrapping_mul(977), 200, 350);
-            let g = SysGraph(&sys);
+            let (off, to) = narrow_csr(&sys);
             let seeds = [0usize, 7, 13];
-            let serial = sys.reachable_from_on(1, seeds);
+            let inline = sys.reachable_from_on(1, seeds);
             // frontier_min = 1 forces the fan-out path on every level.
-            let par = reach_impl(&g, 4, seeds, 1);
-            assert_eq!(par, serial, "seed {seed}");
+            assert_eq!(reach_impl(&off, &to, 4, seeds, 1), inline, "seed {seed}");
+            assert_eq!(reach_impl(&off, &to, 1, seeds, 1), inline, "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn tarjan_ids_do_not_depend_on_the_index_width() {
+        for seed in 0..20u64 {
+            let sys = random_system(seed.wrapping_mul(131), 200, 300);
+            let (off, to) = narrow_csr(&sys);
+            let (ids32, count32) = tarjan(&off, &to);
+            assert_eq!(count32, sys.scc_count(), "seed {seed}");
+            let widened: Vec<usize> = ids32.iter().map(|&id| id.at()).collect();
+            assert_eq!(widened, sys.scc_ids(), "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn stitched_chunks_equal_the_whole_csr() {
+        let sys = random_system(5, 300, 500);
+        let (off, to) = narrow_csr(&sys);
+        for workers in 1..=4 {
+            let chunks = chunk_ranges(sys.num_states(), workers, 64);
+            let parts = chunks
+                .iter()
+                .map(|range| {
+                    let base = off[range.start];
+                    let part_off = off[range.start..=range.end]
+                        .iter()
+                        .map(|&o| o - base)
+                        .collect();
+                    let part_to = to[base as usize..off[range.end] as usize].to_vec();
+                    (part_off, part_to)
+                })
+                .collect();
+            let stitched = stitch_csr(sys.num_states(), &chunks, parts);
+            assert_eq!(stitched, (off.clone(), to.clone()), "workers {workers}");
         }
     }
 }

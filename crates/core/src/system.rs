@@ -360,44 +360,22 @@ impl FiniteSystem {
     /// [`reachable_from_on`](Self::reachable_from_on)); the resulting
     /// set is identical either way.
     pub fn reachable_from(&self, seeds: impl IntoIterator<Item = usize>) -> StateSet {
-        let workers = if self.num_states >= crate::par::PAR_MIN_STATES {
-            crate::sweep::available_workers()
-        } else {
-            1
-        };
-        self.reachable_from_on(workers, seeds)
+        self.reachable_from_on(crate::par::default_workers(self.num_states), seeds)
     }
 
     /// [`reachable_from`](Self::reachable_from) with an explicit worker
-    /// count: at `workers <= 1` the sequential stack-based walk runs
-    /// (the ≤1-core fallback), otherwise a level-synchronized parallel
-    /// BFS expands each frontier level across workers into per-worker
-    /// buffers merged at the level barrier. Both engines produce the
-    /// same closure; the benchmark harness uses the explicit form for
+    /// count. One level-synchronized BFS runs at every count: levels of
+    /// at least `2^13` states expand across `workers` into per-worker
+    /// buffers merged at the level barrier, and smaller levels (every
+    /// level at `workers <= 1`) expand inline. The closure is the same
+    /// for every count; the benchmark harness uses the explicit form for
     /// scaling measurements.
     pub fn reachable_from_on(
         &self,
         workers: usize,
         seeds: impl IntoIterator<Item = usize>,
     ) -> StateSet {
-        if workers > 1 {
-            return crate::par::reach(&crate::par::SysGraph(self), workers, seeds);
-        }
-        let mut seen = StateSet::with_capacity(self.num_states);
-        let mut frontier: Vec<usize> = Vec::new();
-        for seed in seeds {
-            if seen.insert(seed) {
-                frontier.push(seed);
-            }
-        }
-        while let Some(state) = frontier.pop() {
-            for &next in self.successors_slice(state) {
-                if seen.insert(next) {
-                    frontier.push(next);
-                }
-            }
-        }
-        seen
+        crate::par::reach(&self.fwd_off, &self.fwd_to, workers, seeds)
     }
 
     /// States on computations that start from an initial state. Computed
@@ -535,63 +513,9 @@ impl FiniteSystem {
         )
     }
 
-    /// Iterative Tarjan over the CSR rows; no per-state allocation.
+    /// Iterative Tarjan over the CSR rows (see [`crate::par::tarjan`]).
     fn compute_sccs(&self) -> (Vec<usize>, usize) {
-        let n = self.num_states;
-        let mut index = vec![usize::MAX; n];
-        let mut low = vec![0usize; n];
-        let mut on_stack = vec![false; n];
-        let mut scc_id = vec![usize::MAX; n];
-        let mut stack: Vec<usize> = Vec::new();
-        // Explicit call stack of (state, position within its CSR row).
-        let mut call: Vec<(usize, usize)> = Vec::new();
-        let mut next_index = 0usize;
-        let mut next_scc = 0usize;
-
-        for root in 0..n {
-            if index[root] != usize::MAX {
-                continue;
-            }
-            index[root] = next_index;
-            low[root] = next_index;
-            next_index += 1;
-            stack.push(root);
-            on_stack[root] = true;
-            call.push((root, 0));
-            while let Some(&mut (state, ref mut pos)) = call.last_mut() {
-                let row = self.successors_slice(state);
-                if *pos < row.len() {
-                    let next = row[*pos];
-                    *pos += 1;
-                    if index[next] == usize::MAX {
-                        index[next] = next_index;
-                        low[next] = next_index;
-                        next_index += 1;
-                        stack.push(next);
-                        on_stack[next] = true;
-                        call.push((next, 0));
-                    } else if on_stack[next] {
-                        low[state] = low[state].min(index[next]);
-                    }
-                } else {
-                    call.pop();
-                    if let Some(&(parent, _)) = call.last() {
-                        low[parent] = low[parent].min(low[state]);
-                    }
-                    if low[state] == index[state] {
-                        while let Some(member) = stack.pop() {
-                            on_stack[member] = false;
-                            scc_id[member] = next_scc;
-                            if member == state {
-                                break;
-                            }
-                        }
-                        next_scc += 1;
-                    }
-                }
-            }
-        }
-        (scc_id, next_scc)
+        crate::par::tarjan(&self.fwd_off, &self.fwd_to)
     }
 }
 

@@ -62,7 +62,8 @@ fn check_seed(seed: u64) {
                     sccs.0.as_slice(),
                     "seed {seed}: cached SCC ids diverge at {workers} workers"
                 );
-                // Parallel BFS reachability vs the serial DFS closure.
+                // Reachability at `workers` vs one inline chunk (`par`'s
+                // unit tests force the fan-out path on every level).
                 let seeds: Vec<usize> = serial.system().init().iter().collect();
                 assert_eq!(
                     serial.system().reachable_from_on(1, seeds.iter().copied()),

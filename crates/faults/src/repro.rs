@@ -34,7 +34,7 @@ use graybox_simnet::{failpoint, SimTime};
 use graybox_tme::{Implementation, WorkloadConfig};
 use graybox_wrapper::{WrapperConfig, WrapperStrategy};
 
-use crate::runner::RunConfig;
+use crate::runner::{RunConfig, DEFAULT_HORIZON_SLACK};
 use crate::{FaultEvent, FaultPlan};
 
 /// Magic first line of every repro file.
@@ -125,6 +125,9 @@ pub fn parse(text: &str, extra_sites: &[&'static str]) -> Result<RunConfig, Repr
     let mut implementation: Option<Implementation> = None;
     let mut config = RunConfig::new(1, Implementation::RicartAgrawala);
     let mut events: Vec<FaultEvent> = Vec::new();
+    // The latest request or fault time and the line that set it; the
+    // default workload ends far below `u64::MAX`.
+    let mut latest = (0u64, 0usize);
 
     for (index, raw) in lines {
         let line_no = index + 1;
@@ -144,9 +147,18 @@ pub fn parse(text: &str, extra_sites: &[&'static str]) -> Result<RunConfig, Repr
                 let [v] = fields[..] else {
                     return Err(err(line_no, "n takes one field".into()));
                 };
+                // Process ids are `u32`, and a run needs a process.
                 n = Some(
-                    v.parse::<usize>()
-                        .map_err(|_| err(line_no, format!("`{v}` is not a process count")))?,
+                    v.parse::<u32>()
+                        .ok()
+                        .filter(|&n| n >= 1)
+                        .map(|n| n as usize)
+                        .ok_or_else(|| {
+                            err(
+                                line_no,
+                                format!("`{v}` is not a process count in 1..={}", u32::MAX),
+                            )
+                        })?,
                 );
             }
             "impl" => {
@@ -214,6 +226,10 @@ pub fn parse(text: &str, extra_sites: &[&'static str]) -> Result<RunConfig, Repr
                     eat_for: parse_u64(eat)?,
                     start: parse_u64(start)?,
                 };
+                let last = config.workload.latest_request().ok_or_else(|| {
+                    err(line_no, "the request schedule passes u64::MAX ticks".into())
+                })?;
+                latest = latest.max((last, line_no));
             }
             "fault" => {
                 let [at, site] = fields[..] else {
@@ -222,12 +238,24 @@ pub fn parse(text: &str, extra_sites: &[&'static str]) -> Result<RunConfig, Repr
                 let site = failpoint::lookup_site(site)
                     .or_else(|| extra_sites.iter().copied().find(|s| *s == site))
                     .ok_or_else(|| err(line_no, format!("unknown failpoint site `{site}`")))?;
-                events.push(FaultEvent::at_site(SimTime::from(parse_u64(at)?), site));
+                let at = parse_u64(at)?;
+                latest = latest.max((at, line_no));
+                events.push(FaultEvent::at_site(SimTime::from(at), site));
             }
             other => return Err(err(line_no, format!("unknown key `{other}`"))),
         }
     }
 
+    if config.horizon.is_none() && latest.0.checked_add(DEFAULT_HORIZON_SLACK).is_none() {
+        return Err(err(
+            latest.1,
+            format!(
+                "tick {} leaves no room for the default horizon \
+                 (+{DEFAULT_HORIZON_SLACK} ticks); set an explicit horizon",
+                latest.0
+            ),
+        ));
+    }
     config.n = n.ok_or_else(|| err(1, "missing required `n` line".into()))?;
     config.implementation =
         implementation.ok_or_else(|| err(1, "missing required `impl` line".into()))?;
@@ -304,6 +332,34 @@ mod tests {
         assert!(parse(&text, &["channel.teleport"]).is_ok());
         let bad_seed = to_text(&sample_config()).replace("seed 77", "seed many");
         assert!(parse(&bad_seed, &[]).is_err());
+
+        // Hostile numbers are typed errors on the offending line, not
+        // panics at run time.
+        let max = u64::MAX;
+        let valid = format!("{HEADER}\nn 4\nimpl RA_ME\nhorizon none\nworkload 3 20 5 1\n");
+        assert!(parse(&valid, &[]).is_ok());
+        for (hostile, line) in [
+            (valid.replace("n 4", &format!("n {max}")), 2),
+            (
+                valid.replace("n 4", &format!("n {}", u64::from(u32::MAX) + 1)),
+                2,
+            ),
+            (valid.replace("n 4", "n 0"), 2),
+            (
+                valid.replace("workload 3 20", &format!("workload 3 {max}")),
+                5,
+            ),
+            (valid.replace("5 1\n", &format!("5 {max}\n")), 5),
+            (format!("{valid}fault {max} channel.drop\n"), 6),
+        ] {
+            let error = parse(&hostile, &[]).expect_err(&hostile);
+            assert_eq!(error.line, line, "{error}");
+        }
+        // The default horizon's slack is the only arithmetic on a fault
+        // time, so an explicit horizon admits any fault time.
+        let explicit = valid.replace("horizon none", "horizon 500");
+        assert!(parse(&format!("{explicit}fault {max} channel.drop\n"), &[]).is_ok());
+        assert!(parse(&valid.replace("n 4", &format!("n {}", u32::MAX)), &[]).is_ok());
     }
 
     /// A repro file of a corrupted Lamport campaign with the given

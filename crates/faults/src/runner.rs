@@ -29,6 +29,10 @@ use crate::{FaultPlan, InjectorRegistry};
 /// simulation type and differ *only* in the wrapper configuration.
 pub type Wrapped = GrayboxWrapper<TmeProcess>;
 
+/// Ticks the default horizon runs past the last scheduled request or
+/// fault.
+pub const DEFAULT_HORIZON_SLACK: u64 = 2_000;
+
 /// Configuration of one campaign run.
 #[derive(Debug, Clone)]
 pub struct RunConfig {
@@ -44,7 +48,8 @@ pub struct RunConfig {
     pub workload: WorkloadConfig,
     /// The fault schedule.
     pub faults: FaultPlan,
-    /// Run horizon; defaults to `last(workload, faults) + 2_000` ticks.
+    /// Run horizon; defaults to `last(workload, faults) +`
+    /// [`DEFAULT_HORIZON_SLACK`] ticks.
     pub horizon: Option<SimTime>,
     /// Liveness grace period for the checkers.
     pub grace: u64,
@@ -116,7 +121,7 @@ impl RunConfig {
             let last = workload
                 .last_request_at()
                 .max(self.faults.last_fault_time().unwrap_or(SimTime::ZERO));
-            last + 2_000
+            last + DEFAULT_HORIZON_SLACK
         })
     }
 }

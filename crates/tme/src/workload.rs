@@ -20,6 +20,24 @@ pub struct WorkloadConfig {
     pub start: u64,
 }
 
+impl WorkloadConfig {
+    /// Largest thinking time between two requests of one process,
+    /// `floor(3 * mean_think / 2)`, or `None` past `u64::MAX`. (`m + m / 2`
+    /// equals `m * 3 / 2` wherever the latter does not overflow.)
+    fn max_think(&self) -> Option<u64> {
+        self.mean_think.checked_add(self.mean_think / 2)
+    }
+
+    /// The latest tick a generated request can fall on,
+    /// `start + requests_per_process * floor(3 * mean_think / 2)`, or
+    /// `None` when the schedule's time arithmetic would pass `u64::MAX`.
+    pub fn latest_request(&self) -> Option<u64> {
+        let requests = u64::try_from(self.requests_per_process).ok()?;
+        self.start
+            .checked_add(requests.checked_mul(self.max_think()?)?)
+    }
+}
+
 impl Default for WorkloadConfig {
     fn default() -> Self {
         WorkloadConfig {
@@ -64,7 +82,7 @@ impl Workload {
                 let jitter = if config.mean_think == 0 {
                     0
                 } else {
-                    rng.gen_range(config.mean_think / 2..=config.mean_think * 3 / 2)
+                    rng.gen_range(config.mean_think / 2..=config.max_think().unwrap_or(u64::MAX))
                 };
                 at += jitter;
                 events.push((
