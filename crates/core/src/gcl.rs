@@ -68,11 +68,10 @@ pub mod sym;
 
 use std::fmt;
 use std::ops::Range;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::bitset::StateSet;
 use crate::fairness::FairComposition;
-use crate::par;
+use crate::par::{self, Idx};
 use crate::sweep::{chunk_ranges, join_all};
 use crate::{FiniteSystem, SystemError};
 
@@ -851,9 +850,11 @@ impl Program {
     /// `compile_fair(init)?.0.is_stabilizing_to(&stutter_closure(compiled.system()))`
     /// (the differential suite asserts so), but materializes no
     /// per-command component and no second system: one sweep writes the
-    /// union graph's CSR rows in 32-bit form, an iterative Tarjan pass
-    /// over those rows yields SCC ids, and one more sweep classifies each
-    /// command's edges per SCC. A violating fair computation exists iff
+    /// union graph's CSR rows in 32-bit form, and an iterative Tarjan pass
+    /// over those rows yields SCC ids. A singleton SCC is decided from its
+    /// one row; only the members of SCCs with two or more states run
+    /// their commands again, to classify each command's edges per SCC.
+    /// A violating fair computation exists iff
     /// some SCC contains an edge leaving the legitimate set and every
     /// command can act inside it (a disabled command skips, which
     /// counts). Peak memory is `O(V + E)` words of 32 bits instead of
@@ -873,8 +874,9 @@ impl Program {
     }
 
     /// [`fair_self_check`](Self::fair_self_check) with an explicit
-    /// worker count for the sharded sweeps, the reachability closure and
-    /// the violation scan (`workers <= 1` runs each as one chunk on the
+    /// worker count for the sharded sweep, the reachability closure, the
+    /// SCC groups that run their commands again and the violation scan
+    /// (`workers <= 1` runs each as one chunk on the
     /// calling thread; the SCC pass is the sequential Tarjan at every
     /// count). The report is identical for every worker count.
     ///
@@ -935,37 +937,38 @@ impl Program {
         // decomposition.
         let (scc_id, scc_count) = par::tarjan(&off, &to);
 
-        // Sweep 2, sharded: which commands can act inside each union
-        // SCC. An edge acts inside iff both endpoints share the SCC; a
-        // disabled command's skip (s, s) always does. Every chunk ORs a
-        // state's inside-mask straight into the per-(SCC, command) bit
-        // table; OR commutes, so the table (and the fully represented
-        // SCCs read off it by popcount) is the same at every worker
-        // count.
-        let words = ncmd.div_ceil(64);
-        let inside: Vec<AtomicU64> = (0..scc_count * words).map(|_| AtomicU64::new(0)).collect();
-        let mask_tasks: Vec<_> = chunks
-            .iter()
+        // Command presence per union SCC: an edge acts inside iff both
+        // endpoints share the SCC, and a disabled command's skip (s, s)
+        // always does. A singleton {s} is therefore fully represented iff
+        // its union row is exactly [s], which sweep 1 already wrote; only
+        // the members of SCCs with two or more states run their commands
+        // again. They are grouped by SCC id, and every group ORs its mask
+        // locally, so the fully represented set is the same at every
+        // worker count.
+        let multi = par::multi_member_sccs(&scc_id, scc_count);
+        let mut full = StateSet::with_capacity(scc_count);
+        let mut members: Vec<(u32, u32)> = Vec::new();
+        for (state, &id) in scc_id.iter().enumerate() {
+            if multi.contains(id as usize) {
+                members.push((id, u32::of(state)));
+            } else if to[off[state] as usize..off[state + 1] as usize] == [u32::of(state)] {
+                full.insert(id as usize);
+            }
+        }
+        members.sort_unstable();
+        let group_tasks: Vec<_> = scc_group_ranges(&members, workers)
+            .into_iter()
             .map(|range| {
-                let range = range.clone();
-                let (scc_id, inside) = (&scc_id, &inside);
-                move || self.inside_masks_chunk(layout, range, scc_id, inside)
+                let (members, scc_id) = (&members[range], &scc_id);
+                move || self.full_groups_chunk(layout, members, scc_id)
             })
             .collect();
-        join_all(mask_tasks)
-            .into_iter()
-            .collect::<Result<(), _>>()?;
-        let mut full = StateSet::with_capacity(scc_count);
-        for (id, masks) in inside.chunks_exact(words).enumerate() {
-            let acting: u32 = masks
-                .iter()
-                .map(|mask| mask.load(Ordering::Relaxed).count_ones())
-                .sum();
-            if acting as usize == ncmd {
+        for ids in join_all(group_tasks) {
+            for id in ids? {
                 full.insert(id);
             }
         }
-        drop(inside);
+        drop(members);
 
         // Scan: a divergent edge (one endpoint illegitimate) inside a
         // fully represented SCC hosts a fair violating computation.
@@ -1034,53 +1037,69 @@ impl Program {
         })
     }
 
-    /// Sweep-2 worker of [`fair_self_check`](Self::fair_self_check):
-    /// for each state of `range`, ORs the mask of commands whose edge
-    /// stays inside the state's SCC (a disabled command's skip always
-    /// does) into that SCC's row of `table` (`ncmd.div_ceil(64)` words
-    /// per SCC).
-    fn inside_masks_chunk(
+    /// Group worker of [`fair_self_check`](Self::fair_self_check):
+    /// `members` lists `(SCC id, state)` pairs sorted by SCC id, never
+    /// splitting an SCC. For each SCC, ORs the mask of commands whose
+    /// edge stays inside it (a disabled command's skip always does) over
+    /// its members, and returns the ids of the SCCs in which every
+    /// command acts.
+    fn full_groups_chunk(
         &self,
         layout: &Layout,
-        range: Range<usize>,
+        members: &[(u32, u32)],
         scc_id: &[u32],
-        table: &[AtomicU64],
-    ) -> Result<(), GclError> {
-        let words = self.commands.len().div_ceil(64);
-        let mut masks = vec![0u64; words];
+    ) -> Result<Vec<usize>, GclError> {
+        let ncmd = self.commands.len();
+        let mut masks = vec![0u64; ncmd.div_ceil(64)];
+        let mut full = Vec::new();
         let mut view = State::new(layout);
-        view.load(range.start as u64);
-        for state in range {
-            let id = scc_id[state];
+        for group in members.chunk_by(|a, b| a.0 == b.0) {
+            let id = group[0].0;
             masks.fill(0);
-            for (index, command) in self.commands.iter().enumerate() {
-                let inside = if command.enabled(&view) {
-                    view.begin_effect();
-                    command.apply(&mut view);
-                    let target = view
-                        .finish_effect()
-                        .map_err(|()| self.out_of_domain(index))?;
-                    scc_id[narrow(target)] == id
-                } else {
-                    true
-                };
-                if inside {
-                    masks[index / 64] |= 1u64 << (index % 64);
+            for &(_, state) in group {
+                view.load(u64::from(state));
+                for (index, command) in self.commands.iter().enumerate() {
+                    let inside = if command.enabled(&view) {
+                        view.begin_effect();
+                        command.apply(&mut view);
+                        let target = view
+                            .finish_effect()
+                            .map_err(|()| self.out_of_domain(index))?;
+                        scc_id[narrow(target)] == id
+                    } else {
+                        true
+                    };
+                    if inside {
+                        masks[index / 64] |= 1u64 << (index % 64);
+                    }
+                }
+                if masks.iter().map(|m| m.count_ones()).sum::<u32>() as usize == ncmd {
+                    full.push(id as usize);
+                    break;
                 }
             }
-            let row = &table[id as usize * words..][..words];
-            for (slot, &mask) in row.iter().zip(&masks) {
-                // Relaxed suffices: the table publishes no other data,
-                // the scope's join orders every OR before the popcount
-                // read, and OR commutes.
-                if slot.load(Ordering::Relaxed) & mask != mask {
-                    slot.fetch_or(mask, Ordering::Relaxed);
-                }
-            }
-            view.advance();
         }
-        Ok(())
+        Ok(full)
     }
+}
+
+/// Splits `members`, sorted by SCC id, into at most `workers`
+/// contiguous ranges that never split an SCC (no range when `members`
+/// is empty).
+fn scc_group_ranges(members: &[(u32, u32)], workers: usize) -> Vec<Range<usize>> {
+    let mut ranges = Vec::new();
+    let mut start = 0;
+    for chunk in chunk_ranges(members.len(), workers, 1) {
+        let mut end = chunk.end.max(start);
+        while end < members.len() && members[end].0 == members[end - 1].0 {
+            end += 1;
+        }
+        if end > start {
+            ranges.push(start..end);
+            start = end;
+        }
+    }
+    ranges
 }
 
 /// Rejects state spaces whose union CSR would not fit the 32-bit arrays
@@ -1563,6 +1582,91 @@ mod tests {
             );
             assert_eq!(report.num_legitimate(), 2);
         }
+    }
+
+    /// Runs the streamed self-check at 1, 2 and 4 workers, asserts each
+    /// report equals the materialized verdict and the others, and
+    /// returns the one-worker report.
+    fn self_check_against_materialized(
+        p: &Program,
+        init: impl for<'a, 'b> Fn(&'a State<'b>) -> bool + Sync + Copy,
+    ) -> FairSelfReport {
+        use crate::synthesis::stutter_closure;
+        let (fair, compiled) = p.compile_fair(init).unwrap();
+        let materialized = fair.is_stabilizing_to(&stutter_closure(compiled.system()));
+        let one = p.fair_self_check_on(1, init).unwrap();
+        assert_eq!(one.holds(), materialized.holds());
+        for workers in [2, 4] {
+            let report = p.fair_self_check_on(workers, init).unwrap();
+            assert_eq!(report.divergent_witness, one.divergent_witness);
+            assert_eq!(report.legitimate, one.legitimate);
+        }
+        one
+    }
+
+    #[test]
+    fn a_singleton_of_self_loops_and_skips_is_fully_represented() {
+        // x = 2 is an illegitimate fixpoint: "stay" and "hold" map it to
+        // itself, and "up" is disabled there. Its union row is [2], so
+        // the singleton is fully represented and hosts a violation.
+        let mut p = Program::new();
+        let x = p.var("x", 3);
+        p.command("up", move |s| s.get(x) == 0, move |s| s.set(x, 1));
+        p.command("stay", move |s| s.get(x) == 2, move |s| s.set(x, 2));
+        p.command("hold", move |s| s.get(x) == 2, |_| {});
+        let report = self_check_against_materialized(&p, move |s| s.get(x) == 0);
+        assert_eq!(report.divergent_witness, Some((2, 2)));
+
+        // The same with every command enabled at x = 2, so the row [2]
+        // carries no skip.
+        let mut p = Program::new();
+        let x = p.var("x", 3);
+        p.command(
+            "up",
+            |_| true,
+            move |s| {
+                if s.get(x) == 0 {
+                    s.set(x, 1);
+                }
+            },
+        );
+        p.command("hold", |_| true, |_| {});
+        let report = self_check_against_materialized(&p, move |s| s.get(x) == 0);
+        assert_eq!(report.divergent_witness, Some((2, 2)));
+    }
+
+    #[test]
+    fn a_singleton_with_a_leaving_command_is_not_fully_represented() {
+        // At x = 2, "back" leaves for the legitimate x = 0 while "up"
+        // skips: the row [0, 2] carries a divergent self-loop, but "back"
+        // never acts inside {2}, so no fair computation stays there.
+        let mut p = Program::new();
+        let x = p.var("x", 3);
+        p.command("up", move |s| s.get(x) == 0, move |s| s.set(x, 1));
+        p.command("back", move |s| s.get(x) == 2, move |s| s.set(x, 0));
+        let report = self_check_against_materialized(&p, move |s| s.get(x) == 0);
+        assert!(report.holds());
+        assert_eq!(report.num_legitimate(), 2);
+    }
+
+    #[test]
+    fn a_program_with_only_singleton_sccs_is_decided_at_every_worker_count() {
+        // An acyclic counter: every SCC is a singleton, so no state runs
+        // its commands again and no worker gets a group.
+        let mut p = Program::new();
+        let x = p.var("x", 200);
+        p.command(
+            "inc",
+            move |s| s.get(x) < 199,
+            move |s| s.set(x, s.get(x) + 1),
+        );
+        let report = self_check_against_materialized(&p, move |s| s.get(x) == 0);
+        assert!(report.holds());
+        assert_eq!(report.num_legitimate(), 200);
+        // From x = 1 on, x = 0 is illegitimate but only leaves.
+        let report = self_check_against_materialized(&p, move |s| s.get(x) == 1);
+        assert!(report.holds());
+        assert_eq!(report.num_legitimate(), 199);
     }
 
     #[test]

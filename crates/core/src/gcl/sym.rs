@@ -769,6 +769,8 @@ impl Program {
         // Phase B — quotient union rows: per canonical state, every
         // enabled command's target canonicalized and resolved by binary
         // search, plus the skip self-loop when any command is disabled.
+        // It also lists the *twisted* states: those with a self-edge
+        // whose canonizer is not the identity.
         let words_ref: &[u64] = &words;
         let canon_chunks = chunk_ranges(num_canon, workers, 1);
         let union_tasks: Vec<_> = canon_chunks
@@ -778,9 +780,15 @@ impl Program {
                 move || self.sym_union_chunk(layout, sym, words_ref, range, init)
             })
             .collect();
-        let union_parts: Vec<UnionChunk> = join_all(union_tasks)
-            .into_iter()
-            .collect::<Result<_, _>>()?;
+        let mut twisted = StateSet::with_capacity(num_canon);
+        let mut union_parts = Vec::with_capacity(canon_chunks.len());
+        for part in join_all(union_tasks) {
+            let (rows, twisted_states) = part?;
+            union_parts.push(rows);
+            for state in twisted_states {
+                twisted.insert(state);
+            }
+        }
         let (off, to, init_seeds) = UnionChunk::stitch(num_canon, &canon_chunks, union_parts);
         if init_seeds.is_empty() {
             return Err(GclError::NoInitialState);
@@ -817,12 +825,16 @@ impl Program {
         let (scc_id, scc_count) = par::tarjan(&off, &to);
 
         // Phase E — holonomy-exact command presence per quotient SCC.
-        // Serial (one recompute sweep, worker-independent): each SCC is
-        // walked once from its first member in canonical order; every
-        // member carries the annotation `a` relating it to the root's
-        // sheet, facts are conjugated into that sheet's frame, and
-        // non-tree internal edges contribute stabilizer generators the
-        // fact set is closed under. See DESIGN.md §13.
+        // A singleton {s} that is not twisted has no defect generator
+        // and the identity frame, so its facts are the commands that are
+        // disabled at s or lead back to s: it is fully represented iff
+        // its Phase-B row is exactly [s]. Every other SCC is walked
+        // serially, once, from its first member in canonical order;
+        // every member carries the annotation `a` relating it to the
+        // root's sheet, facts are conjugated into that sheet's frame,
+        // and non-tree internal edges contribute stabilizer generators
+        // the fact set is closed under. See DESIGN.md §13.
+        let multi = par::multi_member_sccs(&scc_id, scc_count);
         let cmd_words = ncmd.div_ceil(64);
         let mut full = StateSet::with_capacity(scc_count);
         {
@@ -838,6 +850,12 @@ impl Program {
                     continue;
                 }
                 let scc = scc_id[root];
+                if !multi.contains(scc as usize) && !twisted.contains(root) {
+                    if to[off[root] as usize..off[root + 1] as usize] == [root as u32] {
+                        full.insert(scc as usize);
+                    }
+                    continue;
+                }
                 facts.iter_mut().for_each(|w| *w = 0);
                 for flag in gens.drain(..) {
                     gen_seen[flag as usize] = false;
@@ -926,7 +944,9 @@ impl Program {
     }
 
     /// Phase-B worker: quotient union rows for one slice of the
-    /// canonical list, with chunk-relative 32-bit offsets.
+    /// canonical list, with chunk-relative 32-bit offsets, and the
+    /// slice's twisted states (a command leads back to the state under a
+    /// non-identity canonizer), ascending.
     // Offsets and canonical ids fit `u32` by the caller's guard.
     #[allow(clippy::cast_possible_truncation)]
     fn sym_union_chunk(
@@ -936,12 +956,13 @@ impl Program {
         words: &[u64],
         range: Range<usize>,
         init: &(impl for<'a, 'b> Fn(&'a State<'b>) -> bool + Sync),
-    ) -> Result<UnionChunk, GclError> {
+    ) -> Result<(UnionChunk, Vec<usize>), GclError> {
         let len = range.len();
         let ncmd = self.commands.len();
         let mut off = vec![0u32; len + 1];
         let mut to: Vec<u32> = Vec::with_capacity(len.saturating_mul(2));
         let mut init_seeds: Vec<usize> = Vec::new();
+        let mut twisted: Vec<usize> = Vec::new();
         let mut row: Vec<u32> = Vec::with_capacity(ncmd + 1);
         let mut view = State::new(layout);
         for (local, state) in range.enumerate() {
@@ -951,14 +972,16 @@ impl Program {
             }
             row.clear();
             let mut any_disabled = false;
+            let mut twist = false;
             for (index, command) in self.commands.iter().enumerate() {
                 if command.enabled(&view) {
                     view.begin_effect();
                     command.apply(&mut view);
-                    let (canon, _) = view
+                    let (canon, sigma) = view
                         .finish_effect_with(|values, word| sym.canon(layout, values, word))
                         .map_err(|()| self.out_of_domain(index))?;
                     let id = words.binary_search(&canon).expect(NOT_A_SYMMETRY);
+                    twist |= id == state && sigma != 0;
                     row.push(id as u32);
                 } else {
                     any_disabled = true;
@@ -967,16 +990,22 @@ impl Program {
             if any_disabled {
                 row.push(state as u32);
             }
+            if twist {
+                twisted.push(state);
+            }
             row.sort_unstable();
             row.dedup();
             to.extend_from_slice(&row);
             off[local + 1] = to.len() as u32;
         }
-        Ok(UnionChunk {
-            off,
-            to,
-            init_seeds,
-        })
+        Ok((
+            UnionChunk {
+                off,
+                to,
+                init_seeds,
+            },
+            twisted,
+        ))
     }
 }
 
@@ -1162,6 +1191,72 @@ mod tests {
             assert_eq!(par.words, reduced.words);
             assert_eq!(par.divergent_witness, reduced.divergent_witness);
             assert_eq!(par.num_legitimate_full, reduced.num_legitimate_full);
+        }
+    }
+
+    #[test]
+    fn a_twisted_singleton_takes_the_walk_and_comes_out_full() {
+        // Over x, y in 0..3 with the swap symmetry: "left" turns (1, 0)
+        // into (0, 1) and (0, 1) into (0, 2); "right" is its mirror image;
+        // "reset" sends every other state without a 2 to (2, 2). The full
+        // space has the SCC {(1, 0), (0, 1)} in which every command acts,
+        // outside the legitimate states (those with a 2). The quotient
+        // folds it into the singleton {(1, 0)}, where the self-edge of
+        // "left" carries the swap as canonizer. Its row also leads to
+        // (2, 0) ("right"), so its mask alone misses "right"; closing the
+        // facts under the swap defect restores it.
+        let mut p = Program::new();
+        let x = p.var("x", 3);
+        let y = p.var("y", 3);
+        let at = move |s: &State<'_>, a: usize, b: usize| s.get(x) == a && s.get(y) == b;
+        p.command(
+            "right",
+            move |s| at(s, 0, 1) || at(s, 1, 0),
+            move |s| {
+                if s.get(x) == 0 {
+                    s.set(x, 1);
+                    s.set(y, 0);
+                } else {
+                    s.set(x, 2);
+                }
+            },
+        );
+        p.command(
+            "left",
+            move |s| at(s, 1, 0) || at(s, 0, 1),
+            move |s| {
+                if s.get(y) == 0 {
+                    s.set(x, 0);
+                    s.set(y, 1);
+                } else {
+                    s.set(y, 2);
+                }
+            },
+        );
+        p.command(
+            "reset",
+            move |s| s.get(x) != 2 && s.get(y) != 2 && s.get(x) + s.get(y) != 1,
+            move |s| {
+                s.set(x, 2);
+                s.set(y, 2);
+            },
+        );
+        let swap = SymmetryElement {
+            var_perm: vec![1, 0],
+            value_maps: vec![None, None],
+            cmd_perm: vec![1, 0, 2],
+        };
+        let spec = SymmetrySpec::new(&[SymmetryElement::identity(2, 3), swap]).unwrap();
+        spec.validate(&p).unwrap();
+        let init = move |s: &State<'_>| s.get(x) == 2 || s.get(y) == 2;
+        let full = p.fair_self_check(init).unwrap();
+        assert_eq!(full.divergent_witness, Some((1, 1)));
+        for workers in [1, 2] {
+            let reduced = p.fair_self_check_sym_on(workers, &spec, init).unwrap();
+            assert_eq!(reduced.words, vec![0, 1, 2, 4, 5, 8]);
+            // (0, 0) comes first but is a singleton that "reset" leaves.
+            assert_eq!(reduced.divergent_witness, Some((1, 1)));
+            assert_eq!(reduced.num_legitimate_full, full.num_legitimate());
         }
     }
 

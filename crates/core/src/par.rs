@@ -20,6 +20,8 @@
 //!   count. The verdict pipeline's union graphs are dominated by
 //!   singleton components, where one `O(V + E)` pass beats any
 //!   forward-backward split (DESIGN.md §11).
+//! - [`multi_member_sccs`] marks the SCCs with two or more members;
+//!   the fair self-checks decide every other SCC from its one row.
 //! - [`stitch_csr`] joins per-chunk rows of a sharded sweep.
 //! - [`divergent_edge`] finds the first divergent edge inside a fully
 //!   represented SCC: the witness of a weakly fair computation that
@@ -230,6 +232,20 @@ pub(crate) fn tarjan<I: Idx>(off: &[I], to: &[I]) -> (Vec<I>, usize) {
         }
     }
     (scc_id, next_scc)
+}
+
+/// The ids of the SCCs with two or more members: one pass over
+/// `scc_id` with a "seen once" and a "seen twice" bitset of
+/// `scc_count` bits each.
+pub(crate) fn multi_member_sccs<I: Idx>(scc_id: &[I], scc_count: usize) -> StateSet {
+    let mut once = StateSet::with_capacity(scc_count);
+    let mut twice = StateSet::with_capacity(scc_count);
+    for &id in scc_id {
+        if !once.insert(id.at()) {
+            twice.insert(id.at());
+        }
+    }
+    twice
 }
 
 /// Stitches per-chunk CSR rows (offsets relative to the chunk,

@@ -13,7 +13,9 @@
 
 mod common;
 
-use common::{build_packed, build_reference, packed_init, random_spec};
+use common::{
+    assert_self_check_matches_reference, build_packed, build_reference, packed_init, random_spec,
+};
 use graybox_core::gcl::reference::Valuation;
 use graybox_core::is_stabilizing_to;
 use graybox_core::sweep::sweep_seeds;
@@ -123,22 +125,11 @@ fn check_seed(seed: u64) {
     );
 
     // The streaming self-check must agree with the materialized
-    // fair-composition check of the reference pipeline.
-    let spec_system = stutter_closure(r_plain2.system());
-    let materialized = r_fair.is_stabilizing_to(&spec_system).holds();
-    let streamed = packed
-        .fair_self_check(p_init)
-        .unwrap_or_else(|e| panic!("seed {seed}: self check {e}"));
-    assert_eq!(
-        streamed.holds(),
-        materialized,
-        "seed {seed}: streaming self-check diverges from materialized check"
-    );
-    assert_eq!(
-        streamed.num_legitimate(),
-        spec_system.reachable_from_init().len(),
-        "seed {seed}: legitimate-state counts diverge"
-    );
+    // fair-composition check of the reference pipeline at 1 and 2
+    // workers.
+    for workers in [1, 2] {
+        assert_self_check_matches_reference(seed, workers);
+    }
 }
 
 #[test]
