@@ -12,6 +12,7 @@
 //! and edges) bit for bit at every worker count.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::par;
 use crate::sweep::{chunk_ranges, join_all};
@@ -38,6 +39,34 @@ pub struct SymReach {
 /// edge list (empty unless requested), the seed count, and the
 /// first target hit with its BFS level.
 type ReducedBfs = (Vec<u64>, Vec<(usize, usize)>, usize, Option<(u64, usize)>);
+
+/// The intern map: packed word to dense id.
+type WordIds = HashMap<u64, usize, BuildHasherDefault<WordHasher>>;
+
+/// Hashes an interned word with the splitmix64 finalizer. The keys are
+/// packed words the program built itself, never outside input, so the
+/// map needs no collision-resistant (and slower) keyed hash.
+#[derive(Default)]
+struct WordHasher(u64);
+
+impl Hasher for WordHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.0 = self.0.rotate_left(8) ^ u64::from(byte);
+        }
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 ^= word;
+    }
+
+    fn finish(&self) -> u64 {
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+}
 
 /// Where the exploration's seeds come from.
 enum Seeds<'a, F> {
@@ -302,7 +331,7 @@ impl Program {
         };
 
         let mut words: Vec<u64> = Vec::new();
-        let mut ids: HashMap<u64, usize> = HashMap::new();
+        let mut ids = WordIds::default();
         let mut hit: Option<(u64, usize)> = None;
         for &word in &raw_seeds {
             if let std::collections::hash_map::Entry::Vacant(slot) = ids.entry(word) {
@@ -458,7 +487,7 @@ impl Program {
 /// row order (the serial FIFO discovery order); returns the first target
 /// hit, if any.
 fn intern_words(
-    ids: &mut HashMap<u64, usize>,
+    ids: &mut WordIds,
     words: &mut Vec<u64>,
     mut edges: Option<&mut Vec<(usize, usize)>>,
     cursor: usize,

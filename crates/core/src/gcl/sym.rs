@@ -174,6 +174,13 @@ pub struct SymmetrySpec {
     compose: Vec<u16>,
     /// `inverse[g]` = the element acting as `g⁻¹`.
     inverse: Vec<u16>,
+    /// `lead[v]`: the elements, ascending, whose image digit at the top
+    /// position is least when the top variable holds `v` — the only ones
+    /// that can reach the orbit minimum ([`lead_table`]; empty when the
+    /// spec has none).
+    lead: Vec<Vec<u16>>,
+    /// `0..order`: the candidate slice of a spec without a lead table.
+    every: Vec<u16>,
 }
 
 /// Narrows a group-element index to the `u16` annotation space. In range
@@ -320,6 +327,8 @@ impl SymmetrySpec {
             })
             .collect();
 
+        let lead = lead_table(&var_perm, &value_map);
+
         Ok(SymmetrySpec {
             num_vars,
             num_commands,
@@ -330,6 +339,8 @@ impl SymmetrySpec {
             cmd_perm,
             compose,
             inverse,
+            every: (0..order).map(elem16).collect(),
+            lead,
         })
     }
 
@@ -412,25 +423,43 @@ impl SymmetrySpec {
         false
     }
 
+    /// The elements that can reach `w`'s orbit minimum, ascending:
+    /// `lead[v]` for the top variable's value `v`, or every element when
+    /// the spec has no lead table.
+    fn candidates(&self, values: &[u64]) -> &[u16] {
+        match values.last() {
+            Some(&v) if !self.lead.is_empty() => &self.lead[narrow(v)],
+            _ => &self.every,
+        }
+    }
+
     /// Is `w` the lexicographic minimum of its orbit? (Ties never arise:
-    /// equality with the self-image does not disqualify.)
+    /// equality with the self-image does not disqualify.) A `w` whose
+    /// candidates exclude the identity loses on the top digit to the
+    /// first of them.
     pub(super) fn is_canonical(&self, values: &[u64]) -> bool {
-        (1..self.order).all(|g| !self.image_less(values, g, 0))
+        self.candidates(values)
+            .iter()
+            .all(|&g| g == 0 || !self.image_less(values, g as usize, 0))
     }
 
     /// The canonical representative of `w`'s orbit and the smallest
     /// element index achieving it (the *canonizer* `σ`, with
     /// `σ·w = canon(w)`; identity when `w` is already canonical).
     ///
-    /// Each candidate is compared against the current best by
-    /// [`image_less`](Self::image_less), and only the winner's image is
-    /// packed. A candidate replaces the best only when strictly smaller,
-    /// so ties keep the smallest element index.
+    /// Only the [candidates](Self::candidates) are compared: each against
+    /// the current best by [`image_less`](Self::image_less), and only the
+    /// winner's image is packed. A candidate replaces the best only when
+    /// strictly smaller, so ties keep the smallest element index.
     pub(super) fn canon(&self, layout: &Layout, values: &[u64], word: u64) -> (u64, u16) {
-        let mut who = 0;
-        for g in 1..self.order {
-            if self.image_less(values, g, who) {
-                who = g;
+        let (&first, rest) = self
+            .candidates(values)
+            .split_first()
+            .expect("a candidate slice is never empty");
+        let mut who = first as usize;
+        for &g in rest {
+            if self.image_less(values, g as usize, who) {
+                who = g as usize;
             }
         }
         let best = if who == 0 {
@@ -539,6 +568,39 @@ fn image_digit(values: &[u64], inv: &[u32], maps: &[Option<Vec<u32>>], p: usize)
         Some(map) => u64::from(map[narrow(v)]),
         None => v,
     }
+}
+
+/// The lead table of [`SymmetrySpec`]. When every element pins the top
+/// (most significant) variable, its relabelled value is the most
+/// significant digit of every image, so the orbit minimum lies among the
+/// elements that minimize it. Empty when some element moves the top
+/// variable or none relabels its values.
+fn lead_table(var_perm: &[Vec<u32>], value_map: &[Vec<Option<Vec<u32>>>]) -> Vec<Vec<u16>> {
+    let Some(top) = var_perm[0].len().checked_sub(1) else {
+        return Vec::new();
+    };
+    let Some(domain) = value_map
+        .iter()
+        .find_map(|maps| maps[top].as_ref().map(Vec::len))
+    else {
+        return Vec::new();
+    };
+    if var_perm.iter().any(|vp| vp[top] as usize != top) {
+        return Vec::new();
+    }
+    let digit = |g: usize, v: usize| match &value_map[g][top] {
+        Some(map) => map[v] as usize,
+        None => v,
+    };
+    (0..domain)
+        .map(|v| {
+            let least = (0..var_perm.len()).map(|g| digit(g, v)).min();
+            (0..var_perm.len())
+                .filter(|&g| Some(digit(g, v)) == least)
+                .map(elem16)
+                .collect()
+        })
+        .collect()
 }
 
 /// Is `map` a permutation of `0..len`?
@@ -1032,14 +1094,46 @@ mod tests {
     }
 
     /// Asserts `canon` returns the oracle's `(word, element)` pair at
-    /// `word`.
+    /// `word`, and `is_canonical` says whether that word is `word`.
     fn assert_canon_matches_oracle(sym: &SymmetrySpec, view: &mut State<'_>, word: u64) {
         view.load(word);
+        let oracle = canon_oracle(sym, view.layout, &view.values, word);
         assert_eq!(
             sym.canon(view.layout, &view.values, word),
-            canon_oracle(sym, view.layout, &view.values, word),
+            oracle,
             "state {word}"
         );
+        assert_eq!(
+            sym.is_canonical(&view.values),
+            oracle.0 == word,
+            "state {word}"
+        );
+    }
+
+    /// [`assert_canon_matches_oracle`] on every state of `program`.
+    fn assert_canon_matches_oracle_everywhere(sym: &SymmetrySpec, program: &Program) {
+        let layout = program.layout().unwrap();
+        let mut view = State::new(&layout);
+        for word in 0..layout.total {
+            assert_canon_matches_oracle(sym, &mut view, word);
+        }
+    }
+
+    /// Three variables `x, y` in `0..2` and the top `t` in `0..top`,
+    /// with the swap of `x` and `y` that relabels `t` by `t_map` (`None`
+    /// leaves it in place and unrelabelled).
+    fn swap_with_pinned_top(top: usize, t_map: Option<Vec<usize>>) -> (Program, SymmetrySpec) {
+        let mut program = Program::new();
+        program.var("x", 2);
+        program.var("y", 2);
+        program.var("t", top);
+        let swap = SymmetryElement {
+            var_perm: vec![1, 0, 2],
+            value_maps: vec![None, None, t_map],
+            cmd_perm: Vec::new(),
+        };
+        let sym = SymmetrySpec::new(&[SymmetryElement::identity(3, 0), swap]).unwrap();
+        (program, sym)
     }
 
     /// Two symmetric mod-`d` counters with a coupling command; the swap
@@ -1262,8 +1356,9 @@ mod tests {
 
     #[test]
     fn canon_matches_the_full_image_oracle_on_the_tme_groups() {
-        const SAMPLES: usize = 100_000;
-        for n in [2, 3] {
+        // Fewer samples at n = 4, where the oracle packs 23 images of 29
+        // digits each.
+        for (n, samples) in [(2, 100_000), (3, 100_000), (4, 16_000)] {
             for wrapped in [false, true] {
                 let (program, _) = program_nproc_ir(n, wrapped);
                 let sym = nproc_symmetry(n, wrapped);
@@ -1271,7 +1366,7 @@ mod tests {
                 let mut view = State::new(&layout);
                 // Seeded splitmix64: the same states on every run.
                 let mut seed = 0x9E37_79B9_7F4A_7C15u64 ^ ((n as u64) << 1) ^ u64::from(wrapped);
-                for _ in 0..SAMPLES {
+                for _ in 0..samples {
                     seed = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
                     let mut z = seed;
                     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -1280,6 +1375,25 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn canon_matches_the_full_image_oracle_with_two_lead_candidates() {
+        // The swap maps t = 0 and t = 1 onto each other and fixes t = 2,
+        // so at t = 2 both elements tie on the top digit and the lower
+        // digits decide; at x = y they tie outright and the identity wins.
+        let (program, sym) = swap_with_pinned_top(3, Some(vec![1, 0, 2]));
+        assert_eq!(sym.lead, vec![vec![0], vec![1], vec![0, 1]]);
+        assert_canon_matches_oracle_everywhere(&sym, &program);
+    }
+
+    #[test]
+    fn canon_matches_the_full_image_oracle_without_a_lead_table() {
+        // The top variable is pinned but never relabelled: no table, and
+        // every element is a candidate.
+        let (program, sym) = swap_with_pinned_top(2, None);
+        assert!(sym.lead.is_empty());
+        assert_canon_matches_oracle_everywhere(&sym, &program);
     }
 
     #[test]
@@ -1307,11 +1421,7 @@ mod tests {
                         })
                         .collect();
                     let sym = SymmetrySpec::new(&elements).unwrap();
-                    let layout = program.layout().unwrap();
-                    let mut view = State::new(&layout);
-                    for word in 0..layout.total {
-                        assert_canon_matches_oracle(&sym, &mut view, word);
-                    }
+                    assert_canon_matches_oracle_everywhere(&sym, &program);
                 }
             }
         }

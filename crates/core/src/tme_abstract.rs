@@ -965,6 +965,18 @@ impl AbstractTmeN {
             .collect()
     }
 
+    /// How many processes eat in the packed state `word`, read from its
+    /// `n` least significant digits (the modes) without decoding the rest.
+    fn num_eating(&self, mut word: u64) -> usize {
+        let mut eating = 0;
+        for &domain in &self.domains[..self.n] {
+            let domain = domain as u64;
+            eating += usize::from(word % domain == EATING as u64);
+            word /= domain;
+        }
+        eating
+    }
+
     /// Runs the exhaustive check: two streaming
     /// [`Program::fair_self_check`] sweeps (unwrapped, wrapped), ME1 over
     /// the legitimate states, and the deadlock analysis. At `n = 3` this
@@ -1003,10 +1015,10 @@ impl AbstractTmeN {
             ),
         };
 
-        let me1 = wrapped_report.legitimate.iter().all(|state| {
-            let values = self.decode(state);
-            values[..self.n].iter().filter(|&&m| m == EATING).count() <= 1
-        });
+        let me1 = wrapped_report
+            .legitimate
+            .iter()
+            .all(|state| self.num_eating(state as u64) <= 1);
 
         let deadlock = self.deadlock_state();
         let deadlock_quiescent = self.unwrapped.step(deadlock)? == vec![deadlock];
@@ -1089,10 +1101,10 @@ impl AbstractTmeN {
         // ME1 is orbit-invariant (relabeling permutes the eating count's
         // summands), so checking canonical representatives covers every
         // legitimate state.
-        let me1 = wrapped_report.legitimate.iter().all(|id| {
-            let values = self.decode(word_index(wrapped_report.words[id]));
-            values[..self.n].iter().filter(|&&m| m == EATING).count() <= 1
-        });
+        let me1 = wrapped_report
+            .legitimate
+            .iter()
+            .all(|id| self.num_eating(wrapped_report.words[id]) <= 1);
 
         let deadlock = self.deadlock_state();
         let deadlock_quiescent = self.unwrapped.step(deadlock)? == vec![deadlock];
@@ -1170,10 +1182,7 @@ impl AbstractTmeN {
                 .wrapped
                 .sym_reach_words(&sym_wrapped, &[0], cap, no_target)?,
         };
-        let me1 = legit.words.iter().all(|&word| {
-            let values = self.decode(word_index(word));
-            values[..self.n].iter().filter(|&&m| m == EATING).count() <= 1
-        });
+        let me1 = legit.words.iter().all(|&word| self.num_eating(word) <= 1);
         let mut legit_sorted = legit.words.clone();
         legit_sorted.sort_unstable();
 
@@ -1209,11 +1218,6 @@ impl AbstractTmeN {
             group_order: sym_wrapped.order(),
         })
     }
-}
-
-/// Packed words index states; the layout cap guarantees they fit.
-fn word_index(word: u64) -> usize {
-    usize::try_from(word).expect("packed word exceeds usize")
 }
 
 /// The verdicts of one symmetry-reduced exhaustive n-process check,
@@ -1563,7 +1567,24 @@ mod tests {
         assert!(reach.me1, "{reach:?}");
         assert!(reach.deadlock_quiescent);
         assert!(reach.deadlock_illegitimate);
-        assert!(reach.recovery_steps.is_some());
+        assert_eq!(reach.num_canonical_legitimate, 1_731_024);
+        assert_eq!(reach.recovery_steps, Some(6));
         assert_eq!(reach.group_order, 24);
+        // The FIFO discovery order of the legitimate quotient, pinned by
+        // an FNV-1a-style fold over the words at 1 and 2 workers.
+        let sym = nproc_symmetry(4, true);
+        for workers in [1, 2] {
+            let legit = tme
+                .wrapped_program()
+                .sym_reach_words_on(workers, &sym, &[0], 1 << 27, None::<&fn(u64) -> bool>)
+                .unwrap();
+            let digest = legit
+                .words
+                .iter()
+                .fold(0xcbf2_9ce4_8422_2325u64, |h, &word| {
+                    (h ^ word).wrapping_mul(0x0100_0000_01b3)
+                });
+            assert_eq!(digest, 0x1e81_6409_17f7_1dc4, "at {workers} workers");
+        }
     }
 }

@@ -12,7 +12,9 @@ use std::collections::HashMap;
 use graybox::core::gcl::reference::Valuation;
 use graybox::core::gcl::{Program, State, VarRef};
 use graybox::core::synthesis::stutter_closure;
-use graybox::core::tme_abstract::{nproc_symmetry, program_nproc_ir, program_nproc_reference};
+use graybox::core::tme_abstract::{
+    build_n, nproc_symmetry, program_nproc_ir, program_nproc_reference,
+};
 
 const WORKERS: [usize; 3] = [1, 2, 4];
 
@@ -246,5 +248,26 @@ fn compile_reachable_sym_is_the_canonical_image_at_every_worker_count() {
                 "wrapped={wrapped}: quotient differs at {workers} workers"
             );
         }
+    }
+    // The frontier-only quotient search of the n = 3 reachable check:
+    // its counts, its recovery level and, by an FNV-1a-style digest, the
+    // FIFO discovery order of the legitimate words.
+    let tme = build_n(3).unwrap();
+    let sym = nproc_symmetry(3, true);
+    for workers in WORKERS {
+        let reach = tme.reachable_check_on(workers, usize::MAX).unwrap();
+        assert_eq!(reach.num_canonical_legitimate, 2_358);
+        assert_eq!(reach.recovery_steps, Some(3));
+        let legit = tme
+            .wrapped_program()
+            .sym_reach_words_on(workers, &sym, &[0], usize::MAX, None::<&fn(u64) -> bool>)
+            .unwrap();
+        let digest = legit
+            .words
+            .iter()
+            .fold(0xcbf2_9ce4_8422_2325u64, |h, &word| {
+                (h ^ word).wrapping_mul(0x0100_0000_01b3)
+            });
+        assert_eq!(digest, 0x75da_839e_3cf9_152e, "at {workers} workers");
     }
 }
