@@ -25,8 +25,6 @@
 use graybox_core::gcl::ir::{CmpOp, Cond, Expr, IrCommand, Stmt};
 use graybox_core::gcl::Program;
 
-use crate::footprint::OpaqueCommand;
-
 /// A closed interval `[lo, hi]` of a variable's finite domain.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Interval {
@@ -611,22 +609,10 @@ pub fn diagnose_command(command: &IrCommand, domains: &[usize]) -> CommandDiagno
 }
 
 /// Diagnoses every command of `program`, in declaration order.
-///
-/// # Errors
-///
-/// [`OpaqueCommand`] if any command was added through the closure API.
-pub fn diagnose_program(program: &Program) -> Result<Vec<CommandDiagnosis>, OpaqueCommand> {
+pub fn diagnose_program(program: &Program) -> Vec<CommandDiagnosis> {
     let domains: Vec<usize> = program.variables().map(|(_, domain)| domain).collect();
     (0..program.num_commands())
-        .map(|index| {
-            program
-                .ir_command(index)
-                .map(|cmd| diagnose_command(cmd, &domains))
-                .ok_or_else(|| OpaqueCommand {
-                    index,
-                    name: program.command_name(index).to_string(),
-                })
-        })
+        .map(|index| diagnose_command(program.ir_command(index), &domains))
         .collect()
 }
 
@@ -818,13 +804,5 @@ mod tests {
             vec![],
         );
         assert!(diagnose_command(&cmd, &[10]).dead);
-    }
-
-    #[test]
-    fn opaque_program_is_rejected() {
-        let mut p = Program::new();
-        let x = p.var("x", 2);
-        p.command("opaque", move |s| s.get(x) == 0, move |s| s.set(x, 1));
-        assert!(diagnose_program(&p).is_err());
     }
 }

@@ -5,7 +5,6 @@
 //! every assignment target counts as a write. No state is enumerated.
 
 use std::collections::BTreeSet;
-use std::fmt;
 
 use graybox_core::gcl::ir::IrCommand;
 use graybox_core::gcl::Program;
@@ -26,28 +25,6 @@ impl Footprint {
         self.reads.union(&self.writes).copied().collect()
     }
 }
-
-/// A command added through the closure API, which analysis cannot see
-/// into. Programs fed to the static passes must be all-IR.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct OpaqueCommand {
-    /// Declaration-order index of the opaque command.
-    pub index: usize,
-    /// Its name.
-    pub name: String,
-}
-
-impl fmt::Display for OpaqueCommand {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "command {} ({:?}) was added through the closure API and is opaque to static analysis",
-            self.index, self.name
-        )
-    }
-}
-
-impl std::error::Error for OpaqueCommand {}
 
 /// Infers the may-footprint of one IR command.
 pub fn command_footprint(command: &IrCommand) -> Footprint {
@@ -71,21 +48,9 @@ pub fn command_footprint(command: &IrCommand) -> Footprint {
 
 /// Infers the footprints of every command of `program`, in declaration
 /// order.
-///
-/// # Errors
-///
-/// [`OpaqueCommand`] if any command was added through the closure API.
-pub fn program_footprints(program: &Program) -> Result<Vec<Footprint>, OpaqueCommand> {
+pub fn program_footprints(program: &Program) -> Vec<Footprint> {
     (0..program.num_commands())
-        .map(|index| {
-            program
-                .ir_command(index)
-                .map(command_footprint)
-                .ok_or_else(|| OpaqueCommand {
-                    index,
-                    name: program.command_name(index).to_string(),
-                })
-        })
+        .map(|index| command_footprint(program.ir_command(index)))
         .collect()
 }
 
@@ -117,16 +82,6 @@ mod tests {
             [a.index(), b.index(), d.index()].into_iter().collect()
         );
         assert_eq!(fp.writes, [c.index(), d.index()].into_iter().collect());
-        assert_eq!(program_footprints(&p).unwrap(), vec![fp]);
-    }
-
-    #[test]
-    fn closure_commands_are_reported_opaque() {
-        let mut p = Program::new();
-        let x = p.var("x", 2);
-        p.command("flip", move |s| s.get(x) == 0, move |s| s.set(x, 1));
-        let err = program_footprints(&p).unwrap_err();
-        assert_eq!(err.index, 0);
-        assert_eq!(err.name, "flip");
+        assert_eq!(program_footprints(&p), vec![fp]);
     }
 }

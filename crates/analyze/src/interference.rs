@@ -126,7 +126,7 @@ mod tests {
             Cond::Const(true),
             vec![Stmt::assign(x, Expr::int(0)), Stmt::assign(y, Expr::int(2))],
         ));
-        let fps = program_footprints(&p).unwrap();
+        let fps = program_footprints(&p);
         let conflicts = check_interference(&p, &fps, &[false, true]);
         let kinds: Vec<(&str, ConflictKind)> = conflicts
             .iter()

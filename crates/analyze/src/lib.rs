@@ -66,7 +66,7 @@ pub mod wp;
 pub mod wrapper;
 
 pub use absint::{diagnose_command, diagnose_program, CommandDiagnosis, Interval};
-pub use footprint::{command_footprint, program_footprints, Footprint, OpaqueCommand};
+pub use footprint::{command_footprint, program_footprints, Footprint};
 pub use interference::{check_interference, Conflict, ConflictKind};
 pub use locality::{check_locality, Access, LocalityViolation, Partition, VarClass};
 pub use report::{render_and_exit, Finding, Report, Severity};

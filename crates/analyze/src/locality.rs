@@ -171,7 +171,7 @@ mod tests {
                 VarClass::Channel { from: 0, to: 1 },
             ],
         };
-        let fps = program_footprints(&p).unwrap();
+        let fps = program_footprints(&p);
         let violations = check_locality(&p, &fps, &partition, &[0, 0]);
         assert_eq!(violations.len(), 1);
         assert_eq!(violations[0].command_name, "rogue");

@@ -173,7 +173,7 @@ fn extract_ord_table_expr(expr: &Expr, ord: usize, out: &mut Vec<Vec<usize>>) {
     match expr {
         Expr::Table { index, values } => {
             if matches!(**index, Expr::Var(v) if v.index() == ord) {
-                out.push(values.clone());
+                out.push(values.to_vec());
             } else {
                 extract_ord_table_expr(index, ord, out);
             }
@@ -194,9 +194,7 @@ fn earlier_table(program: &Program, n: usize) -> Result<Vec<usize>, String> {
     let per_proc = 1 + (n - 1) * 4 + 2;
     debug_assert_eq!(per_proc, program.num_commands() / n);
     // observe_request0_1 is command 2 (request, recv_request0_1, observe).
-    let observe = program
-        .ir_command(2)
-        .ok_or_else(|| "command 2 has no IR form".to_string())?;
+    let observe = program.ir_command(2);
     if !observe.name.starts_with("observe_request0_1") {
         return Err(format!(
             "expected observe_request0_1 at command 2, found {}",
@@ -274,7 +272,7 @@ pub fn check_projection_reduction(
     let mut failures = Vec::new();
     let mut stats = ReductionStats::default();
     for c in 0..program.num_commands() {
-        let cmd = program.ir_command(c).expect("all-IR program");
+        let cmd = program.ir_command(c);
         stats.commands += 1;
         let pair_cmd = pair_command_index(n, c);
         // enter's guard counts every peer belief, so only containment
@@ -387,7 +385,7 @@ pub fn check_order_preservation(n: usize, program: &Program) -> Vec<ObligationFa
     for (i, row) in earlier.iter_mut().enumerate() {
         for (slot, j) in (0..n).filter(|&j| j != i).enumerate() {
             let index = i * per_proc + 1 + 4 * slot + 1;
-            let observe = program.ir_command(index).expect("all-IR program");
+            let observe = program.ir_command(index);
             assert!(
                 observe.name.starts_with("observe_request"),
                 "expected an observe command at {index}, found {}",
@@ -402,13 +400,13 @@ pub fn check_order_preservation(n: usize, program: &Program) -> Vec<ObligationFa
     // move_back_t, from each request{t}'s final ord assignment.
     let mut movers = Vec::new();
     for t in 0..n {
-        let request = program.ir_command(t * per_proc).expect("all-IR program");
+        let request = program.ir_command(t * per_proc);
         let table = request.body.iter().rev().find_map(|stmt| match stmt {
             Stmt::Assign(var, Expr::Table { index, values })
                 if var.index() == ix.ord()
                     && matches!(**index, Expr::Var(v) if v.index() == ix.ord()) =>
             {
-                Some(values.clone())
+                Some(values.to_vec())
             }
             _ => None,
         });
@@ -476,7 +474,7 @@ pub fn check_counting_case(n: usize, program: &Program) -> Vec<ObligationFailure
     // themselves (the IR is the only public source of them).
     let mut refs = std::collections::BTreeMap::new();
     for c in 0..program.num_commands() {
-        let cmd = program.ir_command(c).expect("all-IR");
+        let cmd = program.ir_command(c);
         cmd.guard.visit_reads(&mut |v| {
             refs.insert(v.index(), v);
         });
@@ -510,7 +508,7 @@ pub fn check_counting_case(n: usize, program: &Program) -> Vec<ObligationFailure
     let mut failures = Vec::new();
 
     // Escape enabled: C ⇒ guard(enter0).
-    let enter_guard = Pred::atom(program.ir_command(enter0).expect("all-IR").guard.clone());
+    let enter_guard = Pred::atom(program.ir_command(enter0).guard.clone());
     match implication(&case, &enter_guard, &domains).expect("small cone") {
         Decision::Valid { .. } => {}
         Decision::CounterExample(witness) => failures.push(ObligationFailure {
@@ -530,7 +528,7 @@ pub fn check_counting_case(n: usize, program: &Program) -> Vec<ObligationFailure
         if c == enter0 {
             continue;
         }
-        let cmd = program.ir_command(c).expect("all-IR");
+        let cmd = program.ir_command(c);
         let ante = case.clone().and(Pred::atom(cmd.guard.clone()));
         let post = wp_command(cmd, &case);
         match implication(&ante, &post, &domains).expect("small cone") {

@@ -127,12 +127,8 @@ impl PairDynamics {
             ));
         }
         let commands: Vec<_> = (0..NUM_PAIR_COMMANDS)
-            .map(|c| {
-                program
-                    .ir_command(c)
-                    .ok_or_else(|| format!("command {c} has no IR form"))
-            })
-            .collect::<Result<_, _>>()?;
+            .map(|c| program.ir_command(c))
+            .collect();
         let command_names = commands.iter().map(|c| c.name.clone()).collect();
 
         let mut next = vec![[None; NUM_PAIR_COMMANDS]; NUM_PROJ];

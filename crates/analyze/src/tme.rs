@@ -17,7 +17,7 @@ use graybox_core::gcl::Program;
 use graybox_core::tme_abstract::{self, NprocShape, NprocVarRole};
 
 use crate::absint::diagnose_program;
-use crate::footprint::{program_footprints, OpaqueCommand};
+use crate::footprint::program_footprints;
 use crate::interference::check_interference;
 use crate::locality::{check_locality, Partition, VarClass};
 use crate::report::{Finding, Report, Severity};
@@ -78,18 +78,9 @@ impl ModelShape {
 /// overruns, and zero moduli are **errors**; interference conflicts,
 /// stutter-only commands, and possible (imprecision-limited)
 /// out-of-domain writes or table overruns are **warnings**.
-///
-/// # Errors
-///
-/// [`OpaqueCommand`] if any command was added through the closure API —
-/// static analysis needs the IR.
-pub fn run_all_passes(
-    program: &Program,
-    shape: &ModelShape,
-    target: &str,
-) -> Result<Report, OpaqueCommand> {
-    let footprints = program_footprints(program)?;
-    let diagnoses = diagnose_program(program)?;
+pub fn run_all_passes(program: &Program, shape: &ModelShape, target: &str) -> Report {
+    let footprints = program_footprints(program);
+    let diagnoses = diagnose_program(program);
     let num_commands = program.num_commands();
 
     let mut report = Report {
@@ -97,8 +88,8 @@ pub fn run_all_passes(
         ..Report::default()
     };
 
-    // Pass 1 — footprints always succeed once the program is all-IR;
-    // certify coverage.
+    // Pass 1 — footprints always succeed (every command is IR); certify
+    // coverage.
     report.certified.push(format!(
         "footprint: inferred read/write sets of all {num_commands} commands"
     ));
@@ -274,7 +265,7 @@ pub fn run_all_passes(
         ));
     }
 
-    Ok(report)
+    report
 }
 
 /// Lints the n-process TME abstraction: builds the IR program, derives
@@ -287,5 +278,5 @@ pub fn lint_tme(n: usize, with_wrapper: bool) -> Report {
         "tme-n{n}-{}",
         if with_wrapper { "wrapped" } else { "unwrapped" }
     );
-    run_all_passes(&program, &shape, &target).expect("program_nproc_ir produces all-IR programs")
+    run_all_passes(&program, &shape, &target)
 }

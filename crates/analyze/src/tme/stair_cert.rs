@@ -82,7 +82,7 @@ fn rebuild(program: &Program, transform: impl Fn(&IrCommand) -> IrCommand) -> Pr
         out.var(name, domain);
     }
     for c in 0..program.num_commands() {
-        out.command_ir(transform(program.ir_command(c).expect("all-IR program")));
+        out.command_ir(transform(program.ir_command(c)));
     }
     out
 }

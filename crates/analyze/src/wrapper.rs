@@ -99,7 +99,7 @@ mod tests {
             vec![Stmt::assign(m, Expr::int(0))],
         ));
         let spec_vars: BTreeSet<usize> = [m.index()].into_iter().collect();
-        let fps = program_footprints(&p).unwrap();
+        let fps = program_footprints(&p);
         let violations = check_wrapper_footprint(&p, &fps, &spec_vars, &[false, true]);
         assert_eq!(violations.len(), 1);
         assert_eq!(violations[0].command_name, "wrapper_peek");

@@ -1,9 +1,10 @@
 //! Differential property test of the static passes against the dynamic
 //! semantics: 200 seeded random programs, each instantiated twice from
-//! one spec — once as IR syntax trees and once as closures that
-//! interpret the spec directly. Asserts that
+//! one spec — once as IR syntax trees and once as reference-DSL closures
+//! that interpret the spec directly, so two independent interpreters
+//! run it. Asserts that
 //!
-//! 1. the IR and closure pipelines compile to identical systems (plain
+//! 1. the IR and reference pipelines compile to identical systems (plain
 //!    and weakly fair), and
 //! 2. every write the compiled system actually performs lands inside the
 //!    statically inferred may-write footprint of the command that
@@ -11,6 +12,7 @@
 
 use graybox_analyze::command_footprint;
 use graybox_core::gcl::ir::{Cond, Expr, IrCommand, Stmt};
+use graybox_core::gcl::reference::{Program as RefProgram, Valuation};
 use graybox_core::gcl::{Program, State, VarRef};
 use graybox_rng::rngs::SmallRng;
 use graybox_rng::{Rng, SeedableRng};
@@ -188,50 +190,45 @@ fn spec_to_ir_command(spec: &Spec, index: usize, vars: &[VarRef]) -> IrCommand {
     IrCommand::new(format!("c{index}"), guard, body)
 }
 
-fn declare(program: &mut Program, domains: &[usize]) -> Vec<VarRef> {
+fn declare(var: &mut dyn FnMut(String, usize) -> VarRef, domains: &[usize]) -> Vec<VarRef> {
     domains
         .iter()
         .enumerate()
-        .map(|(i, &d)| program.var(format!("x{i}"), d))
+        .map(|(i, &d)| var(format!("x{i}"), d))
         .collect()
+}
+
+fn declare_packed(program: &mut Program, domains: &[usize]) -> Vec<VarRef> {
+    declare(&mut |name, domain| program.var(name, domain), domains)
 }
 
 fn build_ir(spec: &Spec) -> Program {
     let mut program = Program::new();
-    let vars = declare(&mut program, &spec.domains);
+    let vars = declare_packed(&mut program, &spec.domains);
     for index in 0..spec.commands.len() {
         program.command_ir(spec_to_ir_command(spec, index, &vars));
     }
     program
 }
 
-// ----------------------------------------------------------- closure side
+// --------------------------------------------------------- reference side
 
-fn atom_holds(atom: &Atom, s: &State<'_>, vars: &[VarRef]) -> bool {
+fn atom_holds(atom: &Atom, s: &Valuation, vars: &[VarRef]) -> bool {
     match atom {
-        Atom::EqConst(v, c) => s.get(vars[*v]) == *c,
-        Atom::LtConst(v, c) => s.get(vars[*v]) < *c,
-        Atom::NeVar(v, w) => s.get(vars[*v]) != s.get(vars[*w]),
-        Atom::LeVar(v, w) => s.get(vars[*v]) <= s.get(vars[*w]),
+        Atom::EqConst(v, c) => s[vars[*v]] == *c,
+        Atom::LtConst(v, c) => s[vars[*v]] < *c,
+        Atom::NeVar(v, w) => s[vars[*v]] != s[vars[*w]],
+        Atom::LeVar(v, w) => s[vars[*v]] <= s[vars[*w]],
         Atom::Either(a, b) => atom_holds(a, s, vars) || atom_holds(b, s, vars),
     }
 }
 
-fn run_action(action: &Action, s: &mut State<'_>, vars: &[VarRef], domains: &[usize]) {
+fn run_action(action: &Action, s: &mut Valuation, vars: &[VarRef], domains: &[usize]) {
     match action {
-        Action::SetConst(dst, c) => s.set(vars[*dst], *c),
-        Action::Copy { dst, src } => {
-            let value = s.get(vars[*src]);
-            s.set(vars[*dst], value);
-        }
-        Action::IncMod(dst) => {
-            let value = (s.get(vars[*dst]) + 1) % domains[*dst];
-            s.set(vars[*dst], value);
-        }
-        Action::Lookup { dst, src, table } => {
-            let value = table[s.get(vars[*src])];
-            s.set(vars[*dst], value);
-        }
+        Action::SetConst(dst, c) => s[vars[*dst]] = *c,
+        Action::Copy { dst, src } => s[vars[*dst]] = s[vars[*src]],
+        Action::IncMod(dst) => s[vars[*dst]] = (s[vars[*dst]] + 1) % domains[*dst],
+        Action::Lookup { dst, src, table } => s[vars[*dst]] = table[s[vars[*src]]],
         Action::Guarded {
             cond,
             then,
@@ -249,16 +246,16 @@ fn run_action(action: &Action, s: &mut State<'_>, vars: &[VarRef], domains: &[us
     }
 }
 
-fn build_closure(spec: &Spec) -> Program {
-    let mut program = Program::new();
-    let vars = declare(&mut program, &spec.domains);
+fn build_reference(spec: &Spec) -> RefProgram {
+    let mut program = RefProgram::new();
+    let vars = declare(&mut |name, domain| program.var(name, domain), &spec.domains);
     for (index, cmd) in spec.commands.iter().enumerate() {
         let (g_cmd, g_vars) = (cmd.clone(), vars.clone());
         let (e_cmd, e_vars, e_domains) = (cmd.clone(), vars.clone(), spec.domains.clone());
         program.command(
             format!("c{index}"),
-            move |s: &State| g_cmd.atoms.iter().all(|a| atom_holds(a, s, &g_vars)),
-            move |s: &mut State| {
+            move |s: &Valuation| g_cmd.atoms.iter().all(|a| atom_holds(a, s, &g_vars)),
+            move |s: &mut Valuation| {
                 for action in &e_cmd.actions {
                     run_action(action, s, &e_vars, &e_domains);
                 }
@@ -289,31 +286,31 @@ fn random_programs_footprints_and_twins_agree() {
         let spec = random_spec(seed);
         let init_below = spec.init_below;
 
-        // (1) IR and closure twins compile identically.
+        // (1) The IR and reference twins compile identically.
         let ir = build_ir(&spec);
-        let closure = build_closure(&spec);
-        let ir_vars: Vec<VarRef> = {
-            let mut p = Program::new();
-            declare(&mut p, &spec.domains)
-        };
-        let init = move |s: &State<'_>| s.get(ir_vars[0]) < init_below;
-        let ir_compiled = ir.compile(&init).expect("ir compile");
-        let cl_compiled = closure.compile(&init).expect("closure compile");
+        let reference = build_reference(&spec);
+        let x0 = declare_packed(&mut Program::new(), &spec.domains)[0];
+        let init = move |s: &State<'_>| s.get(x0) < init_below;
+        let ref_init = move |s: &Valuation| s[x0] < init_below;
+        let ir_compiled = ir.compile(init).expect("ir compile");
+        let ref_compiled = reference.compile(ref_init).expect("reference compile");
         assert_eq!(
             ir_compiled.system(),
-            cl_compiled.system(),
+            ref_compiled.system(),
             "seed {seed}: compiled systems diverge"
         );
-        let (ir_fair, _) = ir.compile_fair(&init).expect("ir compile_fair");
-        let (cl_fair, _) = closure.compile_fair(&init).expect("closure compile_fair");
+        let (ir_fair, _) = ir.compile_fair(init).expect("ir compile_fair");
+        let (ref_fair, _) = reference
+            .compile_fair(ref_init)
+            .expect("reference compile_fair");
         assert_eq!(
             ir_fair.union(),
-            cl_fair.union(),
+            ref_fair.union(),
             "seed {seed}: fair unions diverge"
         );
         assert_eq!(
             ir_fair.components(),
-            cl_fair.components(),
+            ref_fair.components(),
             "seed {seed}: fair components diverge"
         );
 
@@ -321,7 +318,7 @@ fn random_programs_footprints_and_twins_agree() {
         // may-write footprint, command by command.
         for index in 0..spec.commands.len() {
             let mut single = Program::new();
-            let vars = declare(&mut single, &spec.domains);
+            let vars = declare_packed(&mut single, &spec.domains);
             let ir_command = spec_to_ir_command(&spec, index, &vars);
             let footprint = command_footprint(&ir_command);
             single.command_ir(ir_command);

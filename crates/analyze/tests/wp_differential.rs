@@ -60,7 +60,7 @@ impl Gen {
                 2 => self.expr(rng, depth - 1).modulo(rng.gen_range(1..6usize)),
                 _ => {
                     let v = self.pick_var(rng);
-                    let table = (0..self.domains[v])
+                    let table: Vec<usize> = (0..self.domains[v])
                         .map(|_| rng.gen_range(0..5usize))
                         .collect();
                     Expr::var(self.vars[v]).table(table)

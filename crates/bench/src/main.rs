@@ -620,7 +620,7 @@ fn main() {
     // on the wrapped 2-process TME abstraction (the real case-study
     // workload, 648 states x 14 commands, full fair compile). ---
     {
-        let (packed, packed_init) = tme_abstract::program_nproc(2, true);
+        let (packed, packed_init) = tme_abstract::program_nproc_ir(2, true);
         let (reference, reference_init) = tme_abstract::program_nproc_reference(2, true);
         // Sanity: the two compilers must produce identical systems before
         // we time them.
@@ -652,7 +652,7 @@ fn main() {
     // when more than one core is available. ---
     let threads = available_workers();
     {
-        let (packed, packed_init) = tme_abstract::program_nproc(3, false);
+        let (packed, packed_init) = tme_abstract::program_nproc_ir(3, false);
         let name = "gcl_compile/3proc".to_string();
         if !smoke {
             let (sample, packed_sys) = bench_once(&name, "packed", || {

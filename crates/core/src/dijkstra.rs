@@ -23,6 +23,7 @@
 //! ```
 
 use crate::fairness::FairComposition;
+use crate::gcl::ir::{Expr, IrCommand, Stmt};
 use crate::gcl::{GclError, Program};
 use crate::relations::StabilizationReport;
 use crate::FiniteSystem;
@@ -48,24 +49,20 @@ pub fn ring(n: usize, k: usize) -> Result<Ring, GclError> {
     let mut program = Program::new();
     let vars: Vec<_> = (0..n).map(|i| program.var(format!("x{i}"), k)).collect();
     // Bottom machine.
-    {
-        let x0 = vars[0];
-        let x_last = vars[n - 1];
-        program.command(
-            "bottom",
-            move |s| s.get(x0) == s.get(x_last),
-            move |s| s.set(x0, (s.get(x0) + 1) % k),
-        );
-    }
+    let (x0, x_last) = (vars[0], vars[n - 1]);
+    program.command_ir(IrCommand::new(
+        "bottom",
+        Expr::var(x0).eq(Expr::var(x_last)),
+        vec![Stmt::assign(x0, Expr::var(x0).add(Expr::int(1)).modulo(k))],
+    ));
     // Other machines.
     for i in 1..n {
-        let xi = vars[i];
-        let prev = vars[i - 1];
-        program.command(
+        let (xi, prev) = (vars[i], vars[i - 1]);
+        program.command_ir(IrCommand::new(
             format!("copy{i}"),
-            move |s| s.get(xi) != s.get(prev),
-            move |s| s.set(xi, s.get(prev)),
-        );
+            Expr::var(xi).ne(Expr::var(prev)),
+            vec![Stmt::assign(xi, Expr::var(prev))],
+        ));
     }
     let (fair, compiled) = program.compile_fair(|_| true)?;
 

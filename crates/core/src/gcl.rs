@@ -27,7 +27,10 @@
 //! declaration index `i` contributes `value(v) * stride(i)`, where
 //! `stride(i)` is the product of the domains declared before `v`. The
 //! word *is* the dense state index used by [`FiniteSystem`], so no
-//! separate encode step exists. Guards and effects run against a
+//! separate encode step exists. Commands are [`ir::IrCommand`] syntax,
+//! lowered once per compile or check against the layout: guards become
+//! digit-set masks over single variables (plus jump code for whatever
+//! reads several), bodies become flat jump code. Both run against a
 //! [`State`] view that keeps a decoded copy of the current word in a
 //! reusable buffer: reads are array loads, writes update the word by
 //! stride arithmetic (`word += (new - old) * stride`), and an undo log
@@ -45,15 +48,16 @@
 //! # Example
 //!
 //! ```
+//! use graybox_core::gcl::ir::{Expr, IrCommand, Stmt};
 //! use graybox_core::gcl::Program;
 //!
 //! let mut program = Program::new();
 //! let x = program.var("x", 3);
-//! program.command(
+//! program.command_ir(IrCommand::new(
 //!     "inc",
-//!     move |s| s.get(x) < 2,
-//!     move |s| s.set(x, s.get(x) + 1),
-//! );
+//!     Expr::var(x).lt(Expr::int(2)),
+//!     vec![Stmt::assign(x, Expr::var(x).add(Expr::int(1)))],
+//! ));
 //! let compiled = program.compile(|s| s.get(x) == 0)?;
 //! assert_eq!(compiled.system().num_states(), 3);
 //! assert!(compiled.system().has_edge(0, 1));
@@ -62,18 +66,22 @@
 //! ```
 
 pub mod ir;
+mod lower;
 mod reduce;
 pub mod reference;
 pub mod sym;
 
 use std::fmt;
 use std::ops::Range;
+use std::sync::Arc;
 
 use crate::bitset::StateSet;
 use crate::fairness::FairComposition;
 use crate::par::{self, Idx};
 use crate::sweep::{chunk_ranges, join_all};
 use crate::{FiniteSystem, SystemError};
+
+use self::lower::LoweredCommand;
 
 /// Default cap on compiled state-space size, to catch accidental blowups.
 pub const DEFAULT_MAX_STATES: usize = 1 << 20;
@@ -148,6 +156,39 @@ impl From<SystemError> for GclError {
     }
 }
 
+/// A program lowered for one compile or check: its layout and its
+/// commands in declaration order.
+struct Lowered {
+    layout: Layout,
+    commands: Vec<LoweredCommand>,
+}
+
+impl Lowered {
+    /// Runs every command at the current state of `view`, appending the
+    /// sorted, deduplicated successor row to `row` (a quiescent state
+    /// stutters). Returns the index of the first enabled command whose
+    /// effect left its domain, as `Err`.
+    fn successor_row(&self, view: &mut State<'_>, row: &mut Vec<usize>) -> Result<(), usize> {
+        row.clear();
+        for (index, command) in self.commands.iter().enumerate() {
+            if command.enabled(view) {
+                view.begin_effect();
+                command.apply(view);
+                match view.finish_effect() {
+                    Ok(target) => row.push(narrow(target)),
+                    Err(()) => return Err(index),
+                }
+            }
+        }
+        if row.is_empty() {
+            row.push(narrow(view.word));
+        }
+        row.sort_unstable();
+        row.dedup();
+        Ok(())
+    }
+}
+
 /// Precomputed mixed-radix packing: per-variable domains and strides.
 #[derive(Debug, Clone)]
 struct Layout {
@@ -164,16 +205,16 @@ impl Layout {
     }
 }
 
-/// A mutable view of one packed global state, passed to guards and
-/// effects.
+/// A view of one packed global state, passed to initial predicates and
+/// to the lowered commands.
 ///
 /// Reads ([`get`](State::get)) are array loads from a decoded buffer;
-/// writes ([`set`](State::set)) update both the buffer and the packed
-/// word by stride arithmetic. During a command's effect the view records
-/// an undo log so the compiler can roll the state back without
-/// re-decoding. Assigning a value outside the variable's domain poisons
-/// the state (the assignment is dropped) and the enclosing compilation
-/// reports [`GclError::OutOfDomain`].
+/// writes update both the buffer and the packed word by stride
+/// arithmetic. During a command's effect the view records an undo log so
+/// the compiler can roll the state back without re-decoding. Assigning a
+/// value outside the variable's domain poisons the state (the assignment
+/// is dropped) and the enclosing compilation reports
+/// [`GclError::OutOfDomain`].
 #[derive(Debug)]
 pub struct State<'a> {
     layout: &'a Layout,
@@ -182,6 +223,8 @@ pub struct State<'a> {
     undo: Vec<(usize, u64)>,
     recording: bool,
     out_of_domain: bool,
+    /// Operand stack of the lowered commands' jump code.
+    stack: Vec<usize>,
 }
 
 impl<'a> State<'a> {
@@ -193,6 +236,7 @@ impl<'a> State<'a> {
             undo: Vec::new(),
             recording: false,
             out_of_domain: false,
+            stack: Vec::new(),
         }
     }
 
@@ -257,7 +301,7 @@ impl<'a> State<'a> {
     /// Assigns `value` to `var`. Values outside the domain poison the
     /// state and are reported by the compiler as
     /// [`GclError::OutOfDomain`].
-    pub fn set(&mut self, var: VarRef, value: usize) {
+    fn set(&mut self, var: VarRef, value: usize) {
         let value = value as u64;
         if value >= self.layout.domains[var.0] {
             self.out_of_domain = true;
@@ -276,48 +320,6 @@ impl<'a> State<'a> {
     }
 }
 
-type Guard = Box<dyn for<'a, 'b> Fn(&'a State<'b>) -> bool + Send + Sync>;
-type Effect = Box<dyn for<'a, 'b> Fn(&'a mut State<'b>) + Send + Sync>;
-
-/// How a command's guard and effect are represented: opaque closures
-/// (the original API) or the first-class expression IR of [`ir`], which
-/// the static passes of the `graybox-analyze` crate can inspect. Both
-/// evaluate against the same packed [`State`] view, through the same
-/// compile sweeps.
-enum Behavior {
-    Closure { guard: Guard, effect: Effect },
-    Ir(ir::IrCommand),
-}
-
-struct Command {
-    name: String,
-    behavior: Behavior,
-}
-
-impl Command {
-    #[inline]
-    fn enabled(&self, s: &State<'_>) -> bool {
-        match &self.behavior {
-            Behavior::Closure { guard, .. } => guard(s),
-            Behavior::Ir(cmd) => cmd.guard_holds(s),
-        }
-    }
-
-    #[inline]
-    fn apply(&self, s: &mut State<'_>) {
-        match &self.behavior {
-            Behavior::Closure { effect, .. } => effect(s),
-            Behavior::Ir(cmd) => cmd.apply(s),
-        }
-    }
-}
-
-impl fmt::Debug for Command {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Command").field("name", &self.name).finish()
-    }
-}
-
 /// Narrows a packed word, field, or state count to `usize`.
 ///
 /// Sound by construction: the layout checks the domain product against
@@ -330,10 +332,10 @@ fn narrow(word: u64) -> usize {
 }
 
 /// A guarded-command program over finite-domain variables.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct Program {
     vars: Vec<(String, usize)>,
-    commands: Vec<Command>,
+    commands: Vec<Arc<ir::IrCommand>>,
     max_states: Option<usize>,
 }
 
@@ -353,31 +355,10 @@ impl Program {
         VarRef(self.vars.len() - 1)
     }
 
-    /// Adds a guarded command `name :: guard → effect`.
-    ///
-    /// Guards and effects must be `Send + Sync`: the sharded compile
-    /// sweeps evaluate them from several worker threads at once (each
-    /// worker owns a private [`State`] view, so `&self` access is all
-    /// they share).
-    pub fn command(
-        &mut self,
-        name: impl Into<String>,
-        guard: impl for<'a, 'b> Fn(&'a State<'b>) -> bool + Send + Sync + 'static,
-        effect: impl for<'a, 'b> Fn(&'a mut State<'b>) + Send + Sync + 'static,
-    ) {
-        self.commands.push(Command {
-            name: name.into(),
-            behavior: Behavior::Closure {
-                guard: Box::new(guard),
-                effect: Box::new(effect),
-            },
-        });
-    }
-
-    /// Adds a guarded command in IR form ([`ir::IrCommand`]). IR commands
-    /// compile through the identical sweeps as closure commands, and are
-    /// additionally visible to the static passes of the
-    /// `graybox-analyze` crate via [`ir_command`](Self::ir_command).
+    /// Adds a guarded command ([`ir::IrCommand`]). Its syntax is what the
+    /// compile sweeps run, lowered once per compile or check, and what
+    /// the static passes of the `graybox-analyze` crate read through
+    /// [`ir_command`](Self::ir_command).
     ///
     /// # Panics
     ///
@@ -385,6 +366,13 @@ impl Program {
     /// declared on this program — IR is data, so this is validated at
     /// insertion rather than deferred to an opaque panic mid-sweep.
     pub fn command_ir(&mut self, command: ir::IrCommand) {
+        self.command_shared(Arc::new(command));
+    }
+
+    /// [`command_ir`](Self::command_ir) for a command other programs may
+    /// hold too (the wrapped and unwrapped TME models share every
+    /// protocol command).
+    pub(crate) fn command_shared(&mut self, command: Arc<ir::IrCommand>) {
         if let Some(max) = command.max_var_index() {
             assert!(
                 max < self.vars.len(),
@@ -394,10 +382,7 @@ impl Program {
                 self.vars.len()
             );
         }
-        self.commands.push(Command {
-            name: command.name.clone(),
-            behavior: Behavior::Ir(command),
-        });
+        self.commands.push(command);
     }
 
     /// The declared variables, in declaration order, as `(name, domain)`
@@ -417,17 +402,13 @@ impl Program {
         &self.commands[index].name
     }
 
-    /// The IR of command `index`, or `None` when that command was added
-    /// through the closure API (closures are opaque to analysis).
+    /// The IR of command `index`.
     ///
     /// # Panics
     ///
     /// Panics if `index` is out of range.
-    pub fn ir_command(&self, index: usize) -> Option<&ir::IrCommand> {
-        match &self.commands[index].behavior {
-            Behavior::Closure { .. } => None,
-            Behavior::Ir(cmd) => Some(cmd),
-        }
+    pub fn ir_command(&self, index: usize) -> &ir::IrCommand {
+        &self.commands[index]
     }
 
     /// Overrides the state-space cap (default [`DEFAULT_MAX_STATES`]).
@@ -485,28 +466,16 @@ impl Program {
         })
     }
 
-    /// Runs every command at the current state of `view`, appending the
-    /// sorted, deduplicated successor row to `row` (a quiescent state
-    /// stutters). Returns the index of the first enabled command whose
-    /// effect left its domain, as `Err`.
-    fn successor_row(&self, view: &mut State<'_>, row: &mut Vec<usize>) -> Result<(), usize> {
-        row.clear();
-        for (index, command) in self.commands.iter().enumerate() {
-            if command.enabled(view) {
-                view.begin_effect();
-                command.apply(view);
-                match view.finish_effect() {
-                    Ok(target) => row.push(narrow(target)),
-                    Err(()) => return Err(index),
-                }
-            }
-        }
-        if row.is_empty() {
-            row.push(narrow(view.word));
-        }
-        row.sort_unstable();
-        row.dedup();
-        Ok(())
+    /// The layout plus every command lowered against it: what each
+    /// compile or check entry point runs.
+    fn lower(&self) -> Result<Lowered, GclError> {
+        let layout = self.layout()?;
+        let commands = self
+            .commands
+            .iter()
+            .map(|command| LoweredCommand::new(command, &layout))
+            .collect();
+        Ok(Lowered { layout, commands })
     }
 
     fn out_of_domain(&self, command: usize) -> GclError {
@@ -525,16 +494,17 @@ impl Program {
     /// See [`GclError`]. A `state` outside the domain product is a caller
     /// bug and panics.
     pub fn step(&self, state: usize) -> Result<Vec<usize>, GclError> {
-        let layout = self.layout()?;
+        let lowered = self.lower()?;
+        let total = lowered.layout.total;
         assert!(
-            (state as u64) < layout.total,
-            "state {state} outside the {}-state space",
-            layout.total
+            (state as u64) < total,
+            "state {state} outside the {total}-state space"
         );
-        let mut view = State::new(&layout);
+        let mut view = State::new(&lowered.layout);
         view.load(state as u64);
         let mut row = Vec::with_capacity(self.commands.len().max(1));
-        self.successor_row(&mut view, &mut row)
+        lowered
+            .successor_row(&mut view, &mut row)
             .map_err(|c| self.out_of_domain(c))?;
         Ok(row)
     }
@@ -557,9 +527,9 @@ impl Program {
         &self,
         init: impl for<'a, 'b> Fn(&'a State<'b>) -> bool + Sync,
     ) -> Result<CompiledProgram, GclError> {
-        let layout = self.layout()?;
-        let workers = par::default_workers(narrow(layout.total));
-        self.compile_with(&layout, workers, &init)
+        let lowered = self.lower()?;
+        let workers = par::default_workers(narrow(lowered.layout.total));
+        self.compile_with(&lowered, workers, &init)
     }
 
     /// [`compile`](Self::compile) with an explicit worker count
@@ -574,23 +544,23 @@ impl Program {
         workers: usize,
         init: impl for<'a, 'b> Fn(&'a State<'b>) -> bool + Sync,
     ) -> Result<CompiledProgram, GclError> {
-        let layout = self.layout()?;
-        self.compile_with(&layout, workers, &init)
+        let lowered = self.lower()?;
+        self.compile_with(&lowered, workers, &init)
     }
 
     fn compile_with(
         &self,
-        layout: &Layout,
+        lowered: &Lowered,
         workers: usize,
         init: &(impl for<'a, 'b> Fn(&'a State<'b>) -> bool + Sync),
     ) -> Result<CompiledProgram, GclError> {
-        let total = narrow(layout.total);
+        let total = narrow(lowered.layout.total);
         let chunks = chunk_ranges(total, workers.max(1), CHUNK_ALIGN);
         let tasks: Vec<_> = chunks
             .iter()
             .map(|range| {
                 let range = range.clone();
-                move || self.compile_chunk(layout, range, init)
+                move || self.compile_chunk(lowered, range, init)
             })
             .collect();
         // `collect` keeps the error of the lowest failing chunk — the
@@ -619,7 +589,7 @@ impl Program {
     /// 64-aligned blocks.
     fn compile_chunk(
         &self,
-        layout: &Layout,
+        lowered: &Lowered,
         range: Range<usize>,
         init: &(impl for<'a, 'b> Fn(&'a State<'b>) -> bool + Sync),
     ) -> Result<PlainChunk, GclError> {
@@ -628,13 +598,14 @@ impl Program {
         let mut to: Vec<usize> = Vec::with_capacity(len.saturating_mul(2));
         let mut init_blocks = vec![0u64; len.div_ceil(64)];
         let mut row: Vec<usize> = Vec::with_capacity(self.commands.len().max(1));
-        let mut view = State::new(layout);
+        let mut view = State::new(&lowered.layout);
         view.load(range.start as u64);
         for local in 0..len {
             if init(&view) {
                 init_blocks[local / 64] |= 1u64 << (local % 64);
             }
-            self.successor_row(&mut view, &mut row)
+            lowered
+                .successor_row(&mut view, &mut row)
                 .map_err(|c| self.out_of_domain(c))?;
             to.extend_from_slice(&row);
             off[local + 1] = to.len();
@@ -665,9 +636,9 @@ impl Program {
         &self,
         init: impl for<'a, 'b> Fn(&'a State<'b>) -> bool + Sync,
     ) -> Result<(FairComposition, CompiledProgram), GclError> {
-        let layout = self.layout()?;
-        let workers = par::default_workers(narrow(layout.total));
-        self.compile_fair_with(&layout, workers, &init)
+        let lowered = self.lower()?;
+        let workers = par::default_workers(narrow(lowered.layout.total));
+        self.compile_fair_with(&lowered, workers, &init)
     }
 
     /// [`compile_fair`](Self::compile_fair) with an explicit worker
@@ -682,17 +653,17 @@ impl Program {
         workers: usize,
         init: impl for<'a, 'b> Fn(&'a State<'b>) -> bool + Sync,
     ) -> Result<(FairComposition, CompiledProgram), GclError> {
-        let layout = self.layout()?;
-        self.compile_fair_with(&layout, workers, &init)
+        let lowered = self.lower()?;
+        self.compile_fair_with(&lowered, workers, &init)
     }
 
     fn compile_fair_with(
         &self,
-        layout: &Layout,
+        lowered: &Lowered,
         workers: usize,
         init: &(impl for<'a, 'b> Fn(&'a State<'b>) -> bool + Sync),
     ) -> Result<(FairComposition, CompiledProgram), GclError> {
-        let total = narrow(layout.total);
+        let total = narrow(lowered.layout.total);
         let ncmd = self.commands.len();
         let chunks = chunk_ranges(total, workers.max(1), CHUNK_ALIGN);
 
@@ -716,7 +687,7 @@ impl Program {
             .zip(chunk_cols)
             .map(|(range, cols)| {
                 let range = range.clone();
-                move || self.fair_chunk(layout, range, init, cols)
+                move || self.fair_chunk(lowered, range, init, cols)
             })
             .collect();
         let parts: Vec<FairChunk> = join_all(tasks).into_iter().collect::<Result<_, _>>()?;
@@ -770,7 +741,7 @@ impl Program {
     /// chunk's slice of each component column).
     fn fair_chunk(
         &self,
-        layout: &Layout,
+        lowered: &Lowered,
         range: Range<usize>,
         init: &(impl for<'a, 'b> Fn(&'a State<'b>) -> bool + Sync),
         mut cols: Vec<&mut [usize]>,
@@ -783,7 +754,7 @@ impl Program {
         let mut union_to: Vec<usize> = Vec::with_capacity(len.saturating_mul(2));
         let mut init_blocks = vec![0u64; len.div_ceil(64)];
         let mut row: Vec<usize> = Vec::with_capacity(ncmd.max(1));
-        let mut view = State::new(layout);
+        let mut view = State::new(&lowered.layout);
         view.load(range.start as u64);
         for (local, state) in range.enumerate() {
             if init(&view) {
@@ -791,8 +762,8 @@ impl Program {
             }
             row.clear();
             let mut enabled = 0usize;
-            for (index, command) in self.commands.iter().enumerate() {
-                cols[index][local] = if command.enabled(&view) {
+            for (index, command) in lowered.commands.iter().enumerate() {
+                cols[index][local] = if command.enabled(&mut view) {
                     view.begin_effect();
                     command.apply(&mut view);
                     let target = narrow(
@@ -868,9 +839,9 @@ impl Program {
         &self,
         init: impl for<'a, 'b> Fn(&'a State<'b>) -> bool + Sync,
     ) -> Result<FairSelfReport, GclError> {
-        let layout = self.layout()?;
-        let workers = par::default_workers(narrow(layout.total));
-        self.fair_self_check_with(&layout, workers, &init)
+        let lowered = self.lower()?;
+        let workers = par::default_workers(narrow(lowered.layout.total));
+        self.fair_self_check_with(&lowered, workers, &init)
     }
 
     /// [`fair_self_check`](Self::fair_self_check) with an explicit
@@ -888,17 +859,17 @@ impl Program {
         workers: usize,
         init: impl for<'a, 'b> Fn(&'a State<'b>) -> bool + Sync,
     ) -> Result<FairSelfReport, GclError> {
-        let layout = self.layout()?;
-        self.fair_self_check_with(&layout, workers, &init)
+        let lowered = self.lower()?;
+        self.fair_self_check_with(&lowered, workers, &init)
     }
 
     fn fair_self_check_with(
         &self,
-        layout: &Layout,
+        lowered: &Lowered,
         workers: usize,
         init: &(impl for<'a, 'b> Fn(&'a State<'b>) -> bool + Sync),
     ) -> Result<FairSelfReport, GclError> {
-        let total = narrow(layout.total);
+        let total = narrow(lowered.layout.total);
         let ncmd = self.commands.len();
         if ncmd == 0 {
             return Err(GclError::System(SystemError::EmptyStateSpace));
@@ -915,7 +886,7 @@ impl Program {
             .iter()
             .map(|range| {
                 let range = range.clone();
-                move || self.union_rows_chunk(layout, range, init)
+                move || self.union_rows_chunk(lowered, range, init)
             })
             .collect();
         let union_parts: Vec<UnionChunk> = join_all(union_tasks)
@@ -960,7 +931,7 @@ impl Program {
             .into_iter()
             .map(|range| {
                 let (members, scc_id) = (&members[range], &scc_id);
-                move || self.full_groups_chunk(layout, members, scc_id)
+                move || self.full_groups_chunk(lowered, members, scc_id)
             })
             .collect();
         for ids in join_all(group_tasks) {
@@ -989,7 +960,7 @@ impl Program {
     #[allow(clippy::cast_possible_truncation)]
     fn union_rows_chunk(
         &self,
-        layout: &Layout,
+        lowered: &Lowered,
         range: Range<usize>,
         init: &(impl for<'a, 'b> Fn(&'a State<'b>) -> bool + Sync),
     ) -> Result<UnionChunk, GclError> {
@@ -999,7 +970,7 @@ impl Program {
         let mut to: Vec<u32> = Vec::with_capacity(len.saturating_mul(2));
         let mut init_seeds: Vec<usize> = Vec::new();
         let mut row: Vec<usize> = Vec::with_capacity(ncmd + 1);
-        let mut view = State::new(layout);
+        let mut view = State::new(&lowered.layout);
         view.load(range.start as u64);
         for (local, state) in range.enumerate() {
             if init(&view) {
@@ -1007,8 +978,8 @@ impl Program {
             }
             row.clear();
             let mut any_disabled = false;
-            for (index, command) in self.commands.iter().enumerate() {
-                if command.enabled(&view) {
+            for (index, command) in lowered.commands.iter().enumerate() {
+                if command.enabled(&mut view) {
                     view.begin_effect();
                     command.apply(&mut view);
                     let target = view
@@ -1045,21 +1016,21 @@ impl Program {
     /// command acts.
     fn full_groups_chunk(
         &self,
-        layout: &Layout,
+        lowered: &Lowered,
         members: &[(u32, u32)],
         scc_id: &[u32],
     ) -> Result<Vec<usize>, GclError> {
         let ncmd = self.commands.len();
         let mut masks = vec![0u64; ncmd.div_ceil(64)];
         let mut full = Vec::new();
-        let mut view = State::new(layout);
+        let mut view = State::new(&lowered.layout);
         for group in members.chunk_by(|a, b| a.0 == b.0) {
             let id = group[0].0;
             masks.fill(0);
             for &(_, state) in group {
                 view.load(u64::from(state));
-                for (index, command) in self.commands.iter().enumerate() {
-                    let inside = if command.enabled(&view) {
+                for (index, command) in lowered.commands.iter().enumerate() {
+                    let inside = if command.enabled(&mut view) {
                         view.begin_effect();
                         command.apply(&mut view);
                         let target = view
@@ -1276,16 +1247,38 @@ impl ReachableProgram {
 
 #[cfg(test)]
 mod tests {
+    use super::ir::{Cond, Expr, IrCommand, Stmt};
     use super::*;
+
+    /// Adds `name :: guard → body`.
+    fn add(p: &mut Program, name: &str, guard: Cond, body: Vec<Stmt>) {
+        p.command_ir(IrCommand::new(name, guard, body));
+    }
+
+    /// `var == value`.
+    fn is(var: VarRef, value: usize) -> Cond {
+        Expr::var(var).eq(Expr::int(value))
+    }
+
+    /// `var := value`.
+    fn set(var: VarRef, value: usize) -> Stmt {
+        Stmt::assign(var, Expr::int(value))
+    }
+
+    /// A command that is never enabled.
+    fn noop(p: &mut Program) {
+        add(p, "noop", Cond::Const(false), vec![]);
+    }
 
     #[test]
     fn counter_program_compiles() {
         let mut p = Program::new();
         let x = p.var("x", 4);
-        p.command(
+        add(
+            &mut p,
             "inc",
-            move |s| s.get(x) < 3,
-            move |s| s.set(x, s.get(x) + 1),
+            Expr::var(x).lt(Expr::int(3)),
+            vec![Stmt::assign(x, Expr::var(x).add(Expr::int(1)))],
         );
         let compiled = p.compile(|s| s.get(x) == 0).unwrap();
         assert_eq!(compiled.system().num_states(), 4);
@@ -1299,7 +1292,7 @@ mod tests {
         let mut p = Program::new();
         let x = p.var("x", 3);
         let y = p.var("y", 5);
-        p.command("noop", |_| false, |_| {});
+        noop(&mut p);
         let compiled = p.compile(|_| true).unwrap();
         assert_eq!(compiled.system().num_states(), 15);
         for state in 0..15 {
@@ -1313,8 +1306,8 @@ mod tests {
     fn nondeterminism_creates_branches() {
         let mut p = Program::new();
         let x = p.var("x", 3);
-        p.command("up", move |s| s.get(x) == 0, move |s| s.set(x, 1));
-        p.command("over", move |s| s.get(x) == 0, move |s| s.set(x, 2));
+        add(&mut p, "up", is(x, 0), vec![set(x, 1)]);
+        add(&mut p, "over", is(x, 0), vec![set(x, 2)]);
         let compiled = p.compile(|s| s.get(x) == 0).unwrap();
         assert!(compiled.system().has_edge(0, 1));
         assert!(compiled.system().has_edge(0, 2));
@@ -1324,7 +1317,7 @@ mod tests {
     fn out_of_domain_effect_is_reported() {
         let mut p = Program::new();
         let x = p.var("x", 2);
-        p.command("overflow", |_| true, move |s| s.set(x, 7));
+        add(&mut p, "overflow", Cond::Const(true), vec![set(x, 7)]);
         let err = p.compile(|_| true).unwrap_err();
         assert_eq!(
             err,
@@ -1338,7 +1331,7 @@ mod tests {
     fn empty_domain_is_reported() {
         let mut p = Program::new();
         p.var("x", 0);
-        p.command("noop", |_| false, |_| {});
+        noop(&mut p);
         assert!(matches!(
             p.compile(|_| true).unwrap_err(),
             GclError::EmptyDomain { .. }
@@ -1349,7 +1342,7 @@ mod tests {
     fn no_initial_state_is_reported() {
         let mut p = Program::new();
         let x = p.var("x", 2);
-        p.command("noop", |_| false, |_| {});
+        noop(&mut p);
         let err = p.compile(move |s| s.get(x) > 5).unwrap_err();
         assert_eq!(err, GclError::NoInitialState);
     }
@@ -1359,7 +1352,7 @@ mod tests {
         let mut p = Program::new();
         p.var("x", 100);
         p.var("y", 100);
-        p.command("noop", |_| false, |_| {});
+        noop(&mut p);
         p.max_states(50);
         assert!(matches!(
             p.compile(|_| true).unwrap_err(),
@@ -1379,7 +1372,7 @@ mod tests {
         for i in 0..4 {
             p.var(format!("x{i}"), 1 << 20);
         }
-        p.command("noop", |_| false, |_| {});
+        noop(&mut p);
         p.max_states(usize::MAX);
         assert_eq!(
             p.compile(|_| true).unwrap_err(),
@@ -1395,8 +1388,8 @@ mod tests {
     fn fair_compilation_has_one_component_per_command() {
         let mut p = Program::new();
         let x = p.var("x", 2);
-        p.command("flip", move |s| s.get(x) == 0, move |s| s.set(x, 1));
-        p.command("flop", move |s| s.get(x) == 1, move |s| s.set(x, 0));
+        add(&mut p, "flip", is(x, 0), vec![set(x, 1)]);
+        add(&mut p, "flop", is(x, 1), vec![set(x, 0)]);
         let (fair, compiled) = p.compile_fair(|s| s.get(x) == 0).unwrap();
         assert_eq!(fair.components().len(), 2);
         // Disabled commands skip: "flip" at state 1 self-loops.
@@ -1411,7 +1404,7 @@ mod tests {
     fn fair_union_may_add_skips_at_quiescent_states() {
         let mut p = Program::new();
         let x = p.var("x", 2);
-        p.command("once", move |s| s.get(x) == 0, move |s| s.set(x, 1));
+        add(&mut p, "once", is(x, 0), vec![set(x, 1)]);
         let (fair, compiled) = p.compile_fair(|_| true).unwrap();
         assert!(fair.union().has_edge(1, 1));
         assert!(compiled.system().has_edge(1, 1));
@@ -1432,19 +1425,17 @@ mod tests {
         let mut p = Program::new();
         let x = p.var("x", 5);
         let y = p.var("y", 5);
-        p.command(
+        add(
+            &mut p,
             "chain",
-            move |s| s.get(x) < 4,
-            move |s| {
-                s.set(x, s.get(x) + 1);
-                s.set(y, s.get(x)); // reads the just-written x
-            },
+            Expr::var(x).lt(Expr::int(4)),
+            vec![
+                Stmt::assign(x, Expr::var(x).add(Expr::int(1))),
+                Stmt::assign(y, Expr::var(x)), // reads the just-written x
+            ],
         );
-        p.command(
-            "observe",
-            move |s| s.get(x) == 0, // must still see the pre-state
-            move |s| s.set(y, 4),
-        );
+        // The guard must still see the pre-state.
+        add(&mut p, "observe", is(x, 0), vec![set(y, 4)]);
         let compiled = p.compile(|s| s.get(x) == 0 && s.get(y) == 0).unwrap();
         // From (x=0, y=0): chain -> (1, 1) = 1 + 5*1 = 6; observe -> (0, 4) = 20.
         assert!(compiled.system().has_edge(0, 6));
@@ -1517,10 +1508,11 @@ mod tests {
         // A counter ring with an unreachable upper region.
         let mut p = Program::new();
         let x = p.var("x", 6);
-        p.command(
+        add(
+            &mut p,
             "cycle",
-            move |s| s.get(x) < 3,
-            move |s| s.set(x, (s.get(x) + 1) % 3),
+            Expr::var(x).lt(Expr::int(3)),
+            vec![Stmt::assign(x, Expr::var(x).add(Expr::int(1)).modulo(3))],
         );
         let reachable = p.compile_reachable(|s| s.get(x) == 0).unwrap();
         assert_eq!(reachable.system().num_states(), 3);
@@ -1540,7 +1532,7 @@ mod tests {
     fn reachable_compile_requires_an_initial_state() {
         let mut p = Program::new();
         let x = p.var("x", 2);
-        p.command("noop", |_| false, |_| {});
+        noop(&mut p);
         assert_eq!(
             p.compile_reachable(move |s| s.get(x) > 5).unwrap_err(),
             GclError::NoInitialState
@@ -1554,20 +1546,22 @@ mod tests {
         for divergent in [false, true] {
             let mut p = Program::new();
             let x = p.var("x", 4);
-            p.command(
+            add(
+                &mut p,
                 "down",
-                move |s| s.get(x) > 1,
-                move |s| s.set(x, s.get(x) - 1),
+                Expr::var(x).gt(Expr::int(1)),
+                vec![Stmt::assign(x, Expr::var(x).sub(Expr::int(1)))],
             );
-            p.command(
+            add(
+                &mut p,
                 "swap",
-                move |s| s.get(x) <= 1,
-                move |s| s.set(x, 1 - s.get(x)),
+                Expr::var(x).le(Expr::int(1)),
+                vec![Stmt::assign(x, Expr::int(1).sub(Expr::var(x)))],
             );
             if divergent {
                 // A cycle pinned outside the legitimate set.
-                p.command("relapse", move |s| s.get(x) == 2, move |s| s.set(x, 3));
-                p.command("fall", move |s| s.get(x) == 3, move |s| s.set(x, 2));
+                add(&mut p, "relapse", is(x, 2), vec![set(x, 3)]);
+                add(&mut p, "fall", is(x, 3), vec![set(x, 2)]);
             }
             let init = move |s: &State<'_>| s.get(x) == 0;
             let report = p.fair_self_check(init).unwrap();
@@ -1611,9 +1605,9 @@ mod tests {
         // the singleton is fully represented and hosts a violation.
         let mut p = Program::new();
         let x = p.var("x", 3);
-        p.command("up", move |s| s.get(x) == 0, move |s| s.set(x, 1));
-        p.command("stay", move |s| s.get(x) == 2, move |s| s.set(x, 2));
-        p.command("hold", move |s| s.get(x) == 2, |_| {});
+        add(&mut p, "up", is(x, 0), vec![set(x, 1)]);
+        add(&mut p, "stay", is(x, 2), vec![set(x, 2)]);
+        add(&mut p, "hold", is(x, 2), vec![]);
         let report = self_check_against_materialized(&p, move |s| s.get(x) == 0);
         assert_eq!(report.divergent_witness, Some((2, 2)));
 
@@ -1621,16 +1615,13 @@ mod tests {
         // carries no skip.
         let mut p = Program::new();
         let x = p.var("x", 3);
-        p.command(
+        add(
+            &mut p,
             "up",
-            |_| true,
-            move |s| {
-                if s.get(x) == 0 {
-                    s.set(x, 1);
-                }
-            },
+            Cond::Const(true),
+            vec![Stmt::when(is(x, 0), vec![set(x, 1)])],
         );
-        p.command("hold", |_| true, |_| {});
+        add(&mut p, "hold", Cond::Const(true), vec![]);
         let report = self_check_against_materialized(&p, move |s| s.get(x) == 0);
         assert_eq!(report.divergent_witness, Some((2, 2)));
     }
@@ -1642,8 +1633,8 @@ mod tests {
         // never acts inside {2}, so no fair computation stays there.
         let mut p = Program::new();
         let x = p.var("x", 3);
-        p.command("up", move |s| s.get(x) == 0, move |s| s.set(x, 1));
-        p.command("back", move |s| s.get(x) == 2, move |s| s.set(x, 0));
+        add(&mut p, "up", is(x, 0), vec![set(x, 1)]);
+        add(&mut p, "back", is(x, 2), vec![set(x, 0)]);
         let report = self_check_against_materialized(&p, move |s| s.get(x) == 0);
         assert!(report.holds());
         assert_eq!(report.num_legitimate(), 2);
@@ -1655,10 +1646,11 @@ mod tests {
         // its commands again and no worker gets a group.
         let mut p = Program::new();
         let x = p.var("x", 200);
-        p.command(
+        add(
+            &mut p,
             "inc",
-            move |s| s.get(x) < 199,
-            move |s| s.set(x, s.get(x) + 1),
+            Expr::var(x).lt(Expr::int(199)),
+            vec![Stmt::assign(x, Expr::var(x).add(Expr::int(1)))],
         );
         let report = self_check_against_materialized(&p, move |s| s.get(x) == 0);
         assert!(report.holds());

@@ -1,14 +1,12 @@
-//! A first-class expression IR for the guarded-command language.
+//! The expression IR of the guarded-command language: the one way to
+//! write a command.
 //!
-//! The closure API of [`Program::command`](super::Program::command) is
-//! maximally flexible but *opaque*: a `Box<dyn Fn>` guard cannot be asked
-//! which variables it reads, so none of the paper's statically checkable
+//! A command is a syntax tree, not a closure, so it can be asked which
+//! variables it reads. That is what lets the paper's statically checkable
 //! preconditions — locality of the everywhere specification `A = ⊓ᵢ Aᵢ`
 //! (Lemmas 2–3), the graybox admissibility of a wrapper (its footprint is
 //! confined to spec variables, §2), interference freedom between wrapper
-//! and program commands — can be certified without enumerating states.
-//!
-//! This module gives commands a syntax tree instead:
+//! and program commands — be certified without enumerating states.
 //!
 //! * [`Expr`] — finite-domain arithmetic: variable reads, constants,
 //!   table lookups (finite functions such as permutation tables),
@@ -18,12 +16,14 @@
 //! * [`Stmt`] — assignment and conditional statement sequences;
 //! * [`IrCommand`] — a named guarded command `guard → body`.
 //!
-//! The packed compiler evaluates the IR *directly* against the same
-//! [`State`] view (stride tables, undo log) the closure commands use —
-//! [`Program::command_ir`](super::Program::command_ir) commands compile
-//! through the identical streaming sweeps, and the differential suites
-//! assert IR-built and closure-built programs produce `==` systems. The
-//! static passes over the IR live in the `graybox-analyze` crate.
+//! The packed compiler lowers each command once per compile or check,
+//! against the program's layout: guards to digit-set masks plus jump
+//! code, bodies to flat jump code that writes through the packed
+//! [`State`](super::State) view (stride tables, undo log). The valuation
+//! semantics here ([`IrCommand::guard_holds_values`],
+//! [`IrCommand::apply_values`]) are the analyzer's semantics and the
+//! oracle of that lowering; the static passes over the IR live in the
+//! `graybox-analyze` crate.
 //!
 //! # Semantics
 //!
@@ -35,12 +35,11 @@
 //! panics at evaluation time; the abstract interpreter in
 //! `graybox-analyze` flags indices that may go out of bounds before any
 //! sweep runs. Assignments of values outside the target's domain are
-//! caught by the compiler exactly as for closure commands
-//! ([`GclError::OutOfDomain`](super::GclError::OutOfDomain)).
+//! reported by the compiler as
+//! [`GclError::OutOfDomain`](super::GclError::OutOfDomain).
 //!
-//! Within a body, later statements observe earlier writes (the [`State`]
-//! view applies writes immediately), matching the sequential reading of
-//! Dijkstra's guarded-command assignment lists.
+//! Within a body, later statements observe earlier writes, matching the
+//! sequential reading of Dijkstra's guarded-command assignment lists.
 //!
 //! # Example
 //!
@@ -61,7 +60,9 @@
 //! # Ok::<(), graybox_core::gcl::GclError>(())
 //! ```
 
-use super::{State, VarRef};
+use std::sync::Arc;
+
+use super::VarRef;
 
 /// A finite-domain arithmetic expression.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -77,8 +78,9 @@ pub enum Expr {
     Table {
         /// The index expression.
         index: Box<Expr>,
-        /// The table of values, indexed `0..len`.
-        values: Vec<usize>,
+        /// The table of values, indexed `0..len` (shared, so commands
+        /// that look up the same table hold one copy).
+        values: Arc<[usize]>,
     },
     /// Addition over ℕ.
     Add(Box<Expr>, Box<Expr>),
@@ -162,17 +164,17 @@ impl Expr {
     }
 
     /// `table[self]`.
-    pub fn table(self, values: Vec<usize>) -> Expr {
+    pub fn table(self, values: impl Into<Arc<[usize]>>) -> Expr {
         Expr::Table {
             index: Box::new(self),
-            values,
+            values: values.into(),
         }
     }
 
     /// `self + rhs`.
     // Deliberately named like the operator it builds syntax for; the
     // `std::ops` traits are not implemented because evaluation needs a
-    // `State`, so `a + b` producing an unevaluated tree would mislead.
+    // valuation, so `a + b` producing an unevaluated tree would mislead.
     #[allow(clippy::should_implement_trait)]
     pub fn add(self, rhs: Expr) -> Expr {
         Expr::Add(Box::new(self), Box::new(rhs))
@@ -217,18 +219,6 @@ impl Expr {
     /// `self >= rhs`.
     pub fn ge(self, rhs: Expr) -> Cond {
         Cond::Cmp(CmpOp::Ge, self, rhs)
-    }
-
-    /// Evaluates against a packed [`State`] view.
-    pub fn eval(&self, s: &State<'_>) -> usize {
-        match self {
-            Expr::Const(c) => *c,
-            Expr::Var(v) => s.get(*v),
-            Expr::Table { index, values } => values[index.eval(s)],
-            Expr::Add(a, b) => a.eval(s) + b.eval(s),
-            Expr::Sub(a, b) => a.eval(s).saturating_sub(b.eval(s)),
-            Expr::Mod(a, m) => a.eval(s) % m,
-        }
     }
 
     /// Evaluates against a plain valuation indexed by variable index —
@@ -331,19 +321,7 @@ impl Cond {
         }
     }
 
-    /// Evaluates against a packed [`State`] view.
-    pub fn eval(&self, s: &State<'_>) -> bool {
-        match self {
-            Cond::Const(b) => *b,
-            Cond::Cmp(op, lhs, rhs) => op.holds(lhs.eval(s), rhs.eval(s)),
-            Cond::Not(inner) => !inner.eval(s),
-            Cond::And(parts) => parts.iter().all(|p| p.eval(s)),
-            Cond::Or(parts) => parts.iter().any(|p| p.eval(s)),
-        }
-    }
-
-    /// Evaluates against a plain valuation indexed by variable index
-    /// (the [`Expr::eval_values`] twin for conditions).
+    /// Evaluates against a plain valuation indexed by variable index.
     pub fn eval_values(&self, values: &[usize]) -> bool {
         match self {
             Cond::Const(b) => *b,
@@ -396,33 +374,8 @@ impl Stmt {
         }
     }
 
-    /// Executes against a packed [`State`] view.
-    pub fn exec(&self, s: &mut State<'_>) {
-        match self {
-            Stmt::Assign(var, expr) => {
-                let value = expr.eval(s);
-                s.set(*var, value);
-            }
-            Stmt::If {
-                cond,
-                then_branch,
-                else_branch,
-            } => {
-                let branch = if cond.eval(s) {
-                    then_branch
-                } else {
-                    else_branch
-                };
-                for stmt in branch {
-                    stmt.exec(s);
-                }
-            }
-        }
-    }
-
     /// Executes against a plain valuation indexed by variable index.
-    /// Later statements observe earlier writes, exactly as in
-    /// [`Stmt::exec`]; domain membership of written values is *not*
+    /// Later statements observe earlier writes; domain membership of written values is *not*
     /// checked here (the compiler checks it, the analyzer's interval
     /// pass flags it).
     pub fn exec_values(&self, values: &mut [usize]) {
@@ -476,18 +429,6 @@ impl IrCommand {
             name: name.into(),
             guard,
             body,
-        }
-    }
-
-    /// Evaluates the guard at the current state.
-    pub fn guard_holds(&self, s: &State<'_>) -> bool {
-        self.guard.eval(s)
-    }
-
-    /// Executes the body on the current state.
-    pub fn apply(&self, s: &mut State<'_>) {
-        for stmt in &self.body {
-            stmt.exec(s);
         }
     }
 

@@ -20,7 +20,7 @@ use crate::FiniteSystem;
 
 use super::sym::SymmetrySpec;
 use super::{
-    narrow, GclError, Layout, Program, ReachableProgram, State, CHUNK_ALIGN, REACH_LEVEL_MIN,
+    narrow, GclError, Lowered, Program, ReachableProgram, State, CHUNK_ALIGN, REACH_LEVEL_MIN,
 };
 
 /// The outcome of a frontier-only quotient BFS
@@ -108,9 +108,9 @@ impl Program {
         &self,
         init: impl for<'a, 'b> Fn(&'a State<'b>) -> bool + Sync,
     ) -> Result<ReachableProgram, GclError> {
-        let layout = self.layout()?;
-        let workers = par::default_workers(narrow(layout.total));
-        self.reachable_with(layout, workers, None, &init)
+        let lowered = self.lower()?;
+        let workers = par::default_workers(narrow(lowered.layout.total));
+        self.reachable_with(lowered, workers, None, &init)
     }
 
     /// [`compile_reachable`](Program::compile_reachable) with an explicit
@@ -125,8 +125,8 @@ impl Program {
         workers: usize,
         init: impl for<'a, 'b> Fn(&'a State<'b>) -> bool + Sync,
     ) -> Result<ReachableProgram, GclError> {
-        let layout = self.layout()?;
-        self.reachable_with(layout, workers, None, &init)
+        let lowered = self.lower()?;
+        self.reachable_with(lowered, workers, None, &init)
     }
 
     /// [`compile_reachable`](Program::compile_reachable) on the symmetry
@@ -143,9 +143,9 @@ impl Program {
         sym: &SymmetrySpec,
         init: impl for<'a, 'b> Fn(&'a State<'b>) -> bool + Sync,
     ) -> Result<ReachableProgram, GclError> {
-        let layout = self.layout()?;
-        let workers = par::default_workers(narrow(layout.total));
-        self.reachable_with(layout, workers, Some(sym), &init)
+        let lowered = self.lower()?;
+        let workers = par::default_workers(narrow(lowered.layout.total));
+        self.reachable_with(lowered, workers, Some(sym), &init)
     }
 
     /// [`compile_reachable_sym`](Program::compile_reachable_sym) with an
@@ -160,19 +160,19 @@ impl Program {
         sym: &SymmetrySpec,
         init: impl for<'a, 'b> Fn(&'a State<'b>) -> bool + Sync,
     ) -> Result<ReachableProgram, GclError> {
-        let layout = self.layout()?;
-        self.reachable_with(layout, workers, Some(sym), &init)
+        let lowered = self.lower()?;
+        self.reachable_with(lowered, workers, Some(sym), &init)
     }
 
     fn reachable_with(
         &self,
-        layout: Layout,
+        lowered: Lowered,
         workers: usize,
         sym: Option<&SymmetrySpec>,
         init: &(impl for<'a, 'b> Fn(&'a State<'b>) -> bool + Sync),
     ) -> Result<ReachableProgram, GclError> {
         let (words, edges, num_init, _) = self.reduced_bfs(
-            &layout,
+            &lowered,
             workers,
             sym,
             Seeds::Predicate(init),
@@ -188,7 +188,7 @@ impl Program {
             system,
             words,
             var_info: self.vars.clone(),
-            layout,
+            layout: lowered.layout,
         })
     }
 
@@ -217,9 +217,9 @@ impl Program {
         cap: usize,
         target: Option<&(impl Fn(u64) -> bool + Sync)>,
     ) -> Result<SymReach, GclError> {
-        let layout = self.layout()?;
-        let workers = par::default_workers(narrow(layout.total));
-        self.sym_reach_words_with(&layout, workers, sym, seeds, cap, target)
+        let lowered = self.lower()?;
+        let workers = par::default_workers(narrow(lowered.layout.total));
+        self.sym_reach_words_with(&lowered, workers, sym, seeds, cap, target)
     }
 
     /// [`sym_reach_words`](Program::sym_reach_words) with an explicit
@@ -236,13 +236,13 @@ impl Program {
         cap: usize,
         target: Option<&(impl Fn(u64) -> bool + Sync)>,
     ) -> Result<SymReach, GclError> {
-        let layout = self.layout()?;
-        self.sym_reach_words_with(&layout, workers, sym, seeds, cap, target)
+        let lowered = self.lower()?;
+        self.sym_reach_words_with(&lowered, workers, sym, seeds, cap, target)
     }
 
     fn sym_reach_words_with(
         &self,
-        layout: &Layout,
+        lowered: &Lowered,
         workers: usize,
         sym: &SymmetrySpec,
         seeds: &[u64],
@@ -250,7 +250,7 @@ impl Program {
         target: Option<&(impl Fn(u64) -> bool + Sync)>,
     ) -> Result<SymReach, GclError> {
         let (words, _, _, hit) = self.reduced_bfs(
-            layout,
+            lowered,
             workers,
             Some(sym),
             Seeds::<for<'a, 'b> fn(&'a State<'b>) -> bool>::Words(seeds),
@@ -265,7 +265,7 @@ impl Program {
     #[allow(clippy::too_many_arguments)]
     fn reduced_bfs(
         &self,
-        layout: &Layout,
+        lowered: &Lowered,
         workers: usize,
         sym: Option<&SymmetrySpec>,
         seeds: Seeds<'_, impl for<'a, 'b> Fn(&'a State<'b>) -> bool + Sync>,
@@ -273,6 +273,7 @@ impl Program {
         target: Option<&(impl Fn(u64) -> bool + Sync)>,
         record_edges: bool,
     ) -> Result<ReducedBfs, GclError> {
+        let layout = &lowered.layout;
         let total = narrow(layout.total);
         let workers = workers.max(1);
         if let Some(sym) = sym {
@@ -360,7 +361,7 @@ impl Program {
         // serial FIFO discovery order (hence dense ids, words, and
         // edges) bit for bit.
         let mut edges: Vec<(usize, usize)> = Vec::new();
-        let mut row: Vec<u64> = Vec::with_capacity(self.commands.len().max(1));
+        let mut row: Vec<u64> = Vec::with_capacity(lowered.commands.len().max(1));
         let mut view = State::new(layout);
         let mut level_start = 0usize;
         let mut level = 0usize;
@@ -370,7 +371,8 @@ impl Program {
             if workers <= 1 || level_end - level_start < REACH_LEVEL_MIN {
                 for cursor in level_start..level_end {
                     view.load(words[cursor]);
-                    self.reduced_row(layout, sym, &mut view, &mut row)
+                    lowered
+                        .reduced_row(sym, &mut view, &mut row)
                         .map_err(|c| self.out_of_domain(c))?;
                     if let Some(found) = intern_words(
                         &mut ids,
@@ -393,11 +395,13 @@ impl Program {
                         move || {
                             let mut counts: Vec<usize> = Vec::with_capacity(slice.len());
                             let mut targets: Vec<u64> = Vec::new();
-                            let mut row: Vec<u64> = Vec::with_capacity(self.commands.len().max(1));
+                            let mut row: Vec<u64> =
+                                Vec::with_capacity(lowered.commands.len().max(1));
                             let mut view = State::new(layout);
                             for &word in slice {
                                 view.load(word);
-                                self.reduced_row(layout, sym, &mut view, &mut row)
+                                lowered
+                                    .reduced_row(sym, &mut view, &mut row)
                                     .map_err(|c| self.out_of_domain(c))?;
                                 counts.push(row.len());
                                 targets.extend_from_slice(&row);
@@ -445,14 +449,15 @@ impl Program {
         }
         Ok((words, edges, num_init, hit))
     }
+}
 
+impl Lowered {
     /// One successor row of the state in `view`: the (canonical, under a
     /// symmetry) target of every enabled command, sorted, deduplicated,
     /// with the quiescence stutter. Returns the index of the first
     /// enabled command whose effect left its domain, as `Err`.
     fn reduced_row(
         &self,
-        layout: &Layout,
         sym: Option<&SymmetrySpec>,
         view: &mut State<'_>,
         row: &mut Vec<u64>,
@@ -468,7 +473,7 @@ impl Program {
             // buffer, before the effect is rolled back — no re-decode.
             let target = view
                 .finish_effect_with(|values, word| match sym {
-                    Some(sym) => sym.canon(layout, values, word).0,
+                    Some(sym) => sym.canon(&self.layout, values, word).0,
                     None => word,
                 })
                 .map_err(|()| index)?;

@@ -28,7 +28,9 @@ use crate::par;
 use crate::sweep::{chunk_ranges, join_all};
 use crate::SystemError;
 
-use super::{check_u32_csr, narrow, GclError, Layout, Program, State, UnionChunk, CHUNK_ALIGN};
+use super::{
+    check_u32_csr, narrow, GclError, Layout, Lowered, Program, State, UnionChunk, CHUNK_ALIGN,
+};
 
 /// One group element of a program symmetry, in caller-facing form.
 ///
@@ -490,7 +492,8 @@ impl SymmetrySpec {
         if self.num_vars != program.vars.len() || self.num_commands != program.commands.len() {
             return Err(SymmetryError::WrongProgram);
         }
-        let layout = program.layout().map_err(|_| SymmetryError::WrongProgram)?;
+        let lowered = program.lower().map_err(|_| SymmetryError::WrongProgram)?;
+        let layout = &lowered.layout;
         for g in 0..self.order {
             for i in 0..self.num_vars {
                 let target = self.var_perm[g][i] as usize;
@@ -510,18 +513,18 @@ impl SymmetrySpec {
         const SAMPLES: usize = 2048;
         let total = narrow(layout.total);
         let step = (total / SAMPLES).max(1);
-        let mut view = State::new(&layout);
-        let mut image_view = State::new(&layout);
+        let mut view = State::new(layout);
+        let mut image_view = State::new(layout);
         let mut state = 0usize;
         while state < total {
             view.load(state as u64);
             for g in 1..self.order {
-                let image = self.image(&layout, &view.values, g);
+                let image = self.image(layout, &view.values, g);
                 image_view.load(image);
-                for (c, command) in program.commands.iter().enumerate() {
+                for (c, command) in lowered.commands.iter().enumerate() {
                     let c2 = self.cmd_perm[g][c] as usize;
-                    let here = command.enabled(&view);
-                    let there = program.commands[c2].enabled(&image_view);
+                    let here = command.enabled(&mut view);
+                    let there = lowered.commands[c2].enabled(&mut image_view);
                     if here != there {
                         return Err(SymmetryError::NotEquivariant {
                             element: g,
@@ -534,9 +537,9 @@ impl SymmetrySpec {
                     view.begin_effect();
                     command.apply(&mut view);
                     let target_image =
-                        view.finish_effect_with(|values, _| self.image(&layout, values, g));
+                        view.finish_effect_with(|values, _| self.image(layout, values, g));
                     image_view.begin_effect();
-                    program.commands[c2].apply(&mut image_view);
+                    lowered.commands[c2].apply(&mut image_view);
                     let image_target = image_view.finish_effect();
                     let agree = match (target_image, image_target) {
                         (Ok(t), Ok(t2)) => t == t2,
@@ -751,9 +754,9 @@ impl Program {
         sym: &SymmetrySpec,
         init: impl for<'a, 'b> Fn(&'a State<'b>) -> bool + Sync,
     ) -> Result<SymSelfReport, GclError> {
-        let layout = self.layout()?;
-        let workers = par::default_workers(narrow(layout.total));
-        self.fair_self_check_sym_with(&layout, sym, workers, &init)
+        let lowered = self.lower()?;
+        let workers = par::default_workers(narrow(lowered.layout.total));
+        self.fair_self_check_sym_with(&lowered, sym, workers, &init)
     }
 
     /// [`fair_self_check_sym`](Program::fair_self_check_sym) with an
@@ -770,8 +773,8 @@ impl Program {
         sym: &SymmetrySpec,
         init: impl for<'a, 'b> Fn(&'a State<'b>) -> bool + Sync,
     ) -> Result<SymSelfReport, GclError> {
-        let layout = self.layout()?;
-        self.fair_self_check_sym_with(&layout, sym, workers, &init)
+        let lowered = self.lower()?;
+        self.fair_self_check_sym_with(&lowered, sym, workers, &init)
     }
 
     // `as u32`/`as u16` below are in range by the post-enumeration guard
@@ -780,11 +783,12 @@ impl Program {
     #[allow(clippy::cast_possible_truncation)]
     fn fair_self_check_sym_with(
         &self,
-        layout: &Layout,
+        lowered: &Lowered,
         sym: &SymmetrySpec,
         workers: usize,
         init: &(impl for<'a, 'b> Fn(&'a State<'b>) -> bool + Sync),
     ) -> Result<SymSelfReport, GclError> {
+        let layout = &lowered.layout;
         let total = narrow(layout.total);
         let ncmd = self.commands.len();
         if ncmd == 0 {
@@ -839,7 +843,7 @@ impl Program {
             .iter()
             .map(|range| {
                 let range = range.clone();
-                move || self.sym_union_chunk(layout, sym, words_ref, range, init)
+                move || self.sym_union_chunk(lowered, sym, words_ref, range, init)
             })
             .collect();
         let mut twisted = StateSet::with_capacity(num_canon);
@@ -932,8 +936,8 @@ impl Program {
                     let a_s = annot[s];
                     let frame = sym.inv(a_s);
                     view.load(words[s]);
-                    for (c, command) in self.commands.iter().enumerate() {
-                        if !command.enabled(&view) {
+                    for (c, command) in lowered.commands.iter().enumerate() {
+                        if !command.enabled(&mut view) {
                             // Disabled ⇒ the conjugate command skips in
                             // the sheet: it acts inside.
                             let fact = sym.cmd_perm[frame as usize][c] as usize;
@@ -1013,12 +1017,13 @@ impl Program {
     #[allow(clippy::cast_possible_truncation)]
     fn sym_union_chunk(
         &self,
-        layout: &Layout,
+        lowered: &Lowered,
         sym: &SymmetrySpec,
         words: &[u64],
         range: Range<usize>,
         init: &(impl for<'a, 'b> Fn(&'a State<'b>) -> bool + Sync),
     ) -> Result<(UnionChunk, Vec<usize>), GclError> {
+        let layout = &lowered.layout;
         let len = range.len();
         let ncmd = self.commands.len();
         let mut off = vec![0u32; len + 1];
@@ -1035,8 +1040,8 @@ impl Program {
             row.clear();
             let mut any_disabled = false;
             let mut twist = false;
-            for (index, command) in self.commands.iter().enumerate() {
-                if command.enabled(&view) {
+            for (index, command) in lowered.commands.iter().enumerate() {
+                if command.enabled(&mut view) {
                     view.begin_effect();
                     command.apply(&mut view);
                     let (canon, sigma) = view
@@ -1074,6 +1079,7 @@ impl Program {
 #[cfg(test)]
 mod tests {
     use super::super::ir::{Expr, IrCommand, Stmt};
+    use super::super::VarRef;
     use super::*;
     use crate::tme_abstract::{nproc_symmetry, program_nproc_ir};
 
@@ -1136,6 +1142,15 @@ mod tests {
         (program, sym)
     }
 
+    /// `name :: x < y → x := x + 1`.
+    fn bump(name: &str, x: VarRef, y: VarRef) -> IrCommand {
+        IrCommand::new(
+            name,
+            Expr::var(x).lt(Expr::var(y)),
+            vec![Stmt::assign(x, Expr::var(x).add(Expr::int(1)))],
+        )
+    }
+
     /// Two symmetric mod-`d` counters with a coupling command; the swap
     /// of the two variables (and the two per-variable commands) is a
     /// symmetry.
@@ -1143,22 +1158,8 @@ mod tests {
         let mut p = Program::new();
         let x = p.var("x", d);
         let y = p.var("y", d);
-        p.command(
-            "bump_x",
-            move |s: &State<'_>| s.get(x) < s.get(y),
-            move |s: &mut State<'_>| {
-                let v = s.get(x);
-                s.set(x, v + 1);
-            },
-        );
-        p.command(
-            "bump_y",
-            move |s: &State<'_>| s.get(y) < s.get(x),
-            move |s: &mut State<'_>| {
-                let v = s.get(y);
-                s.set(y, v + 1);
-            },
-        );
+        p.command_ir(bump("bump_x", x, y));
+        p.command_ir(bump("bump_y", y, x));
         let swap = SymmetryElement {
             var_perm: vec![1, 0],
             value_maps: vec![None, None],
@@ -1209,19 +1210,12 @@ mod tests {
         let mut q = Program::new();
         let x = q.var("x", 3);
         let y = q.var("y", 3);
-        q.command(
-            "bump_x",
-            move |s: &State<'_>| s.get(x) < s.get(y),
-            move |s: &mut State<'_>| {
-                let v = s.get(x);
-                s.set(x, v + 1);
-            },
-        );
-        q.command(
+        q.command_ir(bump("bump_x", x, y));
+        q.command_ir(IrCommand::new(
             "reset_y",
-            move |s: &State<'_>| s.get(y) < s.get(x),
-            move |s: &mut State<'_>| s.set(y, 0),
-        );
+            Expr::var(y).lt(Expr::var(x)),
+            vec![Stmt::assign(y, Expr::int(0))],
+        ));
         assert!(matches!(
             spec.validate(&q),
             Err(SymmetryError::NotEquivariant { .. })
@@ -1302,39 +1296,37 @@ mod tests {
         let mut p = Program::new();
         let x = p.var("x", 3);
         let y = p.var("y", 3);
-        let at = move |s: &State<'_>, a: usize, b: usize| s.get(x) == a && s.get(y) == b;
-        p.command(
+        let at = |a: usize, b: usize| {
+            Expr::var(x)
+                .eq(Expr::int(a))
+                .and(Expr::var(y).eq(Expr::int(b)))
+        };
+        p.command_ir(IrCommand::new(
             "right",
-            move |s| at(s, 0, 1) || at(s, 1, 0),
-            move |s| {
-                if s.get(x) == 0 {
-                    s.set(x, 1);
-                    s.set(y, 0);
-                } else {
-                    s.set(x, 2);
-                }
-            },
-        );
-        p.command(
+            at(0, 1).or(at(1, 0)),
+            vec![Stmt::if_else(
+                Expr::var(x).eq(Expr::int(0)),
+                vec![Stmt::assign(x, Expr::int(1)), Stmt::assign(y, Expr::int(0))],
+                vec![Stmt::assign(x, Expr::int(2))],
+            )],
+        ));
+        p.command_ir(IrCommand::new(
             "left",
-            move |s| at(s, 1, 0) || at(s, 0, 1),
-            move |s| {
-                if s.get(y) == 0 {
-                    s.set(x, 0);
-                    s.set(y, 1);
-                } else {
-                    s.set(y, 2);
-                }
-            },
-        );
-        p.command(
+            at(1, 0).or(at(0, 1)),
+            vec![Stmt::if_else(
+                Expr::var(y).eq(Expr::int(0)),
+                vec![Stmt::assign(x, Expr::int(0)), Stmt::assign(y, Expr::int(1))],
+                vec![Stmt::assign(y, Expr::int(2))],
+            )],
+        ));
+        p.command_ir(IrCommand::new(
             "reset",
-            move |s| s.get(x) != 2 && s.get(y) != 2 && s.get(x) + s.get(y) != 1,
-            move |s| {
-                s.set(x, 2);
-                s.set(y, 2);
-            },
-        );
+            Expr::var(x)
+                .ne(Expr::int(2))
+                .and(Expr::var(y).ne(Expr::int(2)))
+                .and(Expr::var(x).add(Expr::var(y)).ne(Expr::int(1))),
+            vec![Stmt::assign(x, Expr::int(2)), Stmt::assign(y, Expr::int(2))],
+        ));
         let swap = SymmetryElement {
             var_perm: vec![1, 0],
             value_maps: vec![None, None],

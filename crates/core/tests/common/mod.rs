@@ -24,15 +24,46 @@ use graybox_core::synthesis::stutter_closure;
 use graybox_rng::rngs::SmallRng;
 use graybox_rng::{Rng, SeedableRng};
 
-/// One guard conjunct, over variable indices into the spec's domain list.
+/// One guard conjunct, over variable indices into the spec's domain
+/// list. The kinds cover every shape the lowering sorts guards into:
+/// single-variable digit sets, `Not`/`Or` clauses of them, and
+/// multi-variable residual code.
 #[derive(Clone, Debug)]
-pub enum Atom {
+pub enum Conjunct {
     LtConst(usize, usize),
     EqConst(usize, usize),
     NeVar(usize, usize),
+    /// `¬(x_v = c ∧ x_w = d)`.
+    NandEq(usize, usize, usize, usize),
+    /// `x_v < c ∨ x_w = d`.
+    LtOrEq(usize, usize, usize, usize),
+    /// `¬(x_v < x_w)`.
+    NotLtVar(usize, usize),
+    /// `table[x_var] = value`, with one entry per value of `x_var`.
+    TableEq {
+        var: usize,
+        table: Vec<usize>,
+        value: usize,
+    },
+    /// `(x_a + x_b) mod modulus < bound`.
+    SumModLt {
+        a: usize,
+        b: usize,
+        modulus: usize,
+        bound: usize,
+    },
+    /// `max(x_a - x_b, 0) ≥ bound`.
+    SubGe {
+        a: usize,
+        b: usize,
+        bound: usize,
+    },
+    /// `x_v = c ∨ x_a < x_b`.
+    EqOrLtVar(usize, usize, usize, usize),
 }
 
-/// One assignment; generated so the target always stays in its domain.
+/// One statement; generated so every target stays in its domain.
+/// Statements run in order, so later ones read earlier writes.
 #[derive(Clone, Debug)]
 pub enum Assign {
     Const(usize, usize),
@@ -43,11 +74,40 @@ pub enum Assign {
     },
     /// `dst = (dst + 1) % modulus`, with `modulus = dom(dst)`.
     IncMod(usize, usize),
+    /// `dst = table[x_src]`, one entry per value of `x_src`, each below
+    /// `dom(dst)`.
+    Lookup {
+        dst: usize,
+        src: usize,
+        table: Vec<usize>,
+    },
+    /// `dst = table[(x_a + x_b) mod table.len()]`, entries below
+    /// `dom(dst)`.
+    LookupSum {
+        dst: usize,
+        a: usize,
+        b: usize,
+        table: Vec<usize>,
+    },
+    /// `dst = max(x_a - x_b, 0) mod modulus`, with `modulus = dom(dst)`.
+    DiffMod {
+        dst: usize,
+        a: usize,
+        b: usize,
+        modulus: usize,
+    },
+    /// `if x_var = value then … else …`.
+    IfEq {
+        var: usize,
+        value: usize,
+        then_branch: Vec<Assign>,
+        else_branch: Vec<Assign>,
+    },
 }
 
 #[derive(Clone, Debug)]
 pub struct CmdSpec {
-    pub atoms: Vec<Atom>,
+    pub conjuncts: Vec<Conjunct>,
     pub assigns: Vec<Assign>,
 }
 
@@ -64,38 +124,21 @@ pub struct ProgramSpec {
 pub fn random_spec(seed: u64) -> ProgramSpec {
     let mut rng = SmallRng::seed_from_u64(seed);
     let nvars = rng.gen_range(1..5usize);
-    let domains: Vec<usize> = (0..nvars).map(|_| rng.gen_range(1..6usize)).collect();
+    let mut domains: Vec<usize> = (0..nvars).map(|_| rng.gen_range(1..6usize)).collect();
+    // Now and then one variable too wide for a 64-bit digit-set mask.
+    if nvars > 1 && rng.gen_range(0..6usize) == 0 {
+        domains[nvars - 1] = rng.gen_range(65..70usize);
+    }
     let ncmd = rng.gen_range(0..6usize);
     let commands = (0..ncmd)
         .map(|_| {
-            let atoms = (0..rng.gen_range(1..3usize))
-                .map(|_| {
-                    let v = rng.gen_range(0..nvars);
-                    match rng.gen_range(0..3usize) {
-                        0 => Atom::LtConst(v, rng.gen_range(0..domains[v] + 1)),
-                        1 => Atom::EqConst(v, rng.gen_range(0..domains[v])),
-                        _ => Atom::NeVar(v, rng.gen_range(0..nvars)),
-                    }
-                })
+            let conjuncts = (0..rng.gen_range(1..3usize))
+                .map(|_| random_conjunct(&mut rng, &domains))
                 .collect();
-            let assigns = (0..rng.gen_range(1..3usize))
-                .map(|_| {
-                    let dst = rng.gen_range(0..nvars);
-                    match rng.gen_range(0..3usize) {
-                        0 => Assign::Const(dst, rng.gen_range(0..domains[dst])),
-                        1 => {
-                            let fits: Vec<usize> =
-                                (0..nvars).filter(|&s| domains[s] <= domains[dst]).collect();
-                            Assign::Copy {
-                                dst,
-                                src: fits[rng.gen_range(0..fits.len())],
-                            }
-                        }
-                        _ => Assign::IncMod(dst, domains[dst]),
-                    }
-                })
+            let assigns = (0..rng.gen_range(1..4usize))
+                .map(|_| random_assign(&mut rng, &domains, true))
                 .collect();
-            CmdSpec { atoms, assigns }
+            CmdSpec { conjuncts, assigns }
         })
         .collect();
     let init_below = rng.gen_range(1..domains[0] + 1);
@@ -103,6 +146,194 @@ pub fn random_spec(seed: u64) -> ProgramSpec {
         domains,
         commands,
         init_below,
+    }
+}
+
+fn random_conjunct(rng: &mut SmallRng, domains: &[usize]) -> Conjunct {
+    let nvars = domains.len();
+    let v = rng.gen_range(0..nvars);
+    let w = rng.gen_range(0..nvars);
+    let value = |rng: &mut SmallRng, var: usize| rng.gen_range(0..domains[var]);
+    match rng.gen_range(0..11usize) {
+        0 | 1 => Conjunct::LtConst(v, rng.gen_range(0..domains[v] + 1)),
+        2 => Conjunct::EqConst(v, value(rng, v)),
+        3 => Conjunct::NeVar(v, w),
+        4 => Conjunct::NandEq(v, value(rng, v), w, value(rng, w)),
+        5 => Conjunct::LtOrEq(v, rng.gen_range(0..domains[v] + 1), w, value(rng, w)),
+        6 => Conjunct::NotLtVar(v, w),
+        7 => Conjunct::TableEq {
+            var: v,
+            table: (0..domains[v]).map(|_| rng.gen_range(0..3usize)).collect(),
+            value: rng.gen_range(0..3usize),
+        },
+        8 => Conjunct::SumModLt {
+            a: v,
+            b: w,
+            modulus: rng.gen_range(1..5usize),
+            bound: rng.gen_range(0..4usize),
+        },
+        9 => Conjunct::SubGe {
+            a: v,
+            b: w,
+            bound: rng.gen_range(0..3usize),
+        },
+        _ => {
+            let a = rng.gen_range(0..nvars);
+            Conjunct::EqOrLtVar(v, value(rng, v), a, w)
+        }
+    }
+}
+
+fn random_assign(rng: &mut SmallRng, domains: &[usize], branch: bool) -> Assign {
+    let nvars = domains.len();
+    let dst = rng.gen_range(0..nvars);
+    let (a, b) = (rng.gen_range(0..nvars), rng.gen_range(0..nvars));
+    let entries = |rng: &mut SmallRng, len: usize| -> Vec<usize> {
+        (0..len).map(|_| rng.gen_range(0..domains[dst])).collect()
+    };
+    match rng.gen_range(0..if branch { 7 } else { 6usize }) {
+        0 => Assign::Const(dst, rng.gen_range(0..domains[dst])),
+        1 => {
+            let fits: Vec<usize> = (0..nvars).filter(|&s| domains[s] <= domains[dst]).collect();
+            Assign::Copy {
+                dst,
+                src: fits[rng.gen_range(0..fits.len())],
+            }
+        }
+        2 => Assign::IncMod(dst, domains[dst]),
+        3 => Assign::Lookup {
+            dst,
+            src: a,
+            table: entries(rng, domains[a]),
+        },
+        4 => {
+            let len = rng.gen_range(1..5usize);
+            Assign::LookupSum {
+                dst,
+                a,
+                b,
+                table: entries(rng, len),
+            }
+        }
+        5 => Assign::DiffMod {
+            dst,
+            a,
+            b,
+            modulus: domains[dst],
+        },
+        _ => Assign::IfEq {
+            var: a,
+            value: rng.gen_range(0..domains[a]),
+            then_branch: (0..rng.gen_range(1..3usize))
+                .map(|_| random_assign(rng, domains, false))
+                .collect(),
+            else_branch: (0..rng.gen_range(0..3usize))
+                .map(|_| random_assign(rng, domains, false))
+                .collect(),
+        },
+    }
+}
+
+fn conjunct_ir(conjunct: &Conjunct, vars: &[VarRef]) -> Cond {
+    let x = |i: usize| Expr::var(vars[i]);
+    let int = Expr::int;
+    match conjunct {
+        Conjunct::LtConst(v, c) => x(*v).lt(int(*c)),
+        Conjunct::EqConst(v, c) => x(*v).eq(int(*c)),
+        Conjunct::NeVar(v, w) => x(*v).ne(x(*w)),
+        Conjunct::NandEq(v, c, w, d) => x(*v).eq(int(*c)).and(x(*w).eq(int(*d))).not(),
+        Conjunct::LtOrEq(v, c, w, d) => x(*v).lt(int(*c)).or(x(*w).eq(int(*d))),
+        Conjunct::NotLtVar(v, w) => x(*v).lt(x(*w)).not(),
+        Conjunct::TableEq { var, table, value } => x(*var).table(table.clone()).eq(int(*value)),
+        Conjunct::SumModLt {
+            a,
+            b,
+            modulus,
+            bound,
+        } => x(*a).add(x(*b)).modulo(*modulus).lt(int(*bound)),
+        Conjunct::SubGe { a, b, bound } => x(*a).sub(x(*b)).ge(int(*bound)),
+        Conjunct::EqOrLtVar(v, c, a, b) => x(*v).eq(int(*c)).or(x(*a).lt(x(*b))),
+    }
+}
+
+fn conjunct_holds(conjunct: &Conjunct, s: &Valuation, vars: &[VarRef]) -> bool {
+    let x = |i: usize| s[vars[i]];
+    match conjunct {
+        Conjunct::LtConst(v, c) => x(*v) < *c,
+        Conjunct::EqConst(v, c) => x(*v) == *c,
+        Conjunct::NeVar(v, w) => x(*v) != x(*w),
+        Conjunct::NandEq(v, c, w, d) => !(x(*v) == *c && x(*w) == *d),
+        Conjunct::LtOrEq(v, c, w, d) => x(*v) < *c || x(*w) == *d,
+        Conjunct::NotLtVar(v, w) => x(*v) >= x(*w),
+        Conjunct::TableEq { var, table, value } => table[x(*var)] == *value,
+        Conjunct::SumModLt {
+            a,
+            b,
+            modulus,
+            bound,
+        } => (x(*a) + x(*b)) % modulus < *bound,
+        Conjunct::SubGe { a, b, bound } => x(*a).saturating_sub(x(*b)) >= *bound,
+        Conjunct::EqOrLtVar(v, c, a, b) => x(*v) == *c || x(*a) < x(*b),
+    }
+}
+
+fn assign_ir(assign: &Assign, vars: &[VarRef]) -> Stmt {
+    let x = |i: usize| Expr::var(vars[i]);
+    match assign {
+        Assign::Const(dst, c) => Stmt::assign(vars[*dst], Expr::int(*c)),
+        Assign::Copy { dst, src } => Stmt::assign(vars[*dst], x(*src)),
+        Assign::IncMod(dst, m) => Stmt::assign(vars[*dst], x(*dst).add(Expr::int(1)).modulo(*m)),
+        Assign::Lookup { dst, src, table } => {
+            Stmt::assign(vars[*dst], x(*src).table(table.clone()))
+        }
+        Assign::LookupSum { dst, a, b, table } => Stmt::assign(
+            vars[*dst],
+            x(*a).add(x(*b)).modulo(table.len()).table(table.clone()),
+        ),
+        Assign::DiffMod { dst, a, b, modulus } => {
+            Stmt::assign(vars[*dst], x(*a).sub(x(*b)).modulo(*modulus))
+        }
+        Assign::IfEq {
+            var,
+            value,
+            then_branch,
+            else_branch,
+        } => Stmt::if_else(
+            x(*var).eq(Expr::int(*value)),
+            then_branch.iter().map(|a| assign_ir(a, vars)).collect(),
+            else_branch.iter().map(|a| assign_ir(a, vars)).collect(),
+        ),
+    }
+}
+
+fn assign_exec(assign: &Assign, s: &mut Valuation, vars: &[VarRef]) {
+    let v = |i: usize| vars[i];
+    match assign {
+        Assign::Const(dst, c) => s[v(*dst)] = *c,
+        Assign::Copy { dst, src } => s[v(*dst)] = s[v(*src)],
+        Assign::IncMod(dst, m) => s[v(*dst)] = (s[v(*dst)] + 1) % m,
+        Assign::Lookup { dst, src, table } => s[v(*dst)] = table[s[v(*src)]],
+        Assign::LookupSum { dst, a, b, table } => {
+            s[v(*dst)] = table[(s[v(*a)] + s[v(*b)]) % table.len()];
+        }
+        Assign::DiffMod { dst, a, b, modulus } => {
+            s[v(*dst)] = s[v(*a)].saturating_sub(s[v(*b)]) % modulus
+        }
+        Assign::IfEq {
+            var,
+            value,
+            then_branch,
+            else_branch,
+        } => {
+            let branch = if s[v(*var)] == *value {
+                then_branch
+            } else {
+                else_branch
+            };
+            for assign in branch {
+                assign_exec(assign, s, vars);
+            }
+        }
     }
 }
 
@@ -115,27 +346,14 @@ pub fn build_packed(spec: &ProgramSpec) -> (Program, Vec<VarRef>) {
         .map(|(i, &d)| program.var(format!("x{i}"), d))
         .collect();
     for (ci, cmd) in spec.commands.iter().enumerate() {
-        let (atoms, gv) = (cmd.atoms.clone(), vars.clone());
-        let (assigns, av) = (cmd.assigns.clone(), vars.clone());
-        program.command(
-            format!("c{ci}"),
-            move |s: &State| {
-                atoms.iter().all(|atom| match *atom {
-                    Atom::LtConst(v, c) => s.get(gv[v]) < c,
-                    Atom::EqConst(v, c) => s.get(gv[v]) == c,
-                    Atom::NeVar(v, w) => s.get(gv[v]) != s.get(gv[w]),
-                })
-            },
-            move |s: &mut State| {
-                for assign in &assigns {
-                    match *assign {
-                        Assign::Const(dst, c) => s.set(av[dst], c),
-                        Assign::Copy { dst, src } => s.set(av[dst], s.get(av[src])),
-                        Assign::IncMod(dst, m) => s.set(av[dst], (s.get(av[dst]) + 1) % m),
-                    }
-                }
-            },
-        );
+        let guard = cmd
+            .conjuncts
+            .iter()
+            .map(|conjunct| conjunct_ir(conjunct, &vars))
+            .reduce(Cond::and)
+            .expect("every command has a conjunct");
+        let body = cmd.assigns.iter().map(|a| assign_ir(a, &vars)).collect();
+        program.command_ir(IrCommand::new(format!("c{ci}"), guard, body));
     }
     (program, vars)
 }
@@ -149,24 +367,14 @@ pub fn build_reference(spec: &ProgramSpec) -> (RefProgram, Vec<VarRef>) {
         .map(|(i, &d)| program.var(format!("x{i}"), d))
         .collect();
     for (ci, cmd) in spec.commands.iter().enumerate() {
-        let (atoms, gv) = (cmd.atoms.clone(), vars.clone());
+        let (conjuncts, gv) = (cmd.conjuncts.clone(), vars.clone());
         let (assigns, av) = (cmd.assigns.clone(), vars.clone());
         program.command(
             format!("c{ci}"),
-            move |s: &Valuation| {
-                atoms.iter().all(|atom| match *atom {
-                    Atom::LtConst(v, c) => s[gv[v]] < c,
-                    Atom::EqConst(v, c) => s[gv[v]] == c,
-                    Atom::NeVar(v, w) => s[gv[v]] != s[gv[w]],
-                })
-            },
+            move |s: &Valuation| conjuncts.iter().all(|c| conjunct_holds(c, s, &gv)),
             move |s: &mut Valuation| {
                 for assign in &assigns {
-                    match *assign {
-                        Assign::Const(dst, c) => s[av[dst]] = c,
-                        Assign::Copy { dst, src } => s[av[dst]] = s[av[src]],
-                        Assign::IncMod(dst, m) => s[av[dst]] = (s[av[dst]] + 1) % m,
-                    }
+                    assign_exec(assign, s, &av);
                 }
             },
         );
