@@ -111,7 +111,7 @@ mod tests {
             .nth(1)
             .expect("report embeds a repro block")
             .trim_start_matches('\n');
-        let parsed = repro::parse(embedded, &[]).expect("embedded repro parses");
+        let parsed = repro::parse(embedded).expect("embedded repro parses");
         assert_eq!(parsed.faults, config.faults);
         assert_eq!(parsed.seed, config.seed);
     }

@@ -101,7 +101,7 @@ fn run_repro(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let config = match repro::parse(&text, &[]) {
+    let config = match repro::parse(&text) {
         Ok(config) => config,
         Err(error) => {
             eprintln!("{error}");

@@ -25,7 +25,7 @@ fn shrunk_repro_round_trips_to_the_same_verdict() {
     let file = repro::to_text(&minimal);
 
     // Load it back as a fresh engineer would, and re-run.
-    let loaded = repro::parse(&file, &[]).expect("repro parses");
+    let loaded = repro::parse(&file).expect("repro parses");
     let rerun = run_campaign(&loaded);
     assert_eq!(
         rerun.outcome.verdict, shrunk.run.outcome.verdict,

@@ -1,18 +1,14 @@
-//! The **injector registry**: maps failpoint site names to the code that
-//! injects the corresponding fault into a running campaign.
+//! **Fault injection**: the code behind each [`FaultKind`].
 //!
-//! The campaign runner is site-agnostic — it walks the [`FaultPlan`],
-//! looks each event's site up here, and calls the injector. Adding a
-//! fault site therefore never touches the runner: add a site constant in
-//! `graybox_simnet::failpoint`, register an injector here (or via
-//! [`InjectorRegistry::register`] for experiment-local faults), and
-//! schedule it.
+//! The campaign runner walks the [`FaultPlan`](crate::FaultPlan) and
+//! calls [`FaultKind::inject`] for each event; that one `match` picks
+//! the injector. Adding a fault site is one constant in
+//! `graybox_simnet::failpoint`, one `FaultKind` variant and one arm
+//! here — the runner never changes.
 //!
 //! Every injector draws its targets (which process, which channel, which
 //! message) through [`Simulation::draw_fault_in`], so the draws land in
 //! the run's oplog and the whole injection replays bit-exactly.
-
-use std::collections::BTreeMap;
 
 use graybox_clock::{ProcessId, Timestamp};
 use graybox_rng::rngs::SmallRng;
@@ -20,85 +16,28 @@ use graybox_simnet::{failpoint, Corruptible, Simulation};
 use graybox_tme::TmeMsg;
 
 use crate::runner::Wrapped;
-use crate::{FaultPlan, Resettable};
+use crate::{FaultKind, Resettable};
 
-/// An injector: applies one fault to the simulation, drawing targets from
-/// the campaign's fault RNG. Returns a human-readable description and the
-/// primarily affected process (for the trace's fault marker).
-pub type Injector = fn(&mut Simulation<Wrapped>, &mut SmallRng) -> (String, ProcessId);
-
-/// Site-name → injector table (see the module docs).
-#[derive(Debug, Clone)]
-pub struct InjectorRegistry {
-    map: BTreeMap<&'static str, Injector>,
-}
-
-impl InjectorRegistry {
-    /// An empty registry (no sites injectable).
-    pub fn empty() -> Self {
-        InjectorRegistry {
-            map: BTreeMap::new(),
-        }
-    }
-
-    /// The standard registry: one injector per bundled
-    /// [`FaultKind`](crate::FaultKind) site.
-    pub fn standard() -> Self {
-        let mut registry = InjectorRegistry::empty();
-        registry.register(failpoint::CHANNEL_DROP, inject_drop);
-        registry.register(failpoint::CHANNEL_DUPLICATE, inject_duplicate);
-        registry.register(failpoint::MSG_CORRUPT, inject_corrupt_message);
-        registry.register(failpoint::MSG_INJECT, inject_garbage);
-        registry.register(failpoint::CHANNEL_FLUSH, inject_flush);
-        registry.register(failpoint::PROCESS_CORRUPT, inject_corrupt_process);
-        registry.register(failpoint::PROCESS_RESET, inject_reset);
-        registry.register(failpoint::CHANNEL_REORDER, inject_reorder);
-        registry.register(failpoint::SIM_DELAY, inject_delay_spike);
-        registry
-    }
-
-    /// Registers (or replaces) the injector for `site`.
-    pub fn register(&mut self, site: &'static str, injector: Injector) {
-        self.map.insert(site, injector);
-    }
-
-    /// The injector for `site`, if registered.
-    pub fn get(&self, site: &str) -> Option<Injector> {
-        self.map.get(site).copied()
-    }
-
-    /// Registered site names, in order.
-    pub fn sites(&self) -> impl Iterator<Item = &'static str> + '_ {
-        self.map.keys().copied()
-    }
-
-    /// Applies the fault for `site`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `site` has no registered injector — a schedule typo is
-    /// a bug in the experiment, not a runtime condition to tolerate.
-    pub fn inject(
-        &self,
-        site: &str,
+impl FaultKind {
+    /// Applies one fault of this kind, drawing targets from the
+    /// campaign's fault RNG. Returns a human-readable description and the
+    /// primarily affected process (for the trace's fault marker).
+    pub(crate) fn inject(
+        self,
         sim: &mut Simulation<Wrapped>,
         rng: &mut SmallRng,
     ) -> (String, ProcessId) {
-        let injector = self
-            .get(site)
-            .unwrap_or_else(|| panic!("no injector registered for failpoint `{site}`"));
-        injector(sim, rng)
-    }
-
-    /// True when every site scheduled by `plan` has an injector.
-    pub fn covers(&self, plan: &FaultPlan) -> bool {
-        plan.events().iter().all(|e| self.get(e.site).is_some())
-    }
-}
-
-impl Default for InjectorRegistry {
-    fn default() -> Self {
-        Self::standard()
+        match self {
+            FaultKind::DropMessage => inject_drop(sim, rng),
+            FaultKind::DuplicateMessage => inject_duplicate(sim, rng),
+            FaultKind::CorruptMessage => inject_corrupt_message(sim, rng),
+            FaultKind::InjectGarbage => inject_garbage(sim, rng),
+            FaultKind::FlushChannel => inject_flush(sim, rng),
+            FaultKind::CorruptProcess => inject_corrupt_process(sim, rng),
+            FaultKind::ResetProcess => inject_reset(sim, rng),
+            FaultKind::ReorderMessages => inject_reorder(sim, rng),
+            FaultKind::DelaySpike => inject_delay_spike(sim, rng),
+        }
     }
 }
 
@@ -207,7 +146,7 @@ fn inject_reset(sim: &mut Simulation<Wrapped>, rng: &mut SmallRng) -> (String, P
     let pid = draw_pid(sim, rng);
     sim.process_mut(pid).reset();
     // The reset site is contributed by this crate; fire it through the
-    // same registry/oplog machinery as the simnet-native sites.
+    // same counter/oplog machinery as the simnet-native sites.
     graybox_simnet::failpoint!(sim, failpoint::PROCESS_RESET, "reset {pid} to Init");
     (format!("fail/recover {pid} (reset to Init)"), pid)
 }
@@ -245,45 +184,34 @@ fn inject_delay_spike(sim: &mut Simulation<Wrapped>, rng: &mut SmallRng) -> (Str
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{FaultEvent, FaultKind};
+    use crate::{build_sim, RunConfig};
     use graybox_rng::SeedableRng;
     use graybox_simnet::SimTime;
+    use graybox_tme::{Implementation, TmeClient};
 
     #[test]
-    fn standard_registry_covers_every_bundled_kind() {
-        let registry = InjectorRegistry::standard();
+    fn every_kind_fires_its_own_site() {
         for kind in FaultKind::ALL {
-            assert!(
-                registry.get(kind.site()).is_some(),
-                "no injector for {kind}"
+            let mut sim = build_sim(&RunConfig::new(3, Implementation::RicartAgrawala).seed(5));
+            for pid in ProcessId::all(3) {
+                sim.schedule_client(SimTime::from(1), pid, TmeClient::Request { eat_for: 3 });
+            }
+            while sim.peek_time().is_some_and(|t| t <= SimTime::from(1)) {
+                sim.step();
+            }
+            // Every channel now carries a request; give one channel a second
+            // message so a reorder has something to swap.
+            let mut rng = SmallRng::seed_from_u64(5);
+            FaultKind::DuplicateMessage.inject(&mut sim, &mut rng);
+            let before = sim.failpoints().clone();
+            kind.inject(&mut sim, &mut rng);
+            let after = sim.failpoints();
+            assert_eq!(
+                after.hits(kind.site()),
+                before.hits(kind.site()) + 1,
+                "{kind}"
             );
+            assert_eq!(after.total(), before.total() + 1, "{kind}");
         }
-        assert_eq!(registry.sites().count(), FaultKind::ALL.len());
-        let plan = FaultPlan::random_mix(1, (10, 50), 20, &FaultKind::ALL);
-        assert!(registry.covers(&plan));
-    }
-
-    #[test]
-    fn custom_sites_can_be_registered() {
-        let mut registry = InjectorRegistry::standard();
-        assert!(registry.get("custom.site").is_none());
-        registry.register("custom.site", |_sim, _rng| {
-            ("custom".to_string(), ProcessId(0))
-        });
-        assert!(registry.get("custom.site").is_some());
-        let plan =
-            FaultPlan::from_events(vec![FaultEvent::at_site(SimTime::from(5), "custom.site")]);
-        assert!(registry.covers(&plan));
-        assert!(!InjectorRegistry::standard().covers(&plan));
-    }
-
-    #[test]
-    #[should_panic(expected = "no injector registered")]
-    fn unknown_site_injection_panics() {
-        let registry = InjectorRegistry::empty();
-        let config = crate::RunConfig::new(2, graybox_tme::Implementation::Lamport);
-        let mut sim = crate::build_sim(&config);
-        let mut rng = SmallRng::seed_from_u64(0);
-        registry.inject("channel.drop", &mut sim, &mut rng);
     }
 }

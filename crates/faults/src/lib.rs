@@ -1,6 +1,6 @@
 //! # Fault injection campaigns for graybox stabilization
 //!
-//! The paper's fault model (§3.1): "messages [may] be corrupted, lost, or
+//! The paper's fault model (§3.1): "messages \[may\] be corrupted, lost, or
 //! duplicated at any time. Moreover, processes (respectively channels) can
 //! be improperly initialized, fail, recover, or their state could be
 //! transiently (and arbitrarily) corrupted at any time." Stabilization is
@@ -8,11 +8,10 @@
 //!
 //! This crate turns that model into reproducible experiments:
 //!
-//! * [`FaultKind`] — one constructor per fault class in the paper's list;
-//! * [`FaultPlan`] — a seeded schedule of faults over a time window,
-//!   keyed by failpoint site name;
-//! * [`InjectorRegistry`] — site name → injection code; the runner
-//!   dispatches schedules through it, so new fault sites never touch it;
+//! * [`FaultKind`] — one variant per fault class in the paper's list,
+//!   each injected by one arm of a `match` and firing one failpoint site;
+//! * [`FaultPlan`] — a seeded schedule of [`FaultEvent`]s (a kind at a
+//!   virtual time) over a time window;
 //! * [`run_campaign`] / [`replay_campaign`] — the campaign runner:
 //!   build a (possibly wrapped) TME system, apply workload and faults,
 //!   record trace + operation log, analyze convergence — and re-execute
@@ -50,11 +49,10 @@ pub mod runner;
 pub mod scenarios;
 mod shrink;
 
-pub use injector::{Injector, InjectorRegistry};
 pub use plan::{FaultEvent, FaultKind, FaultPlan};
 pub use reset::Resettable;
 pub use runner::{
-    build_sim, replay_campaign, replay_campaign_with, run_campaign, run_campaign_with, run_tme,
-    run_tme_trace, CampaignRun, RunConfig, RunOutcome, Verdict, Wrapped,
+    build_sim, replay_campaign, run_campaign, run_tme, run_tme_trace, CampaignRun, RunConfig,
+    RunOutcome, Verdict, Wrapped,
 };
-pub use shrink::{failed, shrink, shrink_with, ShrinkOutcome};
+pub use shrink::{failed, shrink, ShrinkOutcome};

@@ -5,11 +5,11 @@ use graybox_simnet::{failpoint, SimTime};
 /// One fault class from the paper's §3.1 model (plus the two environment
 /// stressors `DelaySpike` and `ReorderMessages`).
 ///
-/// `FaultKind` is a *constructor convenience*: schedules are keyed by
-/// failpoint site name (see [`FaultEvent::site`]), and the campaign
-/// runner dispatches on sites through an injector registry — so code can
-/// also schedule sites directly (including custom registered ones)
-/// without touching this enum.
+/// The model is a closed list, and so is this enum: every scheduled
+/// fault is a [`FaultEvent`] of one kind, the campaign runner injects it
+/// with one `match` over the kinds, and each kind fires exactly one
+/// failpoint site ([`FaultKind::site`]), which names it in oplogs and
+/// repro files.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultKind {
     /// A random in-flight message is lost.
@@ -79,7 +79,8 @@ impl FaultKind {
         }
     }
 
-    /// The failpoint site this kind's injector fires (the schedule key).
+    /// The failpoint site this kind's injector fires (its name in oplogs
+    /// and repro files).
     pub fn site(self) -> &'static str {
         match self {
             FaultKind::DropMessage => failpoint::CHANNEL_DROP,
@@ -107,37 +108,22 @@ impl std::fmt::Display for FaultKind {
     }
 }
 
-/// A fault scheduled at a virtual time, keyed by the failpoint site its
-/// injector fires. Targets (which channel, which process, which message)
-/// are drawn by the injector from the campaign's fault RNG at injection
-/// time — and routed through the simulation's oplog, so they replay.
+/// A fault of one kind scheduled at a virtual time. Targets (which
+/// channel, which process, which message) are drawn by the injector from
+/// the campaign's fault RNG at injection time — and routed through the
+/// simulation's oplog, so they replay.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultEvent {
     /// When to inject.
     pub at: SimTime,
-    /// Which injection site to fire (e.g. `"channel.drop"`; the
-    /// constants live in [`graybox_simnet::failpoint`]).
-    pub site: &'static str,
+    /// Which fault to inject.
+    pub kind: FaultKind,
 }
 
 impl FaultEvent {
-    /// An event firing `kind`'s site at `at`.
+    /// An event injecting `kind` at `at`.
     pub fn new(at: SimTime, kind: FaultKind) -> Self {
-        FaultEvent {
-            at,
-            site: kind.site(),
-        }
-    }
-
-    /// An event firing an explicit site at `at` (for custom-registered
-    /// injectors).
-    pub fn at_site(at: SimTime, site: &'static str) -> Self {
-        FaultEvent { at, site }
-    }
-
-    /// The bundled kind behind this event's site, if it is a standard one.
-    pub fn kind(&self) -> Option<FaultKind> {
-        FaultKind::from_site(self.site)
+        FaultEvent { at, kind }
     }
 }
 
@@ -230,7 +216,7 @@ mod tests {
         assert!(plan
             .events()
             .iter()
-            .all(|e| e.site == failpoint::CHANNEL_DROP));
+            .all(|e| e.kind == FaultKind::DropMessage));
         assert_eq!(plan.last_fault_time(), Some(SimTime::from(10)));
     }
 
@@ -253,8 +239,8 @@ mod tests {
         let a = FaultPlan::burst(FaultKind::FlushChannel, SimTime::from(50), 1);
         let b = FaultPlan::burst(FaultKind::CorruptProcess, SimTime::from(20), 1);
         let merged = a.merge(b);
-        assert_eq!(merged.events()[0].kind(), Some(FaultKind::CorruptProcess));
-        assert_eq!(merged.events()[1].kind(), Some(FaultKind::FlushChannel));
+        assert_eq!(merged.events()[0].kind, FaultKind::CorruptProcess);
+        assert_eq!(merged.events()[1].kind, FaultKind::FlushChannel);
     }
 
     #[test]
@@ -274,13 +260,34 @@ mod tests {
     fn sites_round_trip_through_from_site() {
         for kind in FaultKind::ALL {
             assert_eq!(FaultKind::from_site(kind.site()), Some(kind));
-            // Every site the plan layer names exists in the simnet registry.
-            assert_eq!(failpoint::lookup_site(kind.site()), Some(kind.site()));
+            // Every site the plan layer names is one the simulator lists.
+            assert!(failpoint::ALL_SITES.contains(&kind.site()));
         }
         assert_eq!(FaultKind::from_site("channel.teleport"), None);
         let sites: std::collections::BTreeSet<_> =
             FaultKind::ALL.iter().map(|k| k.site()).collect();
         assert_eq!(sites.len(), FaultKind::ALL.len());
+    }
+
+    /// FNV-1a over the `(at, site)` sequence of a seeded mix: re-keying
+    /// or reordering the schedule must not move a single draw.
+    #[test]
+    fn random_mix_draws_are_pinned() {
+        let plan = FaultPlan::random_mix(7, (200, 400), 32, &FaultKind::PAPER);
+        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut feed = |bytes: &[u8]| {
+            for &byte in bytes {
+                hash ^= u64::from(byte);
+                hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        for event in plan.events() {
+            feed(&event.at.ticks().to_le_bytes());
+            feed(event.kind.site().as_bytes());
+            feed(&[0xff]);
+        }
+        assert_eq!(plan.len(), 32);
+        assert_eq!(hash, 0x18d4_e039_8e98_8945);
     }
 
     #[test]

@@ -24,18 +24,18 @@
 //! `wrapper` is one of `off`, `unrefined <θ>`, `refined <θ>`,
 //! `backoff <θ> <maxθ>`; `workload` is
 //! `<requests-per-process> <mean-think> <eat-for> <start>`; `fault`
-//! lines are `<time> <site>` in schedule order. Unknown sites are
-//! rejected at parse time (against the simulator's site registry plus
-//! any extra sites the caller declares).
+//! lines are `<time> <site>` in schedule order, where `<site>` is the
+//! failpoint site of a [`FaultKind`] ([`FaultKind::site`]). A site that
+//! names no kind is a parse error on its line.
 
 use std::fmt;
 
-use graybox_simnet::{failpoint, SimTime};
+use graybox_simnet::SimTime;
 use graybox_tme::{Implementation, WorkloadConfig};
 use graybox_wrapper::{WrapperConfig, WrapperStrategy};
 
 use crate::runner::{RunConfig, DEFAULT_HORIZON_SLACK};
-use crate::{FaultEvent, FaultPlan};
+use crate::{FaultEvent, FaultKind, FaultPlan};
 
 /// Magic first line of every repro file.
 pub const HEADER: &str = "graybox-repro v1";
@@ -92,18 +92,14 @@ pub fn to_text(config: &RunConfig) -> String {
         config.workload.eat_for,
         config.workload.start,
     ));
-    for event in config.faults.events() {
-        out.push_str(&format!("fault {} {}\n", event.at.ticks(), event.site));
+    for FaultEvent { at, kind } in config.faults.events() {
+        out.push_str(&format!("fault {} {}\n", at.ticks(), kind.site()));
     }
     out
 }
 
 /// Parses a repro file back into a [`RunConfig`].
-///
-/// `extra_sites` declares custom failpoint sites (beyond the simulator's
-/// built-in registry) that `fault` lines may reference — pass the sites
-/// of any custom injectors you register.
-pub fn parse(text: &str, extra_sites: &[&'static str]) -> Result<RunConfig, ReproParseError> {
+pub fn parse(text: &str) -> Result<RunConfig, ReproParseError> {
     let err = |line: usize, message: String| ReproParseError { line, message };
     let mut lines = text.lines().enumerate();
     match lines.next() {
@@ -235,12 +231,11 @@ pub fn parse(text: &str, extra_sites: &[&'static str]) -> Result<RunConfig, Repr
                 let [at, site] = fields[..] else {
                     return Err(err(line_no, "fault takes `<time> <site>`".into()));
                 };
-                let site = failpoint::lookup_site(site)
-                    .or_else(|| extra_sites.iter().copied().find(|s| *s == site))
+                let kind = FaultKind::from_site(site)
                     .ok_or_else(|| err(line_no, format!("unknown failpoint site `{site}`")))?;
                 let at = parse_u64(at)?;
                 latest = latest.max((at, line_no));
-                events.push(FaultEvent::at_site(SimTime::from(at), site));
+                events.push(FaultEvent::new(SimTime::from(at), kind));
             }
             other => return Err(err(line_no, format!("unknown key `{other}`"))),
         }
@@ -266,7 +261,6 @@ pub fn parse(text: &str, extra_sites: &[&'static str]) -> Result<RunConfig, Repr
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::FaultKind;
 
     fn sample_config() -> RunConfig {
         RunConfig::new(4, Implementation::Lamport)
@@ -300,10 +294,50 @@ mod tests {
         let config = sample_config();
         let text = to_text(&config);
         assert!(text.starts_with(HEADER));
-        let parsed = parse(&text, &[]).expect("round trip");
+        let parsed = parse(&text).expect("round trip");
         assert_configs_equal(&config, &parsed);
         // Byte-stable: serializing the parse reproduces the text.
         assert_eq!(to_text(&parsed), text);
+    }
+
+    /// The text of a plan naming every fault kind, byte for byte: recorded
+    /// repro files must load and re-serialize unchanged.
+    #[test]
+    fn text_of_every_fault_kind_is_pinned() {
+        let events = FaultKind::ALL
+            .into_iter()
+            .rev()
+            .zip(0u64..)
+            .map(|(kind, i)| FaultEvent::new(SimTime::from(30 + 7 * i), kind))
+            .collect();
+        let config = RunConfig::new(3, Implementation::RicartAgrawala)
+            .wrapper(WrapperConfig::timeout(8))
+            .seed(11)
+            .faults(FaultPlan::from_events(events));
+        let text = to_text(&config);
+        assert_eq!(
+            text,
+            "graybox-repro v1\n\
+             n 3\n\
+             impl RA_ME\n\
+             wrapper refined 8\n\
+             seed 11\n\
+             grace 200\n\
+             delays 1 8\n\
+             fifo true\n\
+             horizon none\n\
+             workload 3 40 5 1\n\
+             fault 30 sim.delay\n\
+             fault 37 channel.reorder\n\
+             fault 44 process.reset\n\
+             fault 51 process.corrupt\n\
+             fault 58 channel.flush\n\
+             fault 65 msg.inject\n\
+             fault 72 msg.corrupt\n\
+             fault 79 channel.duplicate\n\
+             fault 86 channel.drop\n"
+        );
+        assert_eq!(to_text(&parse(&text).expect("round trip")), text);
     }
 
     #[test]
@@ -316,28 +350,27 @@ mod tests {
             WrapperConfig::backoff(2, 64),
         ] {
             let config = sample_config().wrapper(wrapper);
-            let parsed = parse(&to_text(&config), &[]).expect("round trip");
+            let parsed = parse(&to_text(&config)).expect("round trip");
             assert_eq!(parsed.wrapper, wrapper);
         }
     }
 
     #[test]
     fn rejects_malformed_input() {
-        assert!(parse("not a repro", &[]).is_err());
+        assert!(parse("not a repro").is_err());
         let mut text = to_text(&sample_config());
         text.push_str("fault 10 channel.teleport\n");
-        let error = parse(&text, &[]).expect_err("unknown site must be rejected");
+        let error = parse(&text).expect_err("unknown site must be rejected");
         assert!(error.message.contains("channel.teleport"), "{error}");
-        // ... unless the site is declared as a custom extra.
-        assert!(parse(&text, &["channel.teleport"]).is_ok());
+        assert_eq!(error.line, text.lines().count(), "{error}");
         let bad_seed = to_text(&sample_config()).replace("seed 77", "seed many");
-        assert!(parse(&bad_seed, &[]).is_err());
+        assert!(parse(&bad_seed).is_err());
 
         // Hostile numbers are typed errors on the offending line, not
         // panics at run time.
         let max = u64::MAX;
         let valid = format!("{HEADER}\nn 4\nimpl RA_ME\nhorizon none\nworkload 3 20 5 1\n");
-        assert!(parse(&valid, &[]).is_ok());
+        assert!(parse(&valid).is_ok());
         for (hostile, line) in [
             (valid.replace("n 4", &format!("n {max}")), 2),
             (
@@ -352,14 +385,14 @@ mod tests {
             (valid.replace("5 1\n", &format!("5 {max}\n")), 5),
             (format!("{valid}fault {max} channel.drop\n"), 6),
         ] {
-            let error = parse(&hostile, &[]).expect_err(&hostile);
+            let error = parse(&hostile).expect_err(&hostile);
             assert_eq!(error.line, line, "{error}");
         }
         // The default horizon's slack is the only arithmetic on a fault
         // time, so an explicit horizon admits any fault time.
         let explicit = valid.replace("horizon none", "horizon 500");
-        assert!(parse(&format!("{explicit}fault {max} channel.drop\n"), &[]).is_ok());
-        assert!(parse(&valid.replace("n 4", &format!("n {}", u32::MAX)), &[]).is_ok());
+        assert!(parse(&format!("{explicit}fault {max} channel.drop\n")).is_ok());
+        assert!(parse(&valid.replace("n 4", &format!("n {}", u32::MAX))).is_ok());
     }
 
     /// A repro file of a corrupted Lamport campaign with the given
@@ -375,7 +408,7 @@ mod tests {
     #[test]
     fn theta_at_u64_max_never_refires() {
         let at = |wrapper: &str| {
-            let config = parse(&boundary_repro(wrapper), &[]).expect("repro parses");
+            let config = parse(&boundary_repro(wrapper)).expect("repro parses");
             crate::run_campaign(&config).outcome
         };
         let max = u64::MAX;

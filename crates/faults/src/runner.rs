@@ -5,11 +5,11 @@
 //! the full operation log (every scheduler pop, RNG draw, and failpoint
 //! firing) alongside the trace, so any run — in particular any *failing*
 //! run — can be replayed bit-exactly by [`replay_campaign`] and shrunk by
-//! [`crate::shrink`]. The schedule is keyed by failpoint site name and
-//! dispatched through an [`InjectorRegistry`], so the runner itself never
-//! matches on fault kinds. [`run_tme`] / [`run_tme_trace`] remain as
-//! lighter wrappers that skip recording (for sweeps that only need
-//! outcomes).
+//! [`crate::shrink`]. The schedule is a list of timed
+//! [`FaultKind`](crate::FaultKind)s; one `match` in the crate's injector
+//! module applies each, so adding a fault kind never touches the runner.
+//! [`run_tme`] / [`run_tme_trace`] remain as lighter wrappers that skip
+//! recording (for sweeps that only need outcomes).
 
 use graybox_clock::ProcessId;
 use graybox_rng::rngs::SmallRng;
@@ -17,11 +17,11 @@ use graybox_rng::SeedableRng;
 use graybox_simnet::{FailpointRegistry, OpLog, ReplayError, SimConfig, SimTime, Simulation};
 use graybox_spec::convergence::{self, ConvergenceReport};
 use graybox_spec::lspec::DEFAULT_GRACE;
-use graybox_spec::{OnlineOracle, Trace, TraceRecorder};
+use graybox_spec::{Trace, TraceRecorder};
 use graybox_tme::{Implementation, TmeProcess, Workload, WorkloadConfig};
 use graybox_wrapper::{GrayboxWrapper, WrapperConfig};
 
-use crate::{FaultPlan, InjectorRegistry};
+use crate::FaultPlan;
 
 /// The process type every campaign runs: a (possibly disabled) graybox
 /// wrapper around one of the bundled implementations. Baselines use
@@ -200,18 +200,11 @@ pub struct CampaignRun {
     pub failpoints: FailpointRegistry,
 }
 
-/// Runs a campaign with recording on (see the module docs), using the
-/// standard injector registry.
+/// Runs a campaign with recording on (see the module docs).
 pub fn run_campaign(config: &RunConfig) -> CampaignRun {
-    run_campaign_with(config, &InjectorRegistry::standard())
-}
-
-/// [`run_campaign`] with a custom injector registry (experiment-specific
-/// fault sites).
-pub fn run_campaign_with(config: &RunConfig, registry: &InjectorRegistry) -> CampaignRun {
     let mut sim = build_sim(config);
     sim.start_recording();
-    let (trace, outcome) = execute(&mut sim, config, registry);
+    let (trace, outcome) = execute(&mut sim, config);
     CampaignRun {
         trace,
         outcome,
@@ -226,18 +219,9 @@ pub fn run_campaign_with(config: &RunConfig, registry: &InjectorRegistry) -> Cam
 /// any divergence — wrong config, wrong code version, tampered log —
 /// reports the first mismatching operation.
 pub fn replay_campaign(config: &RunConfig, log: &OpLog) -> Result<CampaignRun, ReplayError> {
-    replay_campaign_with(config, log, &InjectorRegistry::standard())
-}
-
-/// [`replay_campaign`] with a custom injector registry.
-pub fn replay_campaign_with(
-    config: &RunConfig,
-    log: &OpLog,
-    registry: &InjectorRegistry,
-) -> Result<CampaignRun, ReplayError> {
     let mut sim = build_sim(config);
     sim.begin_replay(log.clone());
-    let (trace, outcome) = execute(&mut sim, config, registry);
+    let (trace, outcome) = execute(&mut sim, config);
     let failpoints = sim.failpoints().clone();
     sim.finish_replay()?;
     Ok(CampaignRun {
@@ -258,18 +242,14 @@ pub fn run_tme(config: &RunConfig) -> RunOutcome {
 /// Runs a campaign without recording, returning the trace and outcome.
 pub fn run_tme_trace(config: &RunConfig) -> (Trace, RunOutcome) {
     let mut sim = build_sim(config);
-    execute(&mut sim, config, &InjectorRegistry::standard())
+    execute(&mut sim, config)
 }
 
 /// The shared campaign loop: applies the workload, interleaves scheduled
-/// fault injections with simulation steps up to the horizon, runs the
-/// online oracle over every recorded step, and condenses the verdict.
-/// Works identically in idle, recording, and replay entropy modes.
-fn execute(
-    sim: &mut Simulation<Wrapped>,
-    config: &RunConfig,
-    registry: &InjectorRegistry,
-) -> (Trace, RunOutcome) {
+/// fault injections with simulation steps up to the horizon, and
+/// condenses the verdict. Works identically in idle, recording, and
+/// replay entropy modes.
+fn execute(sim: &mut Simulation<Wrapped>, config: &RunConfig) -> (Trace, RunOutcome) {
     let workload_config = WorkloadConfig {
         n: config.n,
         ..config.workload
@@ -279,7 +259,6 @@ fn execute(
     let horizon = config.effective_horizon(&workload);
 
     let mut recorder = TraceRecorder::new(sim);
-    let mut oracle = OnlineOracle::new();
     let mut fault_rng = SmallRng::seed_from_u64(config.seed ^ 0xFA11_FA11);
     let mut pending = config.faults.events().iter().copied().peekable();
     let mut faults_injected = 0usize;
@@ -309,24 +288,33 @@ fn execute(
         };
         if inject_now {
             let event = pending.next().expect("peeked");
-            let (description, affected) = registry.inject(event.site, sim, &mut fault_rng);
+            let (description, affected) = event.kind.inject(sim, &mut fault_rng);
             recorder.mark_fault(sim, affected, description);
             faults_injected += 1;
         } else {
             recorder.step(sim);
         }
-        if let Some(step) = recorder.last_step() {
-            oracle.observe(step);
-        }
     }
+    finish(recorder, sim, config.grace, horizon, faults_injected)
+}
 
+/// Ends a run, for [`execute`] and the hand-driven [`crate::scenarios`]
+/// alike: closes the trace, analyzes its convergence with liveness grace
+/// `grace`, and reads the service and wrapper counters off `sim`.
+pub(crate) fn finish(
+    recorder: TraceRecorder,
+    sim: &Simulation<Wrapped>,
+    grace: u64,
+    horizon: SimTime,
+    faults_injected: usize,
+) -> (Trace, RunOutcome) {
     let trace = recorder.into_trace();
-    debug_assert!(
-        oracle.agrees_with(&trace),
-        "online oracle diverged from the batch ME1 checker"
-    );
-    let report = convergence::analyze(&trace, config.grace);
+    let report = convergence::analyze(&trace, grace);
     let entries: Vec<u64> = sim.processes().map(|p| p.inner().entries()).collect();
+    let last_grant_at = graybox_spec::tme_spec::granted_requests(&trace)
+        .iter()
+        .map(|g| g.entry_time)
+        .max();
     let outcome = RunOutcome {
         verdict: Verdict::from_report(&report),
         total_entries: entries.iter().sum(),
@@ -335,17 +323,9 @@ fn execute(
         messages_sent: sim.stats().sent,
         horizon,
         faults_injected,
-        last_grant_at: last_grant(&trace),
+        last_grant_at,
     };
     (trace, outcome)
-}
-
-/// Time of the last h → e transition in the trace.
-pub(crate) fn last_grant(trace: &Trace) -> Option<SimTime> {
-    graybox_spec::tme_spec::granted_requests(trace)
-        .iter()
-        .map(|g| g.entry_time)
-        .max()
 }
 
 /// Builds the simulation for a config (for scenario scripts that need to

@@ -12,11 +12,10 @@ use graybox_clock::{ProcessId, Timestamp};
 use graybox_rng::rngs::SmallRng;
 use graybox_rng::{Rng, SeedableRng};
 use graybox_simnet::{Corruptible, SimTime};
-use graybox_spec::convergence;
 use graybox_spec::{Trace, TraceRecorder};
 use graybox_tme::{TmeClient, TmeMsg};
 
-use crate::runner::{build_sim, RunConfig, RunOutcome, Verdict};
+use crate::runner::{build_sim, finish, RunConfig, RunOutcome};
 
 /// Runs the §4 deadlock scenario under the given configuration: every
 /// process requests at `t = 1`, and at `t = 2` every interprocess channel
@@ -47,28 +46,7 @@ pub fn deadlock(config: &RunConfig) -> (Trace, RunOutcome) {
     let horizon = config.horizon.unwrap_or(SimTime::from(2_500));
     recorder.run_until(&mut sim, horizon);
 
-    let trace = recorder.into_trace();
-    let report = convergence::analyze(&trace, config.grace);
-    let entries: Vec<u64> = sim.processes().map(|p| p.inner().entries()).collect();
-    let outcome = RunOutcome {
-        verdict: Verdict {
-            stabilized: report.stabilized(),
-            convergence_ticks: report.convergence_ticks(),
-            me1_violations: report.me1_violations,
-            starved: report.starved,
-        },
-        total_entries: entries.iter().sum(),
-        entries,
-        wrapper_resends: sim
-            .processes()
-            .map(graybox_wrapper::GrayboxWrapper::resends)
-            .sum(),
-        messages_sent: sim.stats().sent,
-        horizon,
-        faults_injected: 1,
-        last_grant_at: crate::runner::last_grant(&trace),
-    };
-    (trace, outcome)
+    finish(recorder, &sim, config.grace, horizon, 1)
 }
 
 /// The lost-reply variant of the §4 fault: a single process requests, and
@@ -102,28 +80,7 @@ pub fn reply_loss(config: &RunConfig) -> (Trace, RunOutcome) {
     let horizon = config.horizon.unwrap_or(SimTime::from(2_500));
     recorder.run_until(&mut sim, horizon);
 
-    let trace = recorder.into_trace();
-    let report = convergence::analyze(&trace, config.grace);
-    let entries: Vec<u64> = sim.processes().map(|p| p.inner().entries()).collect();
-    let outcome = RunOutcome {
-        verdict: Verdict {
-            stabilized: report.stabilized(),
-            convergence_ticks: report.convergence_ticks(),
-            me1_violations: report.me1_violations,
-            starved: report.starved,
-        },
-        total_entries: entries.iter().sum(),
-        entries,
-        wrapper_resends: sim
-            .processes()
-            .map(graybox_wrapper::GrayboxWrapper::resends)
-            .sum(),
-        messages_sent: sim.stats().sent,
-        horizon,
-        faults_injected: 1,
-        last_grant_at: crate::runner::last_grant(&trace),
-    };
-    (trace, outcome)
+    finish(recorder, &sim, config.grace, horizon, 1)
 }
 
 /// The classic self-stabilization experiment: start from an **arbitrary
@@ -163,28 +120,7 @@ pub fn arbitrary_init(config: &RunConfig) -> (Trace, RunOutcome) {
     let horizon = config.horizon.unwrap_or(workload.last_request_at() + 2_000);
     recorder.run_until(&mut sim, horizon);
 
-    let trace = recorder.into_trace();
-    let report = convergence::analyze(&trace, config.grace);
-    let entries: Vec<u64> = sim.processes().map(|p| p.inner().entries()).collect();
-    let outcome = RunOutcome {
-        verdict: Verdict {
-            stabilized: report.stabilized(),
-            convergence_ticks: report.convergence_ticks(),
-            me1_violations: report.me1_violations,
-            starved: report.starved,
-        },
-        total_entries: entries.iter().sum(),
-        entries,
-        wrapper_resends: sim
-            .processes()
-            .map(graybox_wrapper::GrayboxWrapper::resends)
-            .sum(),
-        messages_sent: sim.stats().sent,
-        horizon,
-        faults_injected: 1,
-        last_grant_at: crate::runner::last_grant(&trace),
-    };
-    (trace, outcome)
+    finish(recorder, &sim, config.grace, horizon, 1)
 }
 
 #[cfg(test)]

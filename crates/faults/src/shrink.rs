@@ -16,8 +16,8 @@
 //! still-failing schedule, returned together with its recorded
 //! [`CampaignRun`] (replayable oplog included).
 
-use crate::runner::{run_campaign_with, CampaignRun, RunConfig, RunOutcome};
-use crate::{FaultEvent, FaultPlan, InjectorRegistry};
+use crate::runner::{run_campaign, CampaignRun, RunConfig, RunOutcome};
+use crate::{FaultEvent, FaultPlan};
 
 /// The default failure predicate: the run failed to stabilize, or safety
 /// was violated after the last fault.
@@ -45,26 +45,16 @@ impl ShrinkOutcome {
     }
 }
 
-/// Shrinks `config`'s fault plan against `fails` (see the module docs),
-/// using the standard injector registry.
+/// Shrinks `config`'s fault plan against `fails` (see the module docs).
 ///
 /// Returns `None` when the original campaign does not fail the predicate
 /// — there is nothing to shrink.
 pub fn shrink(config: &RunConfig, fails: impl Fn(&RunOutcome) -> bool) -> Option<ShrinkOutcome> {
-    shrink_with(config, &InjectorRegistry::standard(), fails)
-}
-
-/// [`shrink`] with a custom injector registry.
-pub fn shrink_with(
-    config: &RunConfig,
-    registry: &InjectorRegistry,
-    fails: impl Fn(&RunOutcome) -> bool,
-) -> Option<ShrinkOutcome> {
     let mut campaigns_run = 0usize;
     let mut check = |plan: &FaultPlan| -> Option<CampaignRun> {
         let candidate = config.clone().faults(plan.clone());
         campaigns_run += 1;
-        let run = run_campaign_with(&candidate, registry);
+        let run = run_campaign(&candidate);
         fails(&run.outcome).then_some(run)
     };
 
@@ -113,7 +103,7 @@ pub fn shrink_with(
                     .map(|e| {
                         let offset = e.at.since(first);
                         let compressed = if k == u64::MAX { 0 } else { offset / k };
-                        FaultEvent::at_site(first + compressed, e.site)
+                        FaultEvent::new(first + compressed, e.kind)
                     })
                     .collect();
                 if candidate.iter().map(|e| e.at).eq(best.iter().map(|e| e.at)) {

@@ -17,10 +17,10 @@
 //! recording, no replay — pays only a counter increment per firing and
 //! never allocates.
 //!
-//! Fault *plans* key their schedules by these site names (see
-//! `graybox-faults`), so adding a new injection site means adding a
-//! constant here and an injector there — the campaign runner never
-//! changes.
+//! Each `FaultKind` of `graybox-faults` fires one of these sites, and
+//! oplogs and repro files name faults by them. Adding an injection site
+//! means a constant here and, there, a variant and one `match` arm — the
+//! campaign runner never changes.
 
 use std::collections::BTreeMap;
 
@@ -47,7 +47,7 @@ pub const SIM_DELAY: &str = "sim.delay";
 /// Every failpoint the simulator itself can fire, in registry order.
 ///
 /// `graybox-faults` contributes [`PROCESS_RESET`] firings through the same
-/// mechanism; it is listed here so name lookups cover the full site set.
+/// mechanism; it is listed here so the list covers the full site set.
 pub const ALL_SITES: [&str; 9] = [
     CHANNEL_DROP,
     CHANNEL_DUPLICATE,
@@ -59,11 +59,6 @@ pub const ALL_SITES: [&str; 9] = [
     PROCESS_RESET,
     SIM_DELAY,
 ];
-
-/// Resolves a site name to its canonical `'static` constant, if known.
-pub fn lookup_site(name: &str) -> Option<&'static str> {
-    ALL_SITES.iter().copied().find(|s| *s == name)
-}
 
 /// Per-run hit counters for every failpoint that fired.
 ///
@@ -148,13 +143,5 @@ mod tests {
         let order: Vec<_> = reg.iter().map(|(s, _)| s).collect();
         assert_eq!(order, vec![CHANNEL_DROP, MSG_CORRUPT]);
         assert_eq!(reg.summary(), "channel.drop: 2\nmsg.corrupt: 1\n");
-    }
-
-    #[test]
-    fn site_lookup_round_trips() {
-        for site in ALL_SITES {
-            assert_eq!(lookup_site(site), Some(site));
-        }
-        assert_eq!(lookup_site("channel.teleport"), None);
     }
 }

@@ -44,11 +44,9 @@
 pub mod convergence;
 pub mod lspec;
 pub mod metrics;
-pub mod oracle;
 pub mod report;
 pub mod temporal;
 pub mod tme_spec;
 mod trace;
 
-pub use oracle::OnlineOracle;
 pub use trace::{Trace, TraceEventKind, TraceRecorder, TraceStep};

@@ -34,7 +34,7 @@ use crate::{Trace, TraceEventKind};
 /// legitimately undischarged at trace end).
 pub const DEFAULT_GRACE: u64 = 200;
 
-fn per_process_states<'a, T: 'a>(
+pub(crate) fn per_process_states<'a, T: 'a>(
     trace: &'a Trace,
     pid: usize,
     project: impl Fn(&graybox_tme::ProcSnapshot) -> T + 'a,
@@ -304,7 +304,7 @@ fn actual_req(snaps: &[graybox_tme::ProcSnapshot], k: usize) -> Timestamp {
     snaps[k].req
 }
 
-fn merge_liveness(outcomes: impl Iterator<Item = LivenessOutcome>) -> LivenessOutcome {
+pub(crate) fn merge_liveness(outcomes: impl Iterator<Item = LivenessOutcome>) -> LivenessOutcome {
     let mut merged = LivenessOutcome::default();
     for outcome in outcomes {
         merged.violated.extend(outcome.violated);

@@ -2,10 +2,11 @@
 //!
 //! Counterparts of the operators in `graybox_core::unity`, but evaluated on
 //! a single finite execution instead of a full transition system. Safety
-//! operators (`unless`, `stable`, `invariant`) report every violating step
-//! index; the liveness operator (`leads_to`) additionally reports *pending*
-//! obligations — `p`-states near the end of the trace whose `q` may simply
-//! not have arrived yet — so finite-trace semantics stay honest.
+//! checkers (in [`lspec`](crate::lspec) and [`tme_spec`](crate::tme_spec))
+//! report every violating step index as a [`SafetyOutcome`]; the liveness
+//! operator [`leads_to`] additionally reports *pending* obligations —
+//! `p`-states near the end of the trace whose `q` may simply not have
+//! arrived yet — so finite-trace semantics stay honest.
 
 use graybox_simnet::SimTime;
 
@@ -62,45 +63,6 @@ impl LivenessOutcome {
     }
 }
 
-/// Checks `p unless q` over a sequence of states: for each adjacent pair,
-/// if `p ∧ ¬q` holds before, `p ∨ q` must hold after. `states[i]` is the
-/// state after step `i-1` (`states[0]` is initial); a violation at pair
-/// `(i, i+1)` is reported at step index `i` with `times[i]`.
-pub fn unless<S>(
-    states: &[S],
-    times: &[SimTime],
-    p: impl Fn(&S) -> bool,
-    q: impl Fn(&S) -> bool,
-) -> SafetyOutcome {
-    let mut violations = Vec::new();
-    for i in 0..states.len().saturating_sub(1) {
-        let (before, after) = (&states[i], &states[i + 1]);
-        if p(before) && !q(before) && !(p(after) || q(after)) {
-            violations.push((i, times[i]));
-        }
-    }
-    SafetyOutcome { violations }
-}
-
-/// Checks `stable p` ≡ `p unless false`.
-pub fn stable<S>(states: &[S], times: &[SimTime], p: impl Fn(&S) -> bool) -> SafetyOutcome {
-    unless(states, times, p, |_| false)
-}
-
-/// Checks that `q` holds in every state (the trace analogue of an
-/// invariant; initial-state membership is `states[0]`).
-pub fn always<S>(states: &[S], times: &[SimTime], q: impl Fn(&S) -> bool) -> SafetyOutcome {
-    let mut violations = Vec::new();
-    for (i, state) in states.iter().enumerate() {
-        if !q(state) {
-            // State i is the result of step i-1; attribute to that step.
-            let step = i.saturating_sub(1);
-            violations.push((step, times[step.min(times.len().saturating_sub(1))]));
-        }
-    }
-    SafetyOutcome { violations }
-}
-
 /// Checks `p ↦ q` (leads-to) with finite-trace grace: every state index
 /// where `p` holds must be followed (at or after it) by a state where `q`
 /// holds; undischarged obligations whose opening time is within `grace` of
@@ -142,34 +104,12 @@ mod tests {
     }
 
     #[test]
-    fn unless_detects_unguarded_exit() {
-        // p = value < 2, q = value == 2.
-        let states = vec![0, 1, 5];
-        let out = unless(&states, &times(3), |&v| v < 2, |&v| v == 2);
-        assert!(!out.holds());
-        assert_eq!(out.violations, vec![(1, SimTime::from(1))]);
-    }
-
-    #[test]
-    fn unless_accepts_guarded_exit_and_stutter() {
-        let states = vec![0, 0, 1, 2, 5];
-        let out = unless(&states, &times(5), |&v| v < 2, |&v| v == 2);
-        assert!(out.holds());
-    }
-
-    #[test]
-    fn stable_flags_any_exit() {
-        let states = vec![1, 1, 0];
-        let out = stable(&states, &times(3), |&v| v == 1);
-        assert_eq!(out.violations.len(), 1);
-        assert_eq!(out.last_violation(), Some(SimTime::from(1)));
-    }
-
-    #[test]
     fn holds_from_locates_suffix() {
-        let states = vec![0, 9, 0, 0];
-        let out = always(&states, &times(4), |&v| v == 0);
+        let out = SafetyOutcome {
+            violations: vec![(0, SimTime::from(0))],
+        };
         assert!(!out.holds());
+        assert_eq!(out.last_violation(), Some(SimTime::from(0)));
         assert!(out.holds_from(SimTime::from(1)));
         assert!(!out.holds_from(SimTime::from(0)));
     }

@@ -9,8 +9,8 @@
 
 use graybox_clock::{EventRef, ProcessId, Timestamp};
 use graybox_simnet::SimTime;
-use graybox_tme::Mode;
 
+use crate::lspec::{merge_liveness, per_process_states};
 use crate::temporal::{LivenessOutcome, SafetyOutcome};
 use crate::Trace;
 
@@ -42,30 +42,17 @@ pub fn check_me1(trace: &Trace) -> SafetyOutcome {
 /// genuine starvation is being stuck hungry forever, which both forms
 /// flag.
 pub fn check_me2(trace: &Trace, grace: u64) -> LivenessOutcome {
-    let mut merged = LivenessOutcome::default();
-    for pid in 0..trace.n() {
-        let mut states = vec![trace.initial()[pid].mode];
-        let mut times = Vec::new();
-        for step in trace.steps() {
-            states.push(step.snapshots[pid].mode);
-            times.push(step.time);
-        }
-        let outcome = crate::temporal::leads_to(
-            &states,
+    merge_liveness((0..trace.n()).map(|pid| {
+        let (modes, times) = per_process_states(trace, pid, |s| s.mode);
+        crate::temporal::leads_to(
+            &modes,
             &times,
             trace.end_time(),
             grace,
-            |m: &Mode| m.is_hungry(),
-            |m: &Mode| !m.is_hungry(),
-        );
-        merged.violated.extend(outcome.violated);
-        merged.pending.extend(outcome.pending);
-    }
-    merged.violated.sort_unstable();
-    merged.violated.dedup();
-    merged.pending.sort_unstable();
-    merged.pending.dedup();
-    merged
+            |m| m.is_hungry(),
+            |m| !m.is_hungry(),
+        )
+    }))
 }
 
 /// A granted request instance: request event, entry event, and their
@@ -186,7 +173,7 @@ mod tests {
     use crate::lspec::DEFAULT_GRACE;
     use crate::TraceRecorder;
     use graybox_simnet::{SimConfig, Simulation};
-    use graybox_tme::{Implementation, TmeProcess, Workload, WorkloadConfig};
+    use graybox_tme::{Implementation, Mode, TmeProcess, Workload, WorkloadConfig};
 
     fn fault_free_trace(implementation: Implementation, n: usize, seed: u64) -> Trace {
         let procs = (0..u32::try_from(n).unwrap())

@@ -242,13 +242,6 @@ impl TraceRecorder {
         });
     }
 
-    /// The most recently recorded step (event or fault marker), if any.
-    /// Online oracles observe this after each
-    /// [`step`](TraceRecorder::step) without cloning the trace.
-    pub fn last_step(&self) -> Option<&TraceStep> {
-        self.steps.last()
-    }
-
     /// Clones the recording so far into a [`Trace`] without ending the
     /// recording (used to check properties mid-run).
     pub fn clone_trace(&self) -> Trace {
