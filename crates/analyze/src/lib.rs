@@ -11,7 +11,7 @@
 //! 1. [`footprint`] — per-command may-read/may-write variable sets,
 //!    inferred from the syntax tree.
 //! 2. [`locality`] — checks every command against a variable-to-process
-//!    [`Partition`](locality::Partition). A program that passes is a
+//!    [`Partition`]. A program that passes is a
 //!    conjunction of per-process components, which is the syntactic side
 //!    of the paper's "local everywhere specification" decomposition
 //!    (Lemmas 2–3): each process's commands touch only variables its

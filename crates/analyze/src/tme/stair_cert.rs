@@ -268,9 +268,10 @@ const PARAM_N: usize = 3;
 /// Certifies the level-2 TME stair (or deliberately fails to, for the
 /// mutant targets): derives the pair dynamics from the IR, checks every
 /// stair obligation, validates the deferral patterns, and discharges
-/// the parametric side conditions at n = [`PARAM_N`]. No state space is
-/// enumerated anywhere on this path — only the 648-point pair cone,
-/// per-command support cones, and the `n!`-row order tables.
+/// the parametric side conditions at n = 3, the smallest n with
+/// third-party processes. No state space is enumerated anywhere on this
+/// path — only the 648-point pair cone, per-command support cones, and
+/// the `n!`-row order tables.
 ///
 /// # Panics
 ///

@@ -12,8 +12,8 @@
 
 use graybox_analyze::command_footprint;
 use graybox_core::gcl::ir::{Cond, Expr, IrCommand, Stmt};
-use graybox_core::gcl::reference::{Program as RefProgram, Valuation};
 use graybox_core::gcl::{Program, State, VarRef};
+use graybox_oracles::gcl::{Program as RefProgram, Valuation, Var};
 use graybox_rng::rngs::SmallRng;
 use graybox_rng::{Rng, SeedableRng};
 
@@ -190,16 +190,12 @@ fn spec_to_ir_command(spec: &Spec, index: usize, vars: &[VarRef]) -> IrCommand {
     IrCommand::new(format!("c{index}"), guard, body)
 }
 
-fn declare(var: &mut dyn FnMut(String, usize) -> VarRef, domains: &[usize]) -> Vec<VarRef> {
+fn declare_packed(program: &mut Program, domains: &[usize]) -> Vec<VarRef> {
     domains
         .iter()
         .enumerate()
-        .map(|(i, &d)| var(format!("x{i}"), d))
+        .map(|(i, &d)| program.var(format!("x{i}"), d))
         .collect()
-}
-
-fn declare_packed(program: &mut Program, domains: &[usize]) -> Vec<VarRef> {
-    declare(&mut |name, domain| program.var(name, domain), domains)
 }
 
 fn build_ir(spec: &Spec) -> Program {
@@ -213,7 +209,7 @@ fn build_ir(spec: &Spec) -> Program {
 
 // --------------------------------------------------------- reference side
 
-fn atom_holds(atom: &Atom, s: &Valuation, vars: &[VarRef]) -> bool {
+fn atom_holds(atom: &Atom, s: &Valuation, vars: &[Var]) -> bool {
     match atom {
         Atom::EqConst(v, c) => s[vars[*v]] == *c,
         Atom::LtConst(v, c) => s[vars[*v]] < *c,
@@ -223,7 +219,7 @@ fn atom_holds(atom: &Atom, s: &Valuation, vars: &[VarRef]) -> bool {
     }
 }
 
-fn run_action(action: &Action, s: &mut Valuation, vars: &[VarRef], domains: &[usize]) {
+fn run_action(action: &Action, s: &mut Valuation, vars: &[Var], domains: &[usize]) {
     match action {
         Action::SetConst(dst, c) => s[vars[*dst]] = *c,
         Action::Copy { dst, src } => s[vars[*dst]] = s[vars[*src]],
@@ -248,7 +244,12 @@ fn run_action(action: &Action, s: &mut Valuation, vars: &[VarRef], domains: &[us
 
 fn build_reference(spec: &Spec) -> RefProgram {
     let mut program = RefProgram::new();
-    let vars = declare(&mut |name, domain| program.var(name, domain), &spec.domains);
+    let vars: Vec<Var> = spec
+        .domains
+        .iter()
+        .enumerate()
+        .map(|(i, &d)| program.var(format!("x{i}"), d))
+        .collect();
     for (index, cmd) in spec.commands.iter().enumerate() {
         let (g_cmd, g_vars) = (cmd.clone(), vars.clone());
         let (e_cmd, e_vars, e_domains) = (cmd.clone(), vars.clone(), spec.domains.clone());
@@ -291,12 +292,12 @@ fn random_programs_footprints_and_twins_agree() {
         let reference = build_reference(&spec);
         let x0 = declare_packed(&mut Program::new(), &spec.domains)[0];
         let init = move |s: &State<'_>| s.get(x0) < init_below;
-        let ref_init = move |s: &Valuation| s[x0] < init_below;
+        let ref_init = move |s: &Valuation| s.values()[x0.index()] < init_below;
         let ir_compiled = ir.compile(init).expect("ir compile");
         let ref_compiled = reference.compile(ref_init).expect("reference compile");
         assert_eq!(
             ir_compiled.system(),
-            ref_compiled.system(),
+            &ref_compiled,
             "seed {seed}: compiled systems diverge"
         );
         let (ir_fair, _) = ir.compile_fair(init).expect("ir compile_fair");

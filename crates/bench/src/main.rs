@@ -1,9 +1,9 @@
 //! Offline micro-benchmark harness for the graybox transition engine.
 //!
-//! Times the CSR/bitset engine ([`FiniteSystem`]) against the retained
-//! `BTreeSet` baseline ([`ReferenceSystem`]) on the model-checking hot
-//! paths, and the packed-state GCL compiler against the retained
-//! decode/encode reference compiler on the TME case study
+//! Times the CSR/bitset engine ([`FiniteSystem`]) against its
+//! `BTreeSet` oracle ([`ReferenceSystem`]) on the model-checking hot
+//! paths, and the packed-state GCL compiler against the decode/encode
+//! oracle compiler on the TME case study
 //! (`gcl_compile/{2proc,3proc}`, plus the end-to-end streaming
 //! `tme_exhaustive/3proc` check), and the sharded parallel pipeline
 //! against its own serial sweep (worker-count scaling at 1/2/4/8
@@ -32,15 +32,16 @@
 use std::time::Instant;
 
 use graybox_clock::ProcessId;
-use graybox_core::reference::ReferenceSystem;
 use graybox_core::sweep::{available_workers, sweep_seeds_on};
 use graybox_core::{box_compose, is_stabilizing_to, tme_abstract, FiniteSystem};
 use graybox_faults::{build_sim, RunConfig};
+use graybox_oracles::queue::HeapQueue;
+use graybox_oracles::system::ReferenceSystem;
+use graybox_oracles::tme::program_nproc_reference;
 use graybox_rng::rngs::SmallRng;
 use graybox_rng::{Rng, SeedableRng};
 use graybox_simnet::{
-    Context, EventQueue, HeapQueue, PackedEvent, Process, ReferenceSimulation, SimConfig, SimTime,
-    Simulation, TimerWheel,
+    Context, EventQueue, PackedEvent, Process, SimConfig, SimTime, Simulation, TimerWheel,
 };
 use graybox_tme::{ring, Implementation, RingConfig, TmeClient, Workload, WorkloadConfig};
 use graybox_wrapper::WrapperConfig;
@@ -96,6 +97,32 @@ fn bench<R>(name: &str, engine: &'static str, target_ms: u64, mut f: impl FnMut(
         sample.name, sample.engine, sample.ns_per_iter, sample.iters
     );
     sample
+}
+
+/// How many interleaved A/B rounds a ratio gate times: A, B, A, B, ….
+const PAIRS: usize = 5;
+
+/// Runs `round` (one A sample, then one B sample) [`PAIRS`] times and
+/// returns each side's fastest sample, for the JSON rows, plus the best
+/// same-round ratio `B / A`, for the gate. A and B are timed back to
+/// back within a round, so host congestion hits both sides of the
+/// fraction; noise only ever adds time, so one clean round out of five
+/// gives an honest ratio even on a busy box, where a single sample per
+/// side decides on noise.
+fn interleaved(mut round: impl FnMut() -> (Sample, Sample)) -> (Sample, Sample, f64) {
+    let rounds: Vec<(Sample, Sample)> = (0..PAIRS).map(|_| round()).collect();
+    let ratio = rounds
+        .iter()
+        .map(|(a, b)| b.ns_per_iter / a.ns_per_iter)
+        .min_by(f64::total_cmp)
+        .expect("PAIRS rounds ran");
+    let fastest = |side: Vec<Sample>| {
+        side.into_iter()
+            .min_by(|a, b| a.ns_per_iter.total_cmp(&b.ns_per_iter))
+            .expect("PAIRS rounds ran")
+    };
+    let (a, b): (Vec<Sample>, Vec<Sample>) = rounds.into_iter().unzip();
+    (fastest(a), fastest(b), ratio)
 }
 
 /// Times `f` exactly once and hands the result back. For multi-second
@@ -372,6 +399,7 @@ fn main() {
     }
 
     // --- Parallel sweep scaling (CSR engine, one decision per seed). ---
+    let sweep_factor: f64;
     {
         let n = 400;
         let seeds = 64u64;
@@ -387,12 +415,18 @@ fn main() {
             ));
         }
         let name = format!("sweep/{seeds}x(n={n})");
-        samples.push(bench(&name, "serial", target_ms, || {
-            sweep_seeds_on(0..seeds, 1, decide).len()
-        }));
-        samples.push(bench(&name, "parallel", target_ms, || {
-            sweep_seeds_on(0..seeds, workers, decide).len()
-        }));
+        let (serial, parallel, parallel_over_serial) = interleaved(|| {
+            let serial = bench(&name, "serial", target_ms, || {
+                sweep_seeds_on(0..seeds, 1, decide).len()
+            });
+            let parallel = bench(&name, "parallel", target_ms, || {
+                sweep_seeds_on(0..seeds, workers, decide).len()
+            });
+            (serial, parallel)
+        });
+        samples.push(serial);
+        samples.push(parallel);
+        sweep_factor = 1.0 / parallel_over_serial;
     }
 
     // --- Oplog recording cost: `Simulation` with no sink attached
@@ -431,33 +465,19 @@ fn main() {
         // The overhead gate below compares ratios near 1.0, where
         // scheduler noise on a busy host would dominate a single
         // measurement — unlike the order-of-magnitude engine benches, so
-        // this section keeps a floor time budget even in smoke mode.
-        // Noise is one-sided (preemption only ever adds time), so run
-        // five rounds and score each round's *ratio*: idle and recording
-        // are timed back to back within a round, so congestion hits both
-        // sides of the fraction, and one clean round out of five gives
-        // an honest overhead figure even on a busy box.
+        // this section keeps a floor time budget even in smoke mode, and
+        // the gate reads the best of interleaved rounds.
         let overhead_ms = target_ms.max(150);
         let name = "simnet_overhead/relay-ring".to_string();
-        let (mut idle, mut recording) = (Vec::new(), Vec::new());
-        for _round in 0..5 {
-            idle.push(bench(&name, "idle", overhead_ms, run_idle));
-            recording.push(bench(&name, "recording", overhead_ms, run_recording));
-        }
-        recording_factor = idle
-            .iter()
-            .zip(&recording)
-            .map(|(i, r)| r.ns_per_iter / i.ns_per_iter)
-            .min_by(f64::total_cmp)
-            .expect("five rounds ran");
-        let best = |rounds: Vec<Sample>| {
-            rounds
-                .into_iter()
-                .min_by(|a, b| a.ns_per_iter.total_cmp(&b.ns_per_iter))
-                .expect("five rounds ran")
-        };
-        samples.push(best(idle));
-        samples.push(best(recording));
+        let (idle, recording, factor) = interleaved(|| {
+            (
+                bench(&name, "idle", overhead_ms, run_idle),
+                bench(&name, "recording", overhead_ms, run_recording),
+            )
+        });
+        samples.push(idle);
+        samples.push(recording);
+        recording_factor = factor;
     }
 
     // --- Simulator scale: the timer-wheel engine vs the retained binary
@@ -490,7 +510,7 @@ fn main() {
             sim.run_until_quiet(horizon)
         };
         let run_heap = || {
-            let mut sim: ReferenceSimulation<_> =
+            let mut sim: Simulation<_, HeapQueue> =
                 Simulation::with_queue(ring(n, cfg), SimConfig::with_seed(7));
             seed_requests(&mut |at, pid| {
                 sim.schedule_client(at, pid, TmeClient::Request { eat_for: 2 });
@@ -621,7 +641,7 @@ fn main() {
     // workload, 648 states x 14 commands, full fair compile). ---
     {
         let (packed, packed_init) = tme_abstract::program_nproc_ir(2, true);
-        let (reference, reference_init) = tme_abstract::program_nproc_reference(2, true);
+        let (reference, reference_init) = program_nproc_reference(2, true);
         // Sanity: the two compilers must produce identical systems before
         // we time them.
         {
@@ -629,7 +649,7 @@ fn main() {
             let (fair_b, plain_b) = reference
                 .compile_fair(&reference_init)
                 .expect("reference 2proc");
-            assert_eq!(plain_a.system(), plain_b.system());
+            assert_eq!(plain_a.system(), &plain_b);
             assert_eq!(fair_a.union(), fair_b.union());
         }
         let name = "gcl_compile/2proc".to_string();
@@ -651,6 +671,7 @@ fn main() {
     // In smoke mode only the serial-vs-parallel gate pair runs, and only
     // when more than one core is available. ---
     let threads = available_workers();
+    let mut compile_parallel_factor: Option<f64> = None;
     {
         let (packed, packed_init) = tme_abstract::program_nproc_ir(3, false);
         let name = "gcl_compile/3proc".to_string();
@@ -659,14 +680,14 @@ fn main() {
                 packed.compile(&packed_init).expect("packed 3proc")
             });
             samples.push(sample);
-            let (reference, reference_init) = tme_abstract::program_nproc_reference(3, false);
+            let (reference, reference_init) = program_nproc_reference(3, false);
             let (sample, reference_sys) = bench_once(&name, "reference", || {
                 reference.compile(&reference_init).expect("reference 3proc")
             });
             samples.push(sample);
             assert_eq!(
                 packed_sys.system(),
-                reference_sys.system(),
+                &reference_sys,
                 "3proc compilers disagree"
             );
             drop(reference_sys);
@@ -688,21 +709,25 @@ fn main() {
         if threads > 1 {
             // The serial-vs-parallel gate pair (smoke included): the
             // parallel engine must beat the serial sweep on this box.
-            let (sample, serial_sys) = bench_once(&name, "packed-serial", || {
-                packed.compile_on(1, &packed_init).expect("packed 3proc")
+            let (serial, parallel, parallel_over_serial) = interleaved(|| {
+                let (serial, serial_sys) = bench_once(&name, "packed-serial", || {
+                    packed.compile_on(1, &packed_init).expect("packed 3proc")
+                });
+                let (parallel, parallel_sys) = bench_once(&name, "packed-parallel", || {
+                    packed
+                        .compile_on(threads, &packed_init)
+                        .expect("packed 3proc")
+                });
+                assert_eq!(
+                    serial_sys.system(),
+                    parallel_sys.system(),
+                    "sharded 3proc compile diverges at {threads} workers"
+                );
+                (serial, parallel)
             });
-            samples.push(sample);
-            let (sample, parallel_sys) = bench_once(&name, "packed-parallel", || {
-                packed
-                    .compile_on(threads, &packed_init)
-                    .expect("packed 3proc")
-            });
-            samples.push(sample);
-            assert_eq!(
-                serial_sys.system(),
-                parallel_sys.system(),
-                "sharded 3proc compile diverges at {threads} workers"
-            );
+            samples.push(serial);
+            samples.push(parallel);
+            compile_parallel_factor = Some(1.0 / parallel_over_serial);
         } else {
             skipped.push("gcl_compile/3proc serial-vs-parallel pair: skipped (1 core)".to_string());
         }
@@ -860,7 +885,9 @@ fn main() {
     }
     speedups.extend(speedup("reachable_from/n=1000", "csr", "reference"));
     speedups.extend(speedup("box_compose+decide/n=1000", "csr", "reference"));
-    speedups.extend(speedup("sweep/64x(n=400)", "parallel", "serial"));
+    // Parallel-over-serial factors: the best same-round speedup of
+    // interleaved rounds (higher is better).
+    speedups.push(("sweep/64x(n=400)".to_string(), sweep_factor));
     // Overhead factor (recording ns / idle ns, best same-round ratio —
     // lower is better, 1.0 = free).
     speedups.push((
@@ -873,11 +900,8 @@ fn main() {
     if !smoke {
         speedups.extend(speedup("gcl_compile/3proc", "packed", "reference"));
     }
-    if threads > 1 {
-        if let Some((_, factor)) = speedup("gcl_compile/3proc", "packed-parallel", "packed-serial")
-        {
-            speedups.push(("gcl_compile/3proc/parallel".to_string(), factor));
-        }
+    if let Some(factor) = compile_parallel_factor {
+        speedups.push(("gcl_compile/3proc/parallel".to_string(), factor));
     }
     // Streaming-check scaling rows, measured above (full mode) regardless
     // of the host's core count.
@@ -1073,13 +1097,9 @@ fn main() {
     // so anything below 0.9x (measurement-noise allowance) is a
     // regression. At 1 thread both rows execute the identical code
     // path and the comparison measures only calibration drift, so the
-    // gate is live only when parallelism actually engages.
+    // gate is live only when parallelism actually engages. It reads the
+    // best of `PAIRS` interleaved rounds.
     if threads > 1 {
-        let sweep_factor = speedups
-            .iter()
-            .find(|(name, _)| name == "sweep/64x(n=400)")
-            .map(|&(_, f)| f)
-            .unwrap_or(0.0);
         assert!(
             sweep_factor >= 0.9,
             "parallel sweep lost to serial: {sweep_factor:.2}x at {threads} threads"
@@ -1119,13 +1139,9 @@ fn main() {
 
     // Sharded compilation must actually pay off when cores exist. On a
     // single-core host serial and parallel are the same engine, so the
-    // gate is meaningless there and is skipped.
-    if threads > 1 {
-        let par_factor = speedups
-            .iter()
-            .find(|(name, _)| name == "gcl_compile/3proc/parallel")
-            .map(|&(_, f)| f)
-            .unwrap_or(0.0);
+    // gate is meaningless there and is skipped. It reads the best of
+    // `PAIRS` interleaved rounds.
+    if let Some(par_factor) = compile_parallel_factor {
         assert!(
             par_factor >= 1.5,
             "sharded GCL compiler regressed: only {par_factor:.2}x over serial \

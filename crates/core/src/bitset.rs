@@ -5,8 +5,9 @@
 //! subset tests are word-wide AND, and iteration walks set bits with
 //! `trailing_zeros`. The transition engine ([`crate::FiniteSystem`]) uses
 //! it for initial states, reachability closures, and legitimate sets,
-//! replacing the `BTreeSet<usize>` representation (now retained only in
-//! [`crate::reference`] for cross-validation).
+//! replacing the `BTreeSet<usize>` representation (now retained only as
+//! the oracle `ReferenceSystem` in the test-only `graybox-oracles`
+//! crate).
 
 use std::borrow::Borrow;
 use std::collections::BTreeSet;

@@ -41,9 +41,9 @@
 //! (sorted, deduplicated) and appended to a flat CSR array, so no
 //! intermediate `Vec<Vec<usize>>` of edges is ever built.
 //!
-//! The pre-packed decode/encode compiler is retained unchanged in
-//! [`reference`] and cross-validated against this pipeline by the
-//! differential suites.
+//! The pre-packed decode/encode compiler survives as the oracle of this
+//! pipeline in the test-only `graybox-oracles` crate, and the
+//! differential suites cross-validate the two.
 //!
 //! # Example
 //!
@@ -68,7 +68,6 @@
 pub mod ir;
 mod lower;
 mod reduce;
-pub mod reference;
 pub mod sym;
 
 use std::fmt;
@@ -86,17 +85,12 @@ use self::lower::LoweredCommand;
 /// Default cap on compiled state-space size, to catch accidental blowups.
 pub const DEFAULT_MAX_STATES: usize = 1 << 20;
 
-/// A handle to a program variable, usable with [`State::get`] /
-/// [`State::set`] (packed pipeline) or to index a
-/// [`reference::Valuation`] (retained compiler).
+/// A handle to a program variable: its declaration index, read with
+/// [`State::get`] and written by [`ir::Stmt`] bodies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct VarRef(usize);
 
 impl VarRef {
-    pub(crate) fn new(index: usize) -> Self {
-        VarRef(index)
-    }
-
     /// The variable's declaration index (its position in decoded value
     /// vectors such as [`CompiledProgram::decode`]).
     pub fn index(self) -> usize {

@@ -632,7 +632,7 @@ mod tests {
     fn undeclared_variable_in_ir_panics_at_insertion() {
         let mut p = Program::new();
         let _ = p.var("x", 2);
-        let ghost = VarRef::new(7);
+        let ghost = VarRef(7);
         p.command_ir(IrCommand::new(
             "bad",
             Cond::Const(true),

@@ -553,7 +553,7 @@ mod tests {
     }
 
     fn init(s: &State<'_>) -> bool {
-        s.get(super::super::VarRef::new(0)) == 0 && s.get(super::super::VarRef::new(1)) == 0
+        s.get(super::super::VarRef(0)) == 0 && s.get(super::super::VarRef(1)) == 0
     }
 
     #[test]

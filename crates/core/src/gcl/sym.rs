@@ -1,7 +1,7 @@
 //! Symmetry quotient over the packed mixed-radix state word.
 //!
 //! A [`SymmetrySpec`] is a finite permutation group acting on a
-//! [`Program`](super::Program)'s packed states: each element permutes the
+//! [`Program`]'s packed states: each element permutes the
 //! variables (and optionally relabels values, e.g. the `ord` ground-truth
 //! permutation index of the TME model) and correspondingly permutes the
 //! commands. The *canonical form* of a state is the lexicographically
@@ -155,7 +155,7 @@ impl std::error::Error for SymmetryError {}
 /// the composition table (identity value maps normalized to `None`).
 type ElemKey = (Vec<u32>, Vec<Option<Vec<u32>>>, Vec<u32>);
 
-/// A validated finite symmetry group of a [`Program`](super::Program),
+/// A validated finite symmetry group of a [`Program`],
 /// with closure, inverse, and command-conjugation tables precomputed so
 /// the quotient sweeps pay only mul-adds per image.
 #[derive(Debug, Clone)]
@@ -1258,8 +1258,8 @@ mod tests {
     #[test]
     fn sym_check_matches_the_full_check() {
         let (p, spec) = two_counters(4);
-        let x = super::super::VarRef::new(0);
-        let y = super::super::VarRef::new(1);
+        let x = super::super::VarRef(0);
+        let y = super::super::VarRef(1);
         let full = p
             .fair_self_check(move |s: &State<'_>| s.get(x) == 0 && s.get(y) == 0)
             .unwrap();

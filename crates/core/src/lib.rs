@@ -27,9 +27,8 @@
 //! systems; [`dijkstra`] exercises the framework on the classic K-state
 //! token ring; [`tme_abstract`] model-checks the paper's TME case study
 //! exhaustively, with [`tme_abstract::build_n`]`(2)` as its 2-process
-//! case. [`reference`](mod@reference) is the one differential oracle for
-//! the CSR engine: the original `BTreeSet` representation, which the
-//! property tests and `graybox-bench` run against [`FiniteSystem`].
+//! case. The differential oracles the engines are checked against live
+//! in the test-only `graybox-oracles` crate, not here.
 //!
 //! ## Example: the Figure 1 counterexample
 //!
@@ -55,7 +54,6 @@ pub mod gcl;
 pub mod method;
 mod par;
 pub mod randsys;
-pub mod reference;
 mod relations;
 pub mod sweep;
 pub mod synthesis;

@@ -94,7 +94,7 @@ pub fn synthesize_level1(family: &LocalFamily) -> Result<Vec<FiniteSystem>, Syst
 /// components are **all locally legitimate**, illegitimate-for-the-target
 /// states get a recovery edge to a canonical target-initial state; every
 /// other state (including internally inconsistent ones) just stutters —
-/// "the level (2) wrapper optimistically … assum[es] that the processes
+/// "the level (2) wrapper optimistically … assum\[es\] that the processes
 /// are in internally consistent states" (§2.2).
 ///
 /// # Errors

@@ -17,8 +17,8 @@
 //! At one worker the sweep runs fully inline — the parallel entry points
 //! are never slower than a hand-written serial loop there.
 //!
-//! The same chunked `thread::scope` plumbing ([`join_all`],
-//! [`chunk_ranges`]) drives the sharded GCL compiler and the parallel
+//! The same chunked `thread::scope` plumbing (`join_all`,
+//! `chunk_ranges`) drives the sharded GCL compiler and the parallel
 //! BFS in [`crate::gcl`] and [`crate::FiniteSystem`].
 //!
 //! # Thread-count control

@@ -12,12 +12,11 @@
 //! [`build_n`]`(2)` is the 2-process case (648 states, materializable in
 //! milliseconds) and [`build_n`]`(3)` the ≈7.6M-state workload checked by
 //! the streaming [`Program::fair_self_check`] pipeline, which never
-//! materializes per-command components. The model comes in two
-//! encodings that compile to identical systems: IR syntax trees
-//! ([`program_nproc_ir`], what [`build_n`] checks and the static passes
-//! read), and the retained [`crate::gcl::reference`] DSL
-//! ([`program_nproc_reference`], the compiler oracle and benchmark
-//! baseline).
+//! materializes per-command components. The model is written as IR
+//! syntax trees ([`program_nproc_ir`]): what [`build_n`] checks and the
+//! static passes read. Its oracle, the same model in the decode/encode
+//! DSL, is `graybox_oracles::tme::program_nproc_reference`; the twin
+//! suite `tests/tme_twins.rs` asserts both compile to identical systems.
 //!
 //! ## The n-process abstraction
 //!
@@ -66,7 +65,6 @@
 use std::sync::Arc;
 
 use crate::gcl::ir::{Cond, Expr, IrCommand, Stmt};
-use crate::gcl::reference::{Program as RefProgram, Valuation};
 use crate::gcl::sym::{SymmetryElement, SymmetrySpec};
 use crate::gcl::{GclError, Program, State, VarRef};
 
@@ -139,27 +137,23 @@ fn perm_rank(perm: &[usize]) -> usize {
     })
 }
 
-/// Declares the n-process variables through any DSL's `var` entry point
-/// (the packed and reference compilers share declaration order, so packed
-/// state indices and reference state indices coincide).
-fn declare_n_with(var: &mut dyn FnMut(String, usize) -> VarRef, n: usize) -> VarsN {
-    let m = (0..n).map(|i| var(format!("m{i}"), 3)).collect();
-    let pair_grid = |var: &mut dyn FnMut(String, usize) -> VarRef,
-                     prefix: &str,
-                     domain: usize|
-     -> Vec<Vec<Option<VarRef>>> {
+/// Declares the n-process variables: modes, channels, beliefs, then
+/// `ord`.
+fn declare_n(program: &mut Program, n: usize) -> VarsN {
+    let m = (0..n).map(|i| program.var(format!("m{i}"), 3)).collect();
+    let mut pair_grid = |prefix: &str, domain: usize| -> Vec<Vec<Option<VarRef>>> {
         (0..n)
             .map(|i| {
                 (0..n)
-                    .map(|j| (i != j).then(|| var(format!("{prefix}{i}{j}"), domain)))
+                    .map(|j| (i != j).then(|| program.var(format!("{prefix}{i}{j}"), domain)))
                     .collect()
             })
             .collect()
     };
-    let c = pair_grid(var, "c", 3);
-    let k = pair_grid(var, "k", 2);
+    let c = pair_grid("c", 3);
+    let k = pair_grid("k", 2);
     let perms = permutations(n);
-    let ord = var("ord".to_string(), perms.len());
+    let ord = program.var("ord", perms.len());
     let mut earlier = vec![Vec::with_capacity(perms.len()); n * n];
     let mut move_back = vec![Vec::with_capacity(perms.len()); n];
     let mut pos = vec![0usize; n];
@@ -189,135 +183,13 @@ fn declare_n_with(var: &mut dyn FnMut(String, usize) -> VarRef, n: usize) -> Var
     }
 }
 
-fn declare_n(program: &mut Program, n: usize) -> VarsN {
-    declare_n_with(&mut |name, domain| program.var(name, domain), n)
-}
-
-fn declare_n_reference(program: &mut RefProgram, n: usize) -> VarsN {
-    declare_n_with(&mut |name, domain| program.var(name, domain), n)
-}
-
-/// The reference-DSL twin of [`protocol_commands_n_ir`]: identical
-/// commands in identical order, written against the retained
-/// decode/encode compiler, so the two pipelines can be
-/// differential-tested (and timed against each other) on the
-/// multi-million-state 3-process model.
-fn protocol_commands_n_reference(program: &mut RefProgram, v: &VarsN, with_wrapper: bool) {
-    let n = v.n;
-    for i in 0..n {
-        let mi = v.m[i];
-        let ord = v.ord;
-        let outgoing: Vec<VarRef> = (0..n)
-            .filter(|&j| j != i)
-            .map(|j| v.c[i][j].unwrap())
-            .collect();
-        let incoming: Vec<VarRef> = (0..n)
-            .filter(|&j| j != i)
-            .map(|j| v.c[j][i].unwrap())
-            .collect();
-        let beliefs: Vec<VarRef> = (0..n)
-            .filter(|&j| j != i)
-            .map(|j| v.k[i][j].unwrap())
-            .collect();
-        let move_back = Arc::clone(&v.move_back[i]);
-        program.command(
-            format!("request{i}"),
-            move |s: &Valuation| s[mi] == THINKING,
-            move |s: &mut Valuation| {
-                s[mi] = HUNGRY;
-                for &slot in &outgoing {
-                    s[slot] = REQUEST;
-                }
-                for &belief in &beliefs {
-                    s[belief] = 0;
-                }
-                for &slot in &incoming {
-                    if s[slot] == REPLY {
-                        s[slot] = EMPTY;
-                    }
-                }
-                s[ord] = move_back[s[ord]];
-            },
-        );
-        for j in 0..n {
-            if j == i {
-                continue;
-            }
-            let cji = v.c[j][i].unwrap();
-            let cij = v.c[i][j].unwrap();
-            let kij = v.k[i][j].unwrap();
-            let i_earlier = Arc::clone(&v.earlier[i * n + j]);
-            {
-                let i_earlier = Arc::clone(&i_earlier);
-                program.command(
-                    format!("recv_request{i}_{j}"),
-                    move |s: &Valuation| {
-                        s[cji] == REQUEST
-                            && s[mi] != EATING
-                            && !(s[mi] == HUNGRY && i_earlier[s[ord]] == 1)
-                    },
-                    move |s: &mut Valuation| {
-                        s[cji] = EMPTY;
-                        s[cij] = REPLY;
-                    },
-                );
-            }
-            program.command(
-                format!("observe_request{i}_{j}"),
-                move |s: &Valuation| {
-                    s[cji] == REQUEST && s[mi] == HUNGRY && i_earlier[s[ord]] == 1 && s[kij] == 0
-                },
-                move |s: &mut Valuation| s[kij] = 1,
-            );
-            program.command(
-                format!("recv_reply{i}_{j}"),
-                move |s: &Valuation| s[cji] == REPLY,
-                move |s: &mut Valuation| {
-                    s[cji] = EMPTY;
-                    if s[mi] == HUNGRY {
-                        s[kij] = 1;
-                    }
-                },
-            );
-            if with_wrapper {
-                program.command(
-                    format!("wrapper{i}_{j}"),
-                    move |s: &Valuation| s[mi] == HUNGRY && s[kij] == 0 && s[cij] != REPLY,
-                    move |s: &mut Valuation| s[cij] = REQUEST,
-                );
-            }
-        }
-        let beliefs: Vec<VarRef> = (0..n)
-            .filter(|&j| j != i)
-            .map(|j| v.k[i][j].unwrap())
-            .collect();
-        {
-            let beliefs = beliefs.clone();
-            program.command(
-                format!("enter{i}"),
-                move |s: &Valuation| s[mi] == HUNGRY && beliefs.iter().all(|&b| s[b] == 1),
-                move |s: &mut Valuation| s[mi] = EATING,
-            );
-        }
-        program.command(
-            format!("release{i}"),
-            move |s: &Valuation| s[mi] == EATING,
-            move |s: &mut Valuation| {
-                s[mi] = THINKING;
-                for &belief in &beliefs {
-                    s[belief] = 0;
-                }
-            },
-        );
-    }
-}
-
 /// The n-process protocol as [`IrCommand`] syntax trees: what
 /// [`build_n`] checks, and what makes the model *statically analyzable*
 /// — the `graybox-analyze` passes certify locality (Lemmas 2–3) and the
 /// wrapper's graybox admissibility from these trees without enumerating
-/// a single state. The differential tests assert it compiles to the same
-/// systems as [`protocol_commands_n_reference`]. Each command goes to
+/// a single state. The twin suite `tests/tme_twins.rs` asserts it
+/// compiles to the same systems as the oracle DSL model of
+/// `graybox-oracles`. Each command goes to
 /// `emit` in declaration order, flagged when it is a wrapper command.
 fn protocol_commands_n_ir(v: &VarsN, with_wrapper: bool, mut emit: impl FnMut(IrCommand, bool)) {
     let n = v.n;
@@ -603,7 +475,7 @@ fn nproc_max_states(n: usize) -> usize {
 }
 
 /// The full process-relabeling symmetry group of
-/// [`program_nproc_ir`]`(n, with_wrapper)` and its reference twin: one
+/// [`program_nproc_ir`]`(n, with_wrapper)`: one
 /// [`SymmetryElement`] per permutation π of `0..n` (identity first,
 /// lexicographic thereafter), relabeling modes `m_i → m_{π(i)}`,
 /// channels `c_ij → c_{π(i)π(j)}`, beliefs `k_ij → k_{π(i)π(j)}` and the
@@ -691,25 +563,6 @@ fn is_init_n(v: VarsN) -> impl for<'a, 'b> Fn(&'a State<'b>) -> bool + Sync {
                     .all(|j| s.get(v.c[i][j].unwrap()) == EMPTY && s.get(v.k[i][j].unwrap()) == 0)
         }) && s.get(v.ord) == 0
     }
-}
-
-/// The reference-DSL twin of [`program_nproc_ir`].
-pub fn program_nproc_reference(
-    n: usize,
-    with_wrapper: bool,
-) -> (RefProgram, impl Fn(&Valuation) -> bool) {
-    let mut program = RefProgram::new();
-    let vars = declare_n_reference(&mut program, n);
-    protocol_commands_n_reference(&mut program, &vars, with_wrapper);
-    program.max_states(nproc_max_states(n));
-    (program, move |s: &Valuation| {
-        (0..vars.n).all(|i| {
-            s[vars.m[i]] == THINKING
-                && (0..vars.n)
-                    .filter(|&j| j != i)
-                    .all(|j| s[vars.c[i][j].unwrap()] == EMPTY && s[vars.k[i][j].unwrap()] == 0)
-        }) && s[vars.ord] == 0
-    })
 }
 
 /// The compiled n-process abstraction: two packed [`Program`]s (without
@@ -1193,8 +1046,8 @@ mod tests {
     fn lowered_nproc_rows_match_the_valuation_semantics_at_n3_sampled() {
         // Debug-speed slice of the n = 3 lowering check: identical
         // successor rows on a deterministic lattice of packed states (the
-        // full compile against the reference DSL is the `--ignored` test
-        // below, which CI runs in release).
+        // full compile against the oracle DSL is the `--ignored` test
+        // in `tests/tme_twins.rs`, which CI runs in release).
         for with_wrapper in [false, true] {
             let (program, _) = program_nproc_ir(3, with_wrapper);
             let domains: Vec<usize> = program.variables().map(|(_, domain)| domain).collect();
@@ -1209,21 +1062,6 @@ mod tests {
                     "state {state}, wrapper={with_wrapper}"
                 );
             }
-        }
-    }
-
-    #[test]
-    #[ignore = "two full 7.5M-state compiles per model; CI runs it in release"]
-    fn lowered_ir_and_reference_compile_identically_at_n3() {
-        // The lowering at n = 3, exhaustively: the unwrapped and wrapped
-        // models compile to equal systems through the packed compiler
-        // and the reference DSL.
-        for with_wrapper in [false, true] {
-            let (packed, packed_init) = program_nproc_ir(3, with_wrapper);
-            let (reference, reference_init) = program_nproc_reference(3, with_wrapper);
-            let a = packed.compile(packed_init).unwrap();
-            let b = reference.compile(reference_init).unwrap();
-            assert_eq!(a.system(), b.system(), "wrapper={with_wrapper}");
         }
     }
 
@@ -1262,35 +1100,6 @@ mod tests {
                     shape.command_process[index]
                 );
             }
-        }
-    }
-
-    #[test]
-    fn nproc_packed_and_reference_twins_agree_at_n2() {
-        // The full cross-validation on the real model (random-program
-        // differential tests live in tests/gcl_differential.rs): systems,
-        // per-command components, unions, and verdicts must be identical.
-        for with_wrapper in [false, true] {
-            let (packed, packed_init) = program_nproc_ir(2, with_wrapper);
-            let (reference, reference_init) = program_nproc_reference(2, with_wrapper);
-            let (fair_a, a) = packed.compile_fair(packed_init).unwrap();
-            let (fair_b, b) = reference.compile_fair(reference_init).unwrap();
-            assert_eq!(a.system(), b.system(), "wrapper={with_wrapper}");
-            assert_eq!(fair_a.union(), fair_b.union(), "wrapper={with_wrapper}");
-            assert_eq!(
-                fair_a.components(),
-                fair_b.components(),
-                "wrapper={with_wrapper}"
-            );
-            assert_eq!(
-                fair_a
-                    .is_stabilizing_to(&stutter_closure(a.system()))
-                    .holds(),
-                fair_b
-                    .is_stabilizing_to(&stutter_closure(b.system()))
-                    .holds(),
-                "wrapper={with_wrapper}"
-            );
         }
     }
 

@@ -3,24 +3,30 @@
 //! A [`ProgramSpec`] is a small, DSL-independent description of a
 //! guarded-command program; [`build_packed`] and [`build_reference`]
 //! instantiate it with identical variable order and command order in
-//! the packed streaming compiler and the retained decode/encode
-//! reference compiler respectively. [`rotation_instance`] builds a
+//! the packed streaming compiler and the decode/encode oracle compiler
+//! of `graybox-oracles` respectively. [`rotation_instance`] builds a
 //! seeded block-rotation-symmetric IR program together with its ℤ_k
 //! symmetry group, for the quotient checks.
 //!
-//! [`assert_self_check_matches_reference`] and
-//! [`assert_quotient_check_matches_full`] are the verdict comparisons
-//! the differential suites and the root digest test share.
+//! [`assert_self_check_matches_reference`],
+//! [`assert_quotient_check_matches_full`], [`engines_agree_on_seed`] and
+//! [`assert_nproc_twins_agree`] are the comparisons the differential
+//! suites and the root digest test share.
 //!
 //! Each test binary compiles this module independently and uses a
 //! different subset of it.
 #![allow(dead_code)]
 
 use graybox_core::gcl::ir::{Cond, Expr, IrCommand, Stmt};
-use graybox_core::gcl::reference::{Program as RefProgram, Valuation};
 use graybox_core::gcl::sym::{SymSelfReport, SymmetryElement, SymmetrySpec};
 use graybox_core::gcl::{FairSelfReport, Program, State, VarRef};
+use graybox_core::randsys::{random_subsystem, random_system};
 use graybox_core::synthesis::stutter_closure;
+use graybox_core::tme_abstract::program_nproc_ir;
+use graybox_core::{box_compose, is_stabilizing_to, FiniteSystem};
+use graybox_oracles::gcl::{Program as RefProgram, Valuation, Var};
+use graybox_oracles::system::ReferenceSystem;
+use graybox_oracles::tme::program_nproc_reference;
 use graybox_rng::rngs::SmallRng;
 use graybox_rng::{Rng, SeedableRng};
 
@@ -256,7 +262,7 @@ fn conjunct_ir(conjunct: &Conjunct, vars: &[VarRef]) -> Cond {
     }
 }
 
-fn conjunct_holds(conjunct: &Conjunct, s: &Valuation, vars: &[VarRef]) -> bool {
+fn conjunct_holds(conjunct: &Conjunct, s: &Valuation, vars: &[Var]) -> bool {
     let x = |i: usize| s[vars[i]];
     match conjunct {
         Conjunct::LtConst(v, c) => x(*v) < *c,
@@ -306,7 +312,7 @@ fn assign_ir(assign: &Assign, vars: &[VarRef]) -> Stmt {
     }
 }
 
-fn assign_exec(assign: &Assign, s: &mut Valuation, vars: &[VarRef]) {
+fn assign_exec(assign: &Assign, s: &mut Valuation, vars: &[Var]) {
     let v = |i: usize| vars[i];
     match assign {
         Assign::Const(dst, c) => s[v(*dst)] = *c,
@@ -358,9 +364,9 @@ pub fn build_packed(spec: &ProgramSpec) -> (Program, Vec<VarRef>) {
     (program, vars)
 }
 
-pub fn build_reference(spec: &ProgramSpec) -> (RefProgram, Vec<VarRef>) {
+pub fn build_reference(spec: &ProgramSpec) -> (RefProgram, Vec<Var>) {
     let mut program = RefProgram::new();
-    let vars: Vec<VarRef> = spec
+    let vars: Vec<Var> = spec
         .domains
         .iter()
         .enumerate()
@@ -574,7 +580,7 @@ pub fn assert_self_check_matches_reference(seed: u64, workers: usize) -> Option<
     let (r_fair, r_plain) = reference
         .compile_fair(move |s: &Valuation| s[x0] < below)
         .unwrap_or_else(|e| panic!("seed {seed}: reference fair {e}"));
-    let spec_system = stutter_closure(r_plain.system());
+    let spec_system = stutter_closure(&r_plain);
     let materialized = r_fair.is_stabilizing_to(&spec_system).holds();
     let streamed = packed
         .fair_self_check_on(workers, packed_init(&spec, &pv))
@@ -618,4 +624,102 @@ pub fn assert_quotient_check_matches_full(
         "seed {seed}, {workers} workers"
     );
     sym
+}
+
+/// Asserts that every query of the CSR engine and the `BTreeSet` oracle
+/// agrees on `sys`.
+pub fn assert_engines_agree(sys: &FiniteSystem) {
+    let r = ReferenceSystem::from_system(sys);
+    let n = sys.num_states();
+    assert_eq!(*sys.init(), *r.init());
+    assert_eq!(
+        sys.edges().iter().collect::<Vec<_>>(),
+        r.edges().iter().copied().collect::<Vec<_>>(),
+    );
+    assert_eq!(*sys.reachable_from_init(), r.reachable_from_init());
+    for from in 0..n {
+        assert_eq!(
+            sys.successors(from).collect::<Vec<_>>(),
+            r.successors(from).collect::<Vec<_>>(),
+            "successors of {from}",
+        );
+        assert_eq!(
+            sys.predecessors(from).count(),
+            r.edges().iter().filter(|&&(_, to)| to == from).count(),
+            "predecessor count of {from}",
+        );
+        for to in 0..n {
+            assert_eq!(sys.has_edge(from, to), r.has_edge(from, to));
+            assert_eq!(
+                sys.has_path(from, to),
+                r.has_path(from, to),
+                "has_path({from}, {to})",
+            );
+        }
+    }
+}
+
+/// Asserts that both engines report the same divergent edge (and the
+/// same legitimate states) for "`c` is stabilizing to `a`".
+pub fn assert_decisions_agree(c: &FiniteSystem, a: &FiniteSystem, tag: &str) {
+    let rc = ReferenceSystem::from_system(c);
+    let ra = ReferenceSystem::from_system(a);
+    let fast = is_stabilizing_to(c, a);
+    let slow = rc.is_stabilizing_to(&ra);
+    assert_eq!(
+        fast.divergent_edge, slow,
+        "{tag}: CSR reported {:?}, reference reported {slow:?}",
+        fast.divergent_edge,
+    );
+    assert_eq!(fast.legitimate_states, ra.reachable_from_init(), "{tag}");
+}
+
+/// Seed `seed`'s engine-agreement instance: a random 6-state spec and a
+/// random system (even seeds) or subsystem (odd seeds), every query and
+/// the stabilization decision compared across the CSR engine and the
+/// `BTreeSet` oracle, and their box compositions compared too. Returns
+/// the verdict, so callers can check both outcomes occur.
+pub fn engines_agree_on_seed(seed: u64) -> bool {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let a = random_system(&mut rng, 6, 2, 0.4);
+    let c = if seed.is_multiple_of(2) {
+        random_system(&mut rng, 6, 2, 0.4)
+    } else {
+        random_subsystem(&mut rng, &a)
+    };
+    assert_engines_agree(&a);
+    assert_engines_agree(&c);
+    assert_decisions_agree(&c, &a, &format!("seed {seed}"));
+
+    // Composition: same resulting system under both engines.
+    let ra = ReferenceSystem::from_system(&a);
+    let rc = ReferenceSystem::from_system(&c);
+    let composed = box_compose(&c, &a).unwrap();
+    assert_eq!(ReferenceSystem::from_system(&composed), rc.box_compose(&ra));
+
+    is_stabilizing_to(&c, &a).holds()
+}
+
+/// The n-process TME model compiled by the packed pipeline (IR) and by
+/// the oracle DSL: identical plain systems, fair unions, per-command
+/// components and fair stabilization verdicts.
+pub fn assert_nproc_twins_agree(n: usize, with_wrapper: bool) {
+    let (packed, packed_init) = program_nproc_ir(n, with_wrapper);
+    let (reference, reference_init) = program_nproc_reference(n, with_wrapper);
+    let (fair_a, a) = packed.compile_fair(packed_init).unwrap();
+    let (fair_b, b) = reference.compile_fair(reference_init).unwrap();
+    assert_eq!(a.system(), &b, "wrapper={with_wrapper}");
+    assert_eq!(fair_a.union(), fair_b.union(), "wrapper={with_wrapper}");
+    assert_eq!(
+        fair_a.components(),
+        fair_b.components(),
+        "wrapper={with_wrapper}"
+    );
+    assert_eq!(
+        fair_a
+            .is_stabilizing_to(&stutter_closure(a.system()))
+            .holds(),
+        fair_b.is_stabilizing_to(&stutter_closure(&b)).holds(),
+        "wrapper={with_wrapper}"
+    );
 }

@@ -3,7 +3,7 @@
 //! Generates seeded random guarded-command programs from a small,
 //! DSL-independent spec, instantiates each spec in both the packed
 //! streaming compiler ([`graybox_core::gcl`]) and the retained
-//! decode/encode reference compiler ([`graybox_core::gcl::reference`]),
+//! decode/encode oracle compiler (`graybox_oracles::gcl`),
 //! and asserts the two pipelines agree on everything observable:
 //! compiled systems (edges and inits), fair components and unions,
 //! `is_stabilizing_to` verdicts, the streaming `fair_self_check`
@@ -16,10 +16,10 @@ mod common;
 use common::{
     assert_self_check_matches_reference, build_packed, build_reference, packed_init, random_spec,
 };
-use graybox_core::gcl::reference::Valuation;
 use graybox_core::is_stabilizing_to;
 use graybox_core::sweep::sweep_seeds;
 use graybox_core::synthesis::stutter_closure;
+use graybox_oracles::gcl::Valuation;
 
 /// Compiles one random spec through both pipelines and asserts agreement
 /// on every observable. Panics (failing the enclosing sweep) on any
@@ -43,14 +43,14 @@ fn check_seed(seed: u64) {
         .unwrap_or_else(|e| panic!("seed {seed}: reference {e}"));
     assert_eq!(
         p_plain.system(),
-        r_plain.system(),
+        &r_plain,
         "seed {seed}: plain systems diverge for {spec:?}"
     );
 
     // Same stabilization verdict over the compiled systems (the paper's
     // central relation), computed independently per pipeline.
     let p_verdict = is_stabilizing_to(p_plain.system(), &stutter_closure(p_plain.system()));
-    let r_verdict = is_stabilizing_to(r_plain.system(), &stutter_closure(r_plain.system()));
+    let r_verdict = is_stabilizing_to(&r_plain, &stutter_closure(&r_plain));
     assert_eq!(
         p_verdict.holds(),
         r_verdict.holds(),
@@ -68,7 +68,7 @@ fn check_seed(seed: u64) {
         .collect();
     let mut word_set = words.clone();
     word_set.sort_unstable();
-    let reachable = r_plain.system().reachable_from_init();
+    let reachable = r_plain.reachable_from_init();
     assert_eq!(
         word_set,
         reachable.iter().collect::<Vec<_>>(),
@@ -82,7 +82,6 @@ fn check_seed(seed: u64) {
         .collect();
     edges.sort_unstable();
     let induced: Vec<(usize, usize)> = r_plain
-        .system()
         .edges()
         .into_iter()
         .filter(|&(from, to)| reachable.contains(from) && reachable.contains(to))
@@ -110,7 +109,7 @@ fn check_seed(seed: u64) {
         .unwrap_or_else(|e| panic!("seed {seed}: reference fair {e}"));
     assert_eq!(
         p_plain2.system(),
-        r_plain2.system(),
+        &r_plain2,
         "seed {seed}: fair plains diverge"
     );
     assert_eq!(

@@ -4,7 +4,7 @@
 //! The paper's qualitative remark — wrapper timeout θ trades recovery
 //! latency against redundant messages — is measured here *at scale*, on
 //! the token-ring model whose per-process state is O(1) (see
-//! [`graybox_tme::ring`]). Each sweep point:
+//! [`graybox_tme::ring`](mod@graybox_tme::ring)). Each sweep point:
 //!
 //! 1. builds an n-process ring with regeneration timeout θ and ramps a
 //!    wave of client requests onto it;

@@ -1,28 +1,33 @@
-//! The pre-packed GCL compiler, retained as an executable reference.
+//! The decode/encode GCL compiler: the oracle for the packed
+//! [`graybox_core::gcl::Program`] pipeline.
 //!
 //! This is the original `Valuation`-based pipeline: every state of the
 //! full domain product is decoded into a per-state `Vec<usize>`, guards
-//! and effects run on that decoded vector, the successor is re-encoded,
-//! and [`Program::compile_fair`] performs one additional full-space sweep
-//! per command. It exists for the same two reasons as
-//! [`crate::reference`]:
+//! and effects are closures run on that decoded vector, the successor is
+//! re-encoded, and [`Program::compile_fair`] performs one additional
+//! full-space sweep per command. The differential suites compile seeded
+//! random programs (and the TME model, [`crate::tme`]) with both
+//! compilers and assert identical [`FiniteSystem`]s and verdicts;
+//! `graybox-bench` times it as the baseline of the packed pipeline
+//! (`gcl_compile/*` in `BENCH_core.json`).
 //!
-//! * **cross-validation** — the differential suites compile seeded random
-//!   programs (and the real TME abstraction) with both compilers and
-//!   assert identical [`FiniteSystem`]s and verdicts;
-//! * **benchmarking** — `graybox-bench` times this compiler as the
-//!   baseline for the packed streaming pipeline (`gcl_compile/*` in
-//!   `BENCH_core.json`).
-//!
-//! Nothing outside tests and benches should depend on this module; new
-//! models should use the packed [`super::Program`].
+//! Variables are named by this module's own [`Var`] handles. Both
+//! compilers number variables by declaration order and encode a state
+//! with variable 0 as the least-significant digit, so a packed-program
+//! handle reads a valuation through
+//! [`VarRef::index`](graybox_core::gcl::VarRef::index) and
+//! [`Valuation::values`].
 
 use std::fmt;
 use std::ops::{Index, IndexMut};
 
-use super::{GclError, VarRef, DEFAULT_MAX_STATES};
-use crate::fairness::FairComposition;
-use crate::FiniteSystem;
+use graybox_core::fairness::FairComposition;
+use graybox_core::gcl::{GclError, DEFAULT_MAX_STATES};
+use graybox_core::FiniteSystem;
+
+/// A handle to a variable of a [`Program`]: its declaration index.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Var(usize);
 
 /// An assignment of a value to every program variable.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -35,16 +40,16 @@ impl Valuation {
     }
 }
 
-impl Index<VarRef> for Valuation {
+impl Index<Var> for Valuation {
     type Output = usize;
-    fn index(&self, var: VarRef) -> &usize {
-        &self.0[var.index()]
+    fn index(&self, var: Var) -> &usize {
+        &self.0[var.0]
     }
 }
 
-impl IndexMut<VarRef> for Valuation {
-    fn index_mut(&mut self, var: VarRef) -> &mut usize {
-        &mut self.0[var.index()]
+impl IndexMut<Var> for Valuation {
+    fn index_mut(&mut self, var: Var) -> &mut usize {
+        &mut self.0[var.0]
     }
 }
 
@@ -82,9 +87,9 @@ impl Program {
     }
 
     /// Declares a variable with domain `0..domain` and returns its handle.
-    pub fn var(&mut self, name: impl Into<String>, domain: usize) -> VarRef {
+    pub fn var(&mut self, name: impl Into<String>, domain: usize) -> Var {
         self.vars.push((name.into(), domain));
-        VarRef::new(self.vars.len() - 1)
+        Var(self.vars.len() - 1)
     }
 
     /// Adds a guarded command `name :: guard → effect`.
@@ -105,11 +110,6 @@ impl Program {
     pub fn max_states(&mut self, max: usize) -> &mut Self {
         self.max_states = Some(max);
         self
-    }
-
-    /// Number of declared commands.
-    pub fn num_commands(&self) -> usize {
-        self.commands.len()
     }
 
     fn state_count(&self) -> Result<usize, GclError> {
@@ -158,7 +158,7 @@ impl Program {
     /// # Errors
     ///
     /// See [`GclError`].
-    pub fn compile(&self, init: impl Fn(&Valuation) -> bool) -> Result<CompiledProgram, GclError> {
+    pub fn compile(&self, init: impl Fn(&Valuation) -> bool) -> Result<FiniteSystem, GclError> {
         let total = self.state_count()?;
         let mut builder = FiniteSystem::builder(total);
         let mut any_init = false;
@@ -187,10 +187,7 @@ impl Program {
         if !any_init {
             return Err(GclError::NoInitialState);
         }
-        Ok(CompiledProgram {
-            system: builder.build()?,
-            var_info: self.vars.clone(),
-        })
+        Ok(builder.build()?)
     }
 
     /// Compiles to UNITY's weakly fair execution model: one component per
@@ -204,9 +201,9 @@ impl Program {
     pub fn compile_fair(
         &self,
         init: impl Fn(&Valuation) -> bool,
-    ) -> Result<(FairComposition, CompiledProgram), GclError> {
+    ) -> Result<(FairComposition, FiniteSystem), GclError> {
         let compiled = self.compile(&init)?;
-        let total = compiled.system.num_states();
+        let total = compiled.num_states();
         let mut components = Vec::with_capacity(self.commands.len());
         for command in &self.commands {
             let mut builder = FiniteSystem::builder(total);
@@ -233,39 +230,6 @@ impl Program {
     }
 }
 
-/// The result of compiling a [`Program`]: the system plus enough metadata
-/// to decode states back into variable valuations.
-#[derive(Debug, Clone)]
-pub struct CompiledProgram {
-    system: FiniteSystem,
-    var_info: Vec<(String, usize)>,
-}
-
-impl CompiledProgram {
-    /// The compiled transition system.
-    pub fn system(&self) -> &FiniteSystem {
-        &self.system
-    }
-
-    /// Decodes a state index into a valuation (declaration order).
-    pub fn decode(&self, mut state: usize) -> Vec<usize> {
-        let mut values = Vec::with_capacity(self.var_info.len());
-        for (_, domain) in &self.var_info {
-            values.push(state % domain);
-            state /= domain;
-        }
-        values
-    }
-
-    /// Variable names in declaration order.
-    pub fn var_names(&self) -> Vec<&str> {
-        self.var_info
-            .iter()
-            .map(|(name, _)| name.as_str())
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -276,10 +240,10 @@ mod tests {
         let x = p.var("x", 4);
         p.command("inc", move |s| s[x] < 3, move |s| s[x] += 1);
         let compiled = p.compile(|s| s[x] == 0).unwrap();
-        assert_eq!(compiled.system().num_states(), 4);
-        assert!(compiled.system().has_edge(0, 1));
-        assert!(compiled.system().has_edge(3, 3)); // quiescent
-        assert_eq!(compiled.system().init().len(), 1);
+        assert_eq!(compiled.num_states(), 4);
+        assert!(compiled.has_edge(0, 1));
+        assert!(compiled.has_edge(3, 3)); // quiescent
+        assert_eq!(compiled.init().len(), 1);
     }
 
     #[test]
@@ -288,13 +252,15 @@ mod tests {
         let x = p.var("x", 3);
         let y = p.var("y", 5);
         p.command("noop", |_| false, |_| {});
-        let compiled = p.compile(|_| true).unwrap();
-        assert_eq!(compiled.system().num_states(), 15);
-        for state in 0..15 {
-            let vals = compiled.decode(state);
-            assert!(vals[x.index()] < 3 && vals[y.index()] < 5);
-        }
-        assert_eq!(compiled.var_names(), vec!["x", "y"]);
+        let compiled = p
+            .compile(move |s| {
+                assert!(s[x] < 3 && s[y] < 5);
+                s[x] == 2 && s[y] == 4
+            })
+            .unwrap();
+        assert_eq!(compiled.num_states(), 15);
+        // x is the least-significant digit: (2, 4) is state 2 + 3 · 4.
+        assert_eq!(compiled.init().iter().collect::<Vec<_>>(), [14]);
     }
 
     #[test]
@@ -337,6 +303,6 @@ mod tests {
         assert_eq!(fair.components().len(), 2);
         assert!(fair.components()[0].has_edge(1, 1));
         assert!(fair.components()[0].has_edge(0, 1));
-        assert!(compiled.system().edges().is_subset(fair.union().edges()));
+        assert!(compiled.edges().is_subset(fair.union().edges()));
     }
 }

@@ -3,7 +3,7 @@
 //!
 //! The original simulator allocated a dense n × n matrix of queues —
 //! O(n²) memory even when every channel is empty, which at n = 10⁶
-//! processes is a non-starter. [`ChannelStore`] keeps per-pair state in a
+//! processes is a non-starter. `ChannelStore` keeps per-pair state in a
 //! hash map keyed by the packed `(from << 32) | to` pair and threads each
 //! channel's in-flight envelopes through a single slab `Vec` as an
 //! intrusive singly-linked FIFO list, so an idle channel costs zero bytes
@@ -23,7 +23,7 @@
 //!
 //! The map is consulted **once per message**, at send time: the sender
 //! resolves its `(from, to)` pair to a stable arena index with
-//! [`ChannelStore::index_for`] and the delivery event carries that index,
+//! `ChannelStore::index_for` and the delivery event carries that index,
 //! so delivery pops the FIFO head by direct indexing. Empty channels keep
 //! their arena slot (indexes must stay stable once an event references
 //! them), which costs a few dozen bytes per *ever-active* pair — still

@@ -70,8 +70,8 @@ pub use corrupt::Corruptible;
 pub use failpoint::FailpointRegistry;
 pub use oplog::{DrawStream, Op, OpLog};
 pub use process::{Context, Process, TimerTag, TimerTagExt};
-pub use queue::{EventQueue, HeapQueue, PackedEvent, TimerWheel};
+pub use queue::{EventQueue, PackedEvent, TimerWheel};
 pub use record::{SendRecord, StepKind, StepRecord};
 pub use replay::{ReplayCursor, ReplayError};
-pub use sim::{ReferenceSimulation, SimConfig, SimStats, Simulation};
+pub use sim::{SimConfig, SimStats, Simulation};
 pub use time::SimTime;

@@ -9,7 +9,7 @@
 //! * [`Op::Pop`] — every scheduler pop (`(time, seq)` of the event the
 //!   event loop executed);
 //! * [`Op::Failpoint`] — every firing of a named failpoint (see
-//!   [`crate::failpoint`]), with its human-readable detail.
+//!   [`crate::failpoint`](mod@crate::failpoint)), with its human-readable detail.
 //!
 //! Because process handlers are deterministic functions of their inputs,
 //! the oplog is a *complete* witness of the run: replaying it (see

@@ -1,25 +1,22 @@
-//! Scheduler event queues: the sharded **timer wheel** and the reference
-//! **indexed min-heap**.
+//! The scheduler event queue: the sharded **timer wheel**.
 //!
 //! The simulator's event loop is a total order over `(time, seq)` keys —
 //! `seq` is assigned monotonically at push, so the pop order is a pure
 //! function of those keys and record/replay stays bit-exact regardless of
-//! which queue implementation produced it. Both implementations here are
-//! verified against each other by randomized differential tests.
+//! which [`EventQueue`] implementation produced it.
 //!
-//! * [`TimerWheel`] — the production engine. Near-future events (the
-//!   common case: message delays and wrapper timeouts are a handful of
-//!   ticks) land in one of 4096 time-sharded slots indexed by
-//!   `time mod 4096`; each slot is an intrusive list through a pooled
-//!   node arena, staged into a reusable bucket sorted by `seq` once,
-//!   when its tick is *opened*, and then drained as a batch.
-//!   Far-future events (≥ 4096 ticks out) overflow into an indexed
-//!   min-heap and migrate into the wheel as the horizon advances.
-//!   Push is O(1) for in-window events; pop is amortized O(1) plus a
-//!   64-word bitmap scan to find the next occupied slot.
-//! * [`HeapQueue`] — the retained reference twin: one global min-heap
-//!   over all `(time, seq)` keys, the exact discipline of the original
-//!   `BinaryHeap` scheduler, O(log E) per operation.
+//! [`TimerWheel`] is the production engine. Near-future events (the
+//! common case: message delays and wrapper timeouts are a handful of
+//! ticks) land in one of 4096 time-sharded slots indexed by
+//! `time mod 4096`; each slot is an intrusive list through a pooled node
+//! arena, staged into a reusable bucket sorted by `seq` once, when its
+//! tick is *opened*, and then drained as a batch. Far-future events
+//! (≥ 4096 ticks out) overflow into an indexed min-heap and migrate into
+//! the wheel as the horizon advances. Push is O(1) for in-window events;
+//! pop is amortized O(1) plus a 64-word bitmap scan to find the next
+//! occupied slot. Its oracle, one global min-heap over all `(time, seq)`
+//! keys, is `graybox_oracles::queue::HeapQueue`; the randomized twin
+//! suite `tests/queue_twin.rs` pops both in lockstep.
 //!
 //! Events are stored as [`PackedEvent`]s (12 bytes of POD); variable-size
 //! client payloads live in a slab owned by the simulation, so a queue
@@ -115,7 +112,7 @@ impl PackedEvent {
 /// `seq` values must be strictly increasing across `push` calls (the
 /// simulation assigns them from a monotonic counter). [`TimerWheel`]
 /// relies on this to keep an already-sorted open bucket sorted when new
-/// same-tick events are appended mid-drain; [`HeapQueue`] does not need
+/// same-tick events are appended mid-drain; a plain heap does not need
 /// it. Pops return the pending entry with the smallest `(time, seq)` key.
 pub trait EventQueue: fmt::Debug + Default {
     /// Enqueues `event` at `(time, seq)`.
@@ -155,8 +152,8 @@ impl Entry {
     }
 }
 
-/// A hand-rolled binary min-heap over `(time, seq)` keys — the overflow
-/// level of the wheel and the whole of [`HeapQueue`].
+/// A hand-rolled binary min-heap over `(time, seq)` keys — the overdue
+/// and overflow levels of the wheel.
 #[derive(Debug, Default)]
 struct MinHeap {
     items: Vec<Entry>,
@@ -212,34 +209,6 @@ impl MinHeap {
     }
 }
 
-/// The retained reference scheduler: a single global min-heap over the
-/// full `(time, seq)` key space — the exact discipline of the
-/// `BinaryHeap` the simulator used before the timer wheel, O(log E) per
-/// operation. Kept as the differential twin for [`TimerWheel`] and as
-/// the baseline the `sim_scale` bench rows compare against.
-#[derive(Debug, Default)]
-pub struct HeapQueue {
-    heap: MinHeap,
-}
-
-impl EventQueue for HeapQueue {
-    fn push(&mut self, time: u64, seq: u64, event: PackedEvent) {
-        self.heap.push(Entry { time, seq, event });
-    }
-
-    fn pop(&mut self) -> Option<(u64, u64, PackedEvent)> {
-        self.heap.pop().map(|e| (e.time, e.seq, e.event))
-    }
-
-    fn peek_time(&self) -> Option<u64> {
-        self.heap.peek().map(|e| e.time)
-    }
-
-    fn len(&self) -> usize {
-        self.heap.len()
-    }
-}
-
 #[derive(Debug, Clone, Copy)]
 struct SlotEntry {
     seq: u64,
@@ -286,10 +255,10 @@ const NIL: u32 = u32::MAX;
 /// bucket can receive mid-drain come from `push` with fresh (strictly
 /// larger) `seq` values, which append in order. Overflow migration runs
 /// only while no slot is open, so a migrated entry can never slide into
-/// a bucket whose prefix was already drained. The differential tests in
-/// this module check the wheel against [`HeapQueue`] on randomized
-/// workloads including past-time pushes, same-tick bursts, and
-/// multi-lap far timers.
+/// a bucket whose prefix was already drained. The twin suite
+/// `tests/queue_twin.rs` checks the wheel against the oracle heap
+/// scheduler on randomized workloads including past-time pushes,
+/// same-tick bursts, and multi-lap far timers.
 pub struct TimerWheel {
     head: Vec<u32>,
     tail: Vec<u32>,
@@ -556,217 +525,5 @@ impl EventQueue for TimerWheel {
 
     fn len(&self) -> usize {
         self.len
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use graybox_rng::rngs::SmallRng;
-    use graybox_rng::{Rng, SeedableRng};
-
-    fn ev(n: u32) -> PackedEvent {
-        PackedEvent::timer(n, n)
-    }
-
-    /// Drives a wheel and a heap through the same workload, asserting
-    /// identical pop streams and peek times throughout.
-    struct Twin {
-        wheel: TimerWheel,
-        heap: HeapQueue,
-        seq: u64,
-    }
-
-    impl Twin {
-        fn new() -> Self {
-            Twin {
-                wheel: TimerWheel::default(),
-                heap: HeapQueue::default(),
-                seq: 0,
-            }
-        }
-
-        fn push(&mut self, time: u64) {
-            let seq = self.seq;
-            self.seq += 1;
-            let event = ev(u32::try_from(seq % 1000).unwrap());
-            self.wheel.push(time, seq, event);
-            self.heap.push(time, seq, event);
-        }
-
-        fn pop(&mut self) -> Option<(u64, u64, PackedEvent)> {
-            assert_eq!(self.wheel.peek_time(), self.heap.peek_time());
-            assert_eq!(self.wheel.len(), self.heap.len());
-            let w = self.wheel.pop();
-            let h = self.heap.pop();
-            assert_eq!(w, h, "wheel and heap diverged");
-            w
-        }
-
-        fn pop_before(&mut self, limit: u64) -> Option<(u64, u64, PackedEvent)> {
-            assert_eq!(self.wheel.peek_time(), self.heap.peek_time());
-            let w = self.wheel.pop_at_or_before(limit);
-            let h = self.heap.pop_at_or_before(limit);
-            assert_eq!(w, h, "bounded pops diverged at limit {limit}");
-            assert_eq!(self.wheel.len(), self.heap.len());
-            w
-        }
-
-        fn drain(&mut self) {
-            while self.pop().is_some() {}
-            assert!(self.wheel.is_empty() && self.heap.is_empty());
-        }
-    }
-
-    #[test]
-    fn empty_queues_agree() {
-        let mut twin = Twin::new();
-        assert_eq!(twin.pop(), None);
-        assert_eq!(twin.wheel.peek_time(), None);
-    }
-
-    #[test]
-    fn same_tick_burst_pops_in_seq_order() {
-        let mut twin = Twin::new();
-        for _ in 0..100 {
-            twin.push(7);
-        }
-        let mut last_seq = None;
-        while let Some((time, seq, _)) = twin.pop() {
-            assert_eq!(time, 7);
-            assert!(last_seq < Some(seq));
-            last_seq = Some(seq);
-        }
-    }
-
-    #[test]
-    fn far_timers_cross_multiple_laps() {
-        let mut twin = Twin::new();
-        for lap in 0..20u64 {
-            twin.push(lap * 5000); // > one 4096-slot lap apart
-        }
-        twin.push(1);
-        twin.drain();
-    }
-
-    #[test]
-    fn same_tick_entries_split_across_overflow_and_wheel_stay_ordered() {
-        let mut twin = Twin::new();
-        // seq 0 lands beyond the horizon (overflow); after the horizon
-        // advances, seq 2 and 3 hit the *same tick* directly in the wheel.
-        // Migration must merge seq 0 into that bucket ahead of them.
-        twin.push(5000);
-        twin.push(1000);
-        assert_eq!(twin.pop().map(|(t, ..)| t), Some(1000)); // horizon → 1000
-        twin.push(5000); // now within the horizon: direct slot insert
-        twin.push(5000);
-        twin.drain();
-    }
-
-    #[test]
-    fn past_time_pushes_pop_before_the_horizon() {
-        let mut twin = Twin::new();
-        twin.push(500);
-        assert_eq!(twin.pop().map(|(t, ..)| t), Some(500));
-        // The wheel's horizon sits at 500 now; push strictly earlier times.
-        twin.push(3);
-        twin.push(499);
-        twin.push(501);
-        twin.drain();
-    }
-
-    #[test]
-    fn interleaved_pushes_into_the_open_bucket_keep_order() {
-        let mut twin = Twin::new();
-        for _ in 0..5 {
-            twin.push(9);
-        }
-        // Drain part of the tick-9 bucket, then push more tick-9 events.
-        for _ in 0..2 {
-            twin.pop();
-        }
-        for _ in 0..4 {
-            twin.push(9);
-        }
-        twin.drain();
-    }
-
-    #[test]
-    fn bounded_pops_respect_the_limit_and_match_the_heap() {
-        let mut twin = Twin::new();
-        for time in [3u64, 3, 10, 4100, 9000] {
-            twin.push(time);
-        }
-        assert_eq!(twin.pop_before(2), None); // earliest is 3
-        assert_eq!(twin.pop_before(3).map(|(t, ..)| t), Some(3));
-        assert_eq!(twin.pop_before(3).map(|(t, ..)| t), Some(3));
-        assert_eq!(twin.pop_before(5), None);
-        assert_eq!(twin.pop_before(10).map(|(t, ..)| t), Some(10));
-        // Both remaining entries sit beyond the wheel horizon.
-        assert_eq!(twin.pop_before(4099), None);
-        assert_eq!(twin.pop_before(4100).map(|(t, ..)| t), Some(4100));
-        assert_eq!(twin.pop_before(u64::MAX).map(|(t, ..)| t), Some(9000));
-        assert_eq!(twin.pop_before(u64::MAX), None);
-        // Past-time pushes land in overdue; the bound applies there too.
-        twin.push(17);
-        assert_eq!(twin.pop_before(16), None);
-        assert_eq!(twin.pop_before(17).map(|(t, ..)| t), Some(17));
-    }
-
-    #[test]
-    fn randomized_bounded_pops_match_the_heap_exactly() {
-        for seed in 100..115u64 {
-            let mut rng = SmallRng::seed_from_u64(seed);
-            let mut twin = Twin::new();
-            let mut now = 0u64;
-            for _ in 0..2000 {
-                if twin.wheel.is_empty() || rng.gen_range(0..100u32) < 50 {
-                    let delta = match rng.gen_range(0..10u32) {
-                        0..=6 => rng.gen_range(0..=16u64),
-                        7 | 8 => rng.gen_range(0..=4500u64),
-                        _ => rng.gen_range(0..=60_000u64),
-                    };
-                    twin.push(now + delta);
-                } else {
-                    let limit = now + rng.gen_range(0..=32u64);
-                    if let Some((time, _, _)) = twin.pop_before(limit) {
-                        now = now.max(time);
-                    } else {
-                        // Nothing within the bound: jump to the next event.
-                        now = twin.wheel.peek_time().unwrap_or(now);
-                    }
-                }
-            }
-            twin.drain();
-        }
-    }
-
-    #[test]
-    fn randomized_workloads_match_the_heap_exactly() {
-        for seed in 0..30u64 {
-            let mut rng = SmallRng::seed_from_u64(seed);
-            let mut twin = Twin::new();
-            let mut now = 0u64;
-            for _ in 0..2000 {
-                if twin.wheel.is_empty() || rng.gen_range(0..100u32) < 55 {
-                    let delta = match rng.gen_range(0..10u32) {
-                        0..=6 => rng.gen_range(0..=16u64),
-                        7 | 8 => rng.gen_range(0..=4500u64),
-                        _ => rng.gen_range(0..=60_000u64),
-                    };
-                    // Occasionally schedule in the past, like a client
-                    // event at an already-elapsed time.
-                    let time = if rng.gen_range(0..10u32) == 0 {
-                        now.saturating_sub(rng.gen_range(0..=100))
-                    } else {
-                        now + delta
-                    };
-                    twin.push(time);
-                } else if let Some((time, _, _)) = twin.pop() {
-                    now = now.max(time);
-                }
-            }
-            twin.drain();
-        }
     }
 }

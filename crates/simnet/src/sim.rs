@@ -8,8 +8,8 @@ use crate::oplog::{DrawStream, OpLog};
 use crate::queue::{EvTag, EventQueue, PackedEvent, TimerWheel};
 use crate::replay::{ReplayCursor, ReplayError};
 use crate::{
-    Context, Corruptible, Envelope, HeapQueue, MsgId, Process, SendRecord, SimTime, StepKind,
-    StepRecord, TimerTag,
+    Context, Corruptible, Envelope, MsgId, Process, SendRecord, SimTime, StepKind, StepRecord,
+    TimerTag,
 };
 
 /// Configuration of a simulation run.
@@ -171,17 +171,17 @@ fn ranged_draw<R: RngCore>(
 /// `(from, to)` pairs (see [`crate::chanmap`]), and the scheduler queue.
 /// The queue engine is pluggable through the `Q` type parameter: the
 /// default is the [`TimerWheel`] (O(1) slot pushes, batched per-tick
-/// delivery); [`HeapQueue`] — aliased as [`ReferenceSimulation`] — is
-/// the retained O(log E) reference twin, differentially tested against
-/// the wheel. Both pop in identical `(time, seq)` order, so the engine
-/// choice is invisible to protocols, oplogs, and replay.
+/// delivery); the twin suites plug in the O(log E) heap oracle of
+/// `graybox-oracles` through [`Simulation::with_queue`]. Every
+/// [`EventQueue`] pops in `(time, seq)` order, so the engine choice is
+/// invisible to protocols, oplogs, and replay.
 ///
 /// Every source of nondeterminism — message delays, non-FIFO delivery
 /// picks, corruption entropy, fault targeting — routes through a single
 /// entropy layer that can record an [`OpLog`] of the run
 /// ([`Simulation::start_recording`]) or re-execute one bit-exactly
 /// ([`Simulation::begin_replay`]). Every fault-injection primitive fires
-/// a named failpoint (see [`crate::failpoint`]) counted in the run's
+/// a named failpoint (see [`crate::failpoint`](mod@crate::failpoint)) counted in the run's
 /// [`FailpointRegistry`].
 #[derive(Debug)]
 pub struct Simulation<P: Process, Q: EventQueue = TimerWheel> {
@@ -202,12 +202,6 @@ pub struct Simulation<P: Process, Q: EventQueue = TimerWheel> {
     failpoints: FailpointRegistry,
     delay_boost: Option<(u64, SimTime)>,
 }
-
-/// A [`Simulation`] running on the retained [`HeapQueue`] reference
-/// scheduler (the pre-wheel `BinaryHeap` discipline). Construct with
-/// [`Simulation::with_queue`]; used by the differential suites and the
-/// `sim_scale` benches.
-pub type ReferenceSimulation<P> = Simulation<P, HeapQueue>;
 
 impl<P: Process> Simulation<P> {
     /// Creates a simulation over the given processes, on the default
@@ -1338,33 +1332,5 @@ mod tests {
             a.take_oplog().unwrap().to_text(),
             b.take_oplog().unwrap().to_text()
         );
-    }
-
-    #[test]
-    fn wheel_and_reference_heap_engines_are_step_identical() {
-        let drive = |wheel: bool| -> (Vec<String>, SimStats) {
-            let nodes = vec![Node::new(0), Node::new(1)];
-            let config = SimConfig::with_seed(2024);
-            let render = |records: Vec<StepRecord<String, String>>| {
-                records
-                    .iter()
-                    .map(|r| format!("{} {} {:?}", r.time, r.pid, r.kind))
-                    .collect()
-            };
-            if wheel {
-                let mut sim = Simulation::new(nodes, config);
-                sim.schedule_client(SimTime::from(1), ProcessId(0), "a".into());
-                sim.schedule_client(SimTime::from(4500), ProcessId(1), "b".into());
-                sim.inject_message(ProcessId(1), ProcessId(0), "ping".into());
-                (render(sim.run_until(SimTime::from(10_000))), sim.stats())
-            } else {
-                let mut sim: ReferenceSimulation<Node> = Simulation::with_queue(nodes, config);
-                sim.schedule_client(SimTime::from(1), ProcessId(0), "a".into());
-                sim.schedule_client(SimTime::from(4500), ProcessId(1), "b".into());
-                sim.inject_message(ProcessId(1), ProcessId(0), "ping".into());
-                (render(sim.run_until(SimTime::from(10_000))), sim.stats())
-            }
-        };
-        assert_eq!(drive(true), drive(false));
     }
 }

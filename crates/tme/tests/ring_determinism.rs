@@ -9,14 +9,14 @@
 //! 3. every failpoint site actually fired (the schedule is not vacuous).
 //!
 //! The differential test records the same workload on the default
-//! [`TimerWheel`] engine and on the retained [`HeapQueue`] reference
-//! scheduler: identical oplogs mean identical pop order — the engines are
+//! [`TimerWheel`] engine and on the [`HeapQueue`] oracle scheduler:
+//! identical oplogs mean identical pop order — the engines are
 //! step-identical, not merely outcome-identical.
 //!
 //! [`TimerWheel`]: graybox_simnet::TimerWheel
-//! [`HeapQueue`]: graybox_simnet::HeapQueue
 
 use graybox_clock::ProcessId;
+use graybox_oracles::queue::HeapQueue;
 use graybox_simnet::queue::EventQueue;
 use graybox_simnet::{failpoint, Corruptible, OpLog, SimConfig, SimTime, Simulation};
 use graybox_tme::{ring, RingConfig, RingMsg, RingProc, TmeClient};
@@ -167,8 +167,7 @@ fn wheel_and_heap_engines_record_identical_oplogs() {
         };
         let heap_log = {
             let (procs, cfg) = config(n, fifo, seed);
-            let sim: graybox_simnet::ReferenceSimulation<RingProc> =
-                Simulation::with_queue(procs, cfg);
+            let sim: Simulation<RingProc, HeapQueue> = Simulation::with_queue(procs, cfg);
             campaign(sim, n, Entropy::Record).unwrap()
         };
         // Identical oplogs pin the pop order event-for-event: the wheel
@@ -187,6 +186,6 @@ fn cross_engine_replay_works_both_ways() {
     let wheel_log = campaign(Simulation::new(procs, cfg), n, Entropy::Record).unwrap();
 
     let (procs, cfg) = config(n, true, 77);
-    let heap: graybox_simnet::ReferenceSimulation<RingProc> = Simulation::with_queue(procs, cfg);
+    let heap: Simulation<RingProc, HeapQueue> = Simulation::with_queue(procs, cfg);
     campaign(heap, n, Entropy::Replay(wheel_log));
 }

@@ -10,12 +10,12 @@ use graybox::faults::{
     RunConfig,
 };
 use graybox::simnet::{
-    Context, EventQueue, Process, ReferenceSimulation, SimConfig, SimTime, Simulation, StepKind,
-    StepRecord,
+    Context, EventQueue, Process, SimConfig, SimTime, Simulation, StepKind, StepRecord,
 };
 use graybox::spec::TraceEventKind;
 use graybox::tme::Implementation;
 use graybox::wrapper::WrapperConfig;
+use graybox_oracles::queue::HeapQueue;
 
 fn stormy_config(seed: u64) -> RunConfig {
     RunConfig::new(4, Implementation::Lamport)
@@ -225,7 +225,7 @@ fn idle_relay_ring_follows_the_golden_schedule() {
     }
     let config = SimConfig::with_seed(2024);
     let wheel = run(Simulation::new(relays(3), config));
-    let heap = run(ReferenceSimulation::with_queue(relays(3), config));
+    let heap = run(Simulation::<_, HeapQueue>::with_queue(relays(3), config));
     for (engine, records) in [("wheel", &wheel), ("heap", &heap)] {
         assert_eq!(records.len(), STEPS, "{engine}: step count");
         assert_eq!(

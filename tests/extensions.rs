@@ -5,7 +5,6 @@
 use graybox::core::fairness::FairComposition;
 use graybox::core::method::{synthesize_level1, synthesize_level2, TwoLevelDesign};
 use graybox::core::randsys::{random_subsystem, random_system};
-use graybox::core::reference::ReferenceSystem;
 use graybox::core::synthesis::{
     stutter_closure, synthesize_guided_wrapper, synthesize_reset_wrapper, verify_wrapper,
 };
@@ -13,6 +12,7 @@ use graybox::core::theorems::LocalFamily;
 use graybox::core::tme_abstract;
 use graybox::core::tolerance::{is_fail_safe, is_masking_with_wrapper, FaultClass};
 use graybox::core::{is_stabilizing_to, FiniteSystem};
+use graybox_oracles::system::ReferenceSystem;
 use graybox_rng::rngs::SmallRng;
 use graybox_rng::SeedableRng;
 

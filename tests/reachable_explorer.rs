@@ -5,16 +5,16 @@
 //! edges, and the canonical image of that fragment under the
 //! process-relabeling symmetry. The streaming fair self-checks (full and
 //! quotient) run through the same graph kernels and are checked against
-//! the `gcl::reference` compiler's fair verdict.
+//! the fair verdict of the decode/encode oracle compiler
+//! (`graybox_oracles::gcl`).
 
 use std::collections::HashMap;
 
-use graybox::core::gcl::reference::Valuation;
 use graybox::core::gcl::{Program, State, VarRef};
 use graybox::core::synthesis::stutter_closure;
-use graybox::core::tme_abstract::{
-    build_n, nproc_symmetry, program_nproc_ir, program_nproc_reference,
-};
+use graybox::core::tme_abstract::{build_n, nproc_symmetry, program_nproc_ir};
+use graybox_oracles::gcl::Valuation;
+use graybox_oracles::tme::program_nproc_reference;
 
 const WORKERS: [usize; 3] = [1, 2, 4];
 
@@ -105,7 +105,7 @@ fn fair_self_checks_match_the_reference_at_every_worker_count() {
         let (reference, reference_init) = program_nproc_reference(2, wrapped);
         let verdict = |init: &dyn Fn(&Valuation) -> bool| {
             let (fair, compiled) = reference.compile_fair(init).unwrap();
-            fair.is_stabilizing_to(&stutter_closure(compiled.system()))
+            fair.is_stabilizing_to(&stutter_closure(&compiled))
         };
 
         // The full check at 1, 2 and 4 workers (one, two and four sweep
