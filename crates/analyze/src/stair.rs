@@ -21,6 +21,11 @@
 //! * [`check_stair`] — discharges every obligation and returns the
 //!   failures with full provenance (obligation name, projection,
 //!   command). An empty result is the proof.
+//! * [`greatest_closed_subset`] and [`mine_region`] — mine a stair from
+//!   the dynamics: a closed level as a fixpoint, and a region's ranks
+//!   and designated commands from its SCC condensation. What they mine
+//!   is untrusted input to [`check_stair`], like a hand-written
+//!   certificate.
 //!
 //! # Obligations and soundness
 //!
@@ -56,6 +61,7 @@
 //! holes in this argument, and they are surfaced, never assumed.
 
 use graybox_core::gcl::Program;
+use graybox_core::{FiniteSystem, StateSet};
 
 /// Arity of a pair projection: `(m_i, m_j, c_ij, c_ji, k_ij, k_ji,
 /// e_ij)`.
@@ -87,6 +93,21 @@ pub fn decode(mut code: usize) -> [usize; PROJ_ARITY] {
         code /= PROJ_DOMAINS[i];
     }
     p
+}
+
+/// Encodes a two-process valuation (declaration order, `ord` last) as
+/// its projection code: the coordinates verbatim, except that the
+/// program stores `ord` (0 = i first) where the projection stores
+/// `e_ij` = "i strictly earlier" = 1 − ord.
+///
+/// # Panics
+///
+/// Panics if `values` does not have [`PROJ_ARITY`] entries.
+#[must_use]
+pub(crate) fn valuation_code(values: &[usize]) -> usize {
+    let mut p: [usize; PROJ_ARITY] = values.try_into().expect("a pair valuation");
+    p[PROJ_ARITY - 1] = 1 - p[PROJ_ARITY - 1];
+    encode(p)
 }
 
 /// The pair-level transition relation: `next[p][c]` is the projection
@@ -134,18 +155,15 @@ impl PairDynamics {
         let mut next = vec![[None; NUM_PAIR_COMMANDS]; NUM_PROJ];
         for (code, row) in next.iter_mut().enumerate() {
             let p = decode(code);
-            // Valuation: projection coordinates verbatim, except the
-            // last — the program stores `ord` (0 = i first), the
-            // projection stores `e_ij` = "i strictly earlier" = 1 − ord.
+            // `p` as a valuation, the inverse of [`valuation_code`].
             let mut values = p.to_vec();
             values[PROJ_ARITY - 1] = 1 - p[PROJ_ARITY - 1];
             for (c, cmd) in commands.iter().enumerate() {
                 if cmd.guard_holds_values(&values) {
                     let mut after = values.clone();
                     cmd.apply_values(&mut after);
-                    let mut q: [usize; PROJ_ARITY] = after.try_into().expect("length preserved");
-                    q[PROJ_ARITY - 1] = 1 - q[PROJ_ARITY - 1];
-                    row[c] = Some(u16::try_from(encode(q)).expect("cone fits u16"));
+                    let q = valuation_code(&after);
+                    row[c] = Some(u16::try_from(q).expect("cone fits u16"));
                 }
             }
         }
@@ -472,6 +490,130 @@ pub fn check_stair(
     }
 
     (failures, stats)
+}
+
+/// The greatest subset of `candidates` closed under every command of
+/// `dynamics`: nodes with an enabled command leading outside the set
+/// are dropped until none is left.
+#[must_use]
+pub fn greatest_closed_subset(dynamics: &PairDynamics, candidates: &[bool]) -> Vec<bool> {
+    let mut members = candidates.to_vec();
+    let mut changed = true;
+    while changed {
+        changed = false;
+        for code in 0..NUM_PROJ {
+            if members[code]
+                && dynamics.next[code]
+                    .iter()
+                    .flatten()
+                    .any(|&q| !members[usize::from(q)])
+            {
+                members[code] = false;
+                changed = true;
+            }
+        }
+    }
+    members
+}
+
+/// Mines a [`RankedRegion`] over `members` from `dynamics`.
+///
+/// The region's subgraph keeps every edge `p → q` with `q ≠ p` and `q`
+/// in the region. Each of its SCCs gets rank 1 plus the largest rank
+/// among its successor SCCs (1 for a sink), and every member shares
+/// it. The SCC's designated command is the smallest-index command that
+/// is not `banned`, is enabled at every member and leads every member
+/// out of the SCC; with none, every member is deferred. Ranks then
+/// never rise inside the region, strictly fall along a designated
+/// command, and stay constant only inside one SCC, whose members share
+/// their designation — so [`check_stair`] holds by construction except
+/// for the deferred nodes, which the caller must justify.
+///
+/// # Panics
+///
+/// Panics if a rank exceeds `u8::MAX`.
+#[must_use]
+pub fn mine_region(
+    dynamics: &PairDynamics,
+    name: &str,
+    members: Vec<bool>,
+    banned: Vec<usize>,
+) -> RankedRegion {
+    let member = |code: usize| members[code];
+    let successors = |code: usize| {
+        dynamics.next[code]
+            .iter()
+            .flatten()
+            .map(|&q| usize::from(q))
+            .filter(move |&q| q != code && member(q))
+    };
+    // Every row must be non-empty: a node without an in-region
+    // successor (or outside the region) gets a self-loop.
+    let mut off = vec![0];
+    let mut to = Vec::new();
+    for code in 0..NUM_PROJ {
+        let mut row: Vec<usize> = if member(code) {
+            successors(code).collect()
+        } else {
+            Vec::new()
+        };
+        row.sort_unstable();
+        row.dedup();
+        if row.is_empty() {
+            row.push(code);
+        }
+        to.extend(row);
+        off.push(to.len());
+    }
+    let graph = FiniteSystem::try_from_csr(NUM_PROJ, StateSet::new(), off, to)
+        .expect("the region subgraph is well-formed");
+    let scc = graph.scc_ids();
+
+    let mut sccs = vec![Vec::new(); graph.scc_count()];
+    for code in (0..NUM_PROJ).filter(|&code| members[code]) {
+        sccs[scc[code]].push(code);
+    }
+    let mut weight = vec![0u8; NUM_PROJ];
+    let mut designated = vec![None; NUM_PROJ];
+    let mut deferred = vec![false; NUM_PROJ];
+    // Tarjan numbers the SCCs sinks first, so every successor SCC is
+    // ranked before the SCCs that reach it.
+    let mut rank = vec![0u8; sccs.len()];
+    for (id, nodes) in sccs
+        .iter()
+        .enumerate()
+        .filter(|(_, nodes)| !nodes.is_empty())
+    {
+        let below = nodes
+            .iter()
+            .flat_map(|&p| successors(p))
+            .filter(|&q| scc[q] != id)
+            .map(|q| rank[scc[q]])
+            .max()
+            .unwrap_or(0);
+        rank[id] = below.checked_add(1).expect("rank fits u8");
+        let exit = (0..NUM_PAIR_COMMANDS)
+            .find(|c| {
+                !banned.contains(c)
+                    && nodes
+                        .iter()
+                        .all(|&p| dynamics.step(p, *c).is_some_and(|q| scc[q] != id))
+            })
+            .map(|c| u8::try_from(c).expect("pair command fits u8"));
+        for &p in nodes {
+            weight[p] = rank[id];
+            designated[p] = exit;
+            deferred[p] = exit.is_none();
+        }
+    }
+    RankedRegion {
+        name: name.to_string(),
+        expected_members: members,
+        weight,
+        designated,
+        deferred,
+        banned,
+    }
 }
 
 #[cfg(test)]

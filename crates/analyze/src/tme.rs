@@ -9,7 +9,6 @@
 //! model *without enumerating a single state*.
 
 pub mod stair_cert;
-mod stair_table;
 
 use std::collections::BTreeSet;
 

@@ -1,26 +1,36 @@
 //! The flagship certificate: the paper's level-2 convergence stair for
-//! the wrapped TME abstraction, certified statically for every n ≥ 2.
+//! the wrapped TME abstraction, mined from the two-process model and
+//! certified statically for every n ≥ 2.
 //!
-//! The stair is `Σ = S₀ ⊇ S₁ ⊇ S₂ = legit` over the pair cone:
+//! The stair is `Σ = S₀ ⊇ S₁ ⊇ S₂ = legit` over the pair cone.
+//! [`tme_stair_certificate`] mines it from the two-process IR program
+//! on every call:
 //!
-//! * `S₁` — the greatest subset of the *ord-erased hull* of the
-//!   legitimate projections that is closed under the pair dynamics:
-//!   "timestamp beliefs consistent, precedence possibly stale". This is
-//!   the pair-level face of the paper's intermediate predicate
-//!   (deadlocked requests resolved, timestamps consistent).
-//! * `S₂` — the legitimate projections themselves (`legit`), the exact
-//!   pairwise characterization of the wrapped model's legitimate set.
+//! 1. `S₂` — the init-reachable set of the two-process program, as
+//!    projection codes: the legitimate projections, the exact pairwise
+//!    characterization of the wrapped model's legitimate set.
+//! 2. `S₁` — the greatest subset of the *ord-erased hull* of `S₂` (every
+//!    projection whose `e_ij = 0` or `e_ij = 1` variant lies in `S₂`)
+//!    that is closed under the pair dynamics: "timestamp beliefs
+//!    consistent, precedence possibly stale". This is the pair-level
+//!    face of the paper's intermediate predicate (deadlocked requests
+//!    resolved, timestamps consistent).
+//! 3. Three regions discharge the descent: region A (`Σ ∖ S₁`), region
+//!    B (`S₁ ∖ S₂`), and region C (the blocking-chain region
+//!    `m_i = HUNGRY ∧ k_ij = 0`, the rank backing the parametric chain
+//!    rule).
+//! 4. A region's rank is the longest path in its SCC condensation, and
+//! 5. each SCC's designated command is the smallest-index pair command
+//!    other than `enter` that leads every member out of it
+//!    ([`crate::stair::mine_region`]). `enter`'s guard counts all n−1
+//!    beliefs, so it is not pair-local and may not be designated.
 //!
-//! Three ranked regions discharge the descent: region A (`Σ ∖ S₁`,
-//! rank = SCC-condensation longest path), region B (`S₁ ∖ S₂`), and
-//! region C (the blocking-chain region `m_i = HUNGRY ∧ k_ij = 0`, the
-//! rank backing the parametric chain rule). Two escapes are deferred
-//! beyond the pair cone and re-justified by [`crate::param`]:
+//! An SCC with no such command is deferred beyond the pair cone and
+//! must match one of the two escapes [`crate::param`] re-justifies:
 //!
 //! * the **both-believe standoff** in region A (`m_i = m_j = HUNGRY`,
-//!   `k_ij = k_ji = 1`) — escaped by `enter`, whose guard counts all
-//!   n−1 beliefs; discharged by the counting case
-//!   ([`crate::param::check_counting_case`]);
+//!   `k_ij = k_ji = 1`) — escaped by `enter`; discharged by the
+//!   counting case ([`crate::param::check_counting_case`]);
 //! * the **blocked-behind-an-earlier-hungry-process** node in region C
 //!   (`m_j = HUNGRY`, `e_ij = 0`) — escaped by induction over the
 //!   ground-truth order (the front-most hungry process has no such
@@ -29,18 +39,17 @@
 //! [`certify_tme`] re-derives the pair dynamics from the shipped IR,
 //! re-checks every stair obligation, validates the deferral patterns,
 //! and runs the parametric side conditions at n = 3 — all on support
-//! cones and tables, never on a global state space. The embedded tables
-//! (`stair_table`) are untrusted input to these checks, not a proof.
+//! cones and tables, never on a global state space. The mined
+//! certificate is untrusted input to these checks, not a proof.
 
 use graybox_core::gcl::ir::{Cond, IrCommand};
-use graybox_core::gcl::Program;
+use graybox_core::gcl::{Program, State};
 use graybox_core::tme_abstract::program_nproc_ir;
 
-use super::stair_table::{StairRow, STAIR_TABLE};
 use crate::report::{Finding, Report, Severity};
 use crate::stair::{
-    check_stair, decode, Level, ObligationFailure, PairDynamics, RankedRegion, StairCertificate,
-    NUM_PROJ,
+    check_stair, decode, greatest_closed_subset, mine_region, valuation_code, Level,
+    ObligationFailure, PairDynamics, StairCertificate, NUM_PROJ,
 };
 use crate::{param, wp};
 
@@ -98,64 +107,57 @@ fn drop_wrapper_conjunct(cmd: &IrCommand) -> IrCommand {
     cmd
 }
 
-/// The n-process wrapped TME program, with the dropped-guard mutation
-/// applied when requested.
-fn model(n: usize, mutated: bool) -> Program {
-    let (program, _) = program_nproc_ir(n, true);
+/// The n-process wrapped TME program and its initial predicate, with
+/// the dropped-guard mutation applied when requested.
+fn model(n: usize, mutated: bool) -> (Program, impl for<'a, 'b> Fn(&'a State<'b>) -> bool + Sync) {
+    let (program, init) = program_nproc_ir(n, true);
     if mutated {
-        rebuild(&program, drop_wrapper_conjunct)
+        (rebuild(&program, drop_wrapper_conjunct), init)
     } else {
-        program
+        (program, init)
     }
 }
 
-/// The shipped level-2 stair certificate, decoded from the embedded
-/// tables.
-#[must_use]
-pub fn tme_stair_certificate() -> StairCertificate {
-    let legit: Vec<bool> = STAIR_TABLE.iter().map(|r| r.0 == 1).collect();
-    let s1: Vec<bool> = STAIR_TABLE.iter().map(|r| r.1 == 1).collect();
-    let region = |name: &str, expected: Vec<bool>, pick: fn(&StairRow) -> (u8, u8)| {
-        let weight: Vec<u8> = STAIR_TABLE.iter().map(|r| pick(r).0).collect();
-        let designated: Vec<Option<u8>> = STAIR_TABLE
-            .iter()
-            .map(|r| {
-                let d = pick(r).1;
-                (d < 14).then_some(d)
-            })
-            .collect();
-        let deferred: Vec<bool> = STAIR_TABLE
-            .iter()
-            .map(|r| {
-                let (w, d) = pick(r);
-                w > 0 && d >= 14
-            })
-            .collect();
-        RankedRegion {
-            name: name.to_string(),
-            expected_members: expected,
-            weight,
-            designated,
-            deferred,
-            // enter's guard counts every peer belief, so it is not
-            // pair-local and may not carry a progress obligation.
-            banned: vec![5, 12],
-        }
-    };
-    let region_a = region("A", s1.iter().map(|&b| !b).collect(), |r| (r.2, r.3));
-    let region_b = region(
-        "B",
-        s1.iter().zip(&legit).map(|(&s, &l)| s && !l).collect(),
-        |r| (r.4, r.5),
-    );
-    let chain: Vec<bool> = (0..NUM_PROJ)
+/// Mines the level-2 stair from a two-process program and its initial
+/// predicate, returning the program's pair dynamics with it.
+fn mine_tme_stair(
+    program: &Program,
+    init: impl for<'a, 'b> Fn(&'a State<'b>) -> bool + Sync,
+) -> (PairDynamics, StairCertificate) {
+    let dynamics =
+        PairDynamics::from_pair_program(program).expect("two-process model is pair-shaped");
+    let reachable = program
+        .compile_reachable(init)
+        .expect("the two-process model compiles");
+    let mut legit = vec![false; NUM_PROJ];
+    for id in 0..reachable.system().num_states() {
+        legit[valuation_code(&reachable.decode(id))] = true;
+    }
+    // `e_ij` is the last, binary coordinate, so flipping bit 0 of a
+    // code flips it.
+    let hull: Vec<bool> = (0..NUM_PROJ)
+        .map(|code| legit[code] || legit[code ^ 1])
+        .collect();
+    let s1 = greatest_closed_subset(&dynamics, &hull);
+    let chain = (0..NUM_PROJ)
         .map(|code| {
             let p = decode(code);
             p[0] == 1 && p[4] == 0
         })
         .collect();
-    let region_c = region("C", chain, |r| (r.6, r.7));
-    StairCertificate {
+    // enter0 and enter1, whose guards count every peer belief.
+    let banned = || vec![5, 12];
+    let regions = vec![
+        mine_region(&dynamics, "A", s1.iter().map(|&b| !b).collect(), banned()),
+        mine_region(
+            &dynamics,
+            "B",
+            s1.iter().zip(&legit).map(|(&s, &l)| s && !l).collect(),
+            banned(),
+        ),
+        mine_region(&dynamics, "C", chain, banned()),
+    ];
+    let cert = StairCertificate {
         levels: vec![
             Level {
                 name: "S1".to_string(),
@@ -166,8 +168,17 @@ pub fn tme_stair_certificate() -> StairCertificate {
                 members: legit,
             },
         ],
-        regions: vec![region_a, region_b, region_c],
-    }
+        regions,
+    };
+    (dynamics, cert)
+}
+
+/// The level-2 stair certificate of the shipped wrapper, mined from the
+/// two-process model.
+#[must_use]
+pub fn tme_stair_certificate() -> StairCertificate {
+    let (program, init) = model(2, false);
+    mine_tme_stair(&program, init).1
 }
 
 /// Perturbs the certificate's region-A rank so it no longer strictly
@@ -281,11 +292,14 @@ const PARAM_N: usize = 3;
 #[must_use]
 pub fn certify_tme(target: CertifyTarget) -> Report {
     let mutated = target == CertifyTarget::MutantDroppedGuard;
-    let pair_program = model(2, mutated);
-    let dynamics =
-        PairDynamics::from_pair_program(&pair_program).expect("two-process model is pair-shaped");
-
-    let mut cert = tme_stair_certificate();
+    // The certificate is always mined from the shipped wrapper: the
+    // dropped-guard target asks whether it still holds for the mutant.
+    let (shipped, init) = model(2, false);
+    let (mut dynamics, mut cert) = mine_tme_stair(&shipped, init);
+    if mutated {
+        dynamics = PairDynamics::from_pair_program(&model(2, true).0)
+            .expect("two-process model is pair-shaped");
+    }
     if target == CertifyTarget::MutantBadRank {
         perturb_rank(&mut cert, &dynamics);
     }
@@ -316,7 +330,7 @@ pub fn certify_tme(target: CertifyTarget) -> Report {
     }
 
     // Parametric side conditions at the representative n.
-    let nproc = model(PARAM_N, mutated);
+    let (nproc, _) = model(PARAM_N, mutated);
     let transitivity = param::check_pair_transitivity(PARAM_N);
     push_findings(&mut report, "param", &dynamics, &transitivity);
     let (reduction, red_stats) = param::check_projection_reduction(PARAM_N, &nproc, &dynamics);
@@ -342,6 +356,74 @@ pub fn certify_tme(target: CertifyTarget) -> Report {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stair::encode;
+
+    /// FNV-1a 64 over, per projection code: the S₂ bit, the S₁ bit, then
+    /// for regions A, B, C the rank, the designated command (255 for
+    /// none) and the deferred bit.
+    fn digest(cert: &StairCertificate) -> u64 {
+        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut feed = |byte: u8| {
+            hash ^= u64::from(byte);
+            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+        };
+        for code in 0..NUM_PROJ {
+            feed(u8::from(cert.levels[1].members[code]));
+            feed(u8::from(cert.levels[0].members[code]));
+            for region in &cert.regions {
+                feed(region.weight[code]);
+                feed(region.designated[code].unwrap_or(255));
+                feed(u8::from(region.deferred[code]));
+            }
+        }
+        hash
+    }
+
+    #[test]
+    fn mined_certificate_matches_the_pinned_digest() {
+        let cert = tme_stair_certificate();
+        assert_eq!(digest(&cert), 0xace3_9f9c_45d1_ebca);
+        let count = |bits: &[bool]| bits.iter().filter(|&&b| b).count();
+        assert_eq!(count(&cert.levels[1].members), 60);
+        assert_eq!(count(&cert.levels[0].members), 94);
+        let designated: Vec<usize> = cert
+            .regions
+            .iter()
+            .map(|r| r.designated.iter().flatten().count())
+            .collect();
+        assert_eq!(designated, [550, 34, 107]);
+        let deferred: Vec<usize> = cert.regions.iter().map(|r| count(&r.deferred)).collect();
+        assert_eq!(deferred, [4, 0, 1]);
+        let max_rank: Vec<u8> = cert
+            .regions
+            .iter()
+            .map(|r| r.weight.iter().copied().max().unwrap_or(0))
+            .collect();
+        assert_eq!(max_rank, [10, 9, 15]);
+    }
+
+    #[test]
+    fn re_mining_does_not_rescue_the_dropped_guard_mutant() {
+        // Mined on the mutant's own dynamics, the stair holds by
+        // construction; the deferral patterns must reject it instead.
+        let (program, init) = model(2, true);
+        let (dynamics, cert) = mine_tme_stair(&program, init);
+        let (failures, _) = check_stair(&dynamics, &cert);
+        assert!(failures.is_empty(), "{failures:?}");
+        let count = |bits: &[bool]| bits.iter().filter(|&&b| b).count();
+        assert_eq!(count(&cert.levels[1].members), 60);
+        assert_eq!(count(&cert.levels[0].members), 94);
+        let region_c = &cert.regions[2];
+        assert_eq!(count(&region_c.deferred), 9);
+        assert!(region_c.deferred[encode([1, 1, 0, 1, 0, 0, 1])]);
+        let patterns = check_deferral_patterns(&cert);
+        assert!(
+            patterns
+                .iter()
+                .any(|f| f.obligation == "deferral-pattern" && f.scope == "region C"),
+            "expected a deferral-pattern failure in region C: {patterns:?}"
+        );
+    }
 
     #[test]
     fn flagship_certificate_is_accepted() {

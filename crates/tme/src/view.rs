@@ -44,11 +44,10 @@ pub trait LspecView {
     /// information* confirm that its own current request precedes `k`'s?
     fn my_req_precedes(&self, k: ProcessId) -> bool;
 
-    /// Identities of all peers (`k ≠ j`).
-    fn peers(&self) -> Vec<ProcessId> {
-        ProcessId::all(self.lspec_n())
-            .filter(|&k| k != self.lspec_id())
-            .collect()
+    /// Identities of all peers (`k ≠ j`), in index order.
+    fn peers(&self) -> impl Iterator<Item = ProcessId> + '_ {
+        let id = self.lspec_id();
+        ProcessId::all(self.lspec_n()).filter(move |&k| k != id)
     }
 }
 
@@ -119,7 +118,7 @@ mod tests {
 
     #[test]
     fn peers_excludes_self() {
-        let peers = Fake.peers();
+        let peers: Vec<ProcessId> = Fake.peers().collect();
         assert_eq!(peers, vec![ProcessId(0), ProcessId(2), ProcessId(3)]);
     }
 
