@@ -30,12 +30,16 @@
 //! separate encode step exists. Commands are [`ir::IrCommand`] syntax,
 //! lowered once per compile or check against the layout: guards become
 //! digit-set masks over single variables (plus jump code for whatever
-//! reads several), bodies become flat jump code. Both run against a
-//! [`State`] view that keeps a decoded copy of the current word in a
-//! reusable buffer: reads are array loads, writes update the word by
-//! stride arithmetic (`word += (new - old) * stride`), and an undo log
-//! rolls each command's effect back without re-decoding — the full-space
-//! sweeps advance the word like an odometer and never allocate per state.
+//! reads several), folded into per-value candidate words so a state's
+//! candidate commands are one AND per variable; bodies become per-write
+//! word-delta tables where they can be added up, flat jump code
+//! otherwise. Both run against a [`State`] view that keeps a decoded copy
+//! of the current word in a reusable buffer: reads are array loads, a
+//! delta body's target is the word plus one table entry per write, and
+//! jump code writes update the word by stride arithmetic
+//! (`word += (new - old) * stride`) under an undo log that rolls the
+//! effect back without re-decoding — the full-space sweeps advance the
+//! word like an odometer and never allocate per state.
 //!
 //! Compiled successor rows are staged per state in a scratch buffer
 //! (sorted, deduplicated) and appended to a flat CSR array, so no
@@ -80,7 +84,7 @@ use crate::par::{self, Idx};
 use crate::sweep::{chunk_ranges, join_all};
 use crate::{FiniteSystem, SystemError};
 
-use self::lower::LoweredCommand;
+use self::lower::Lowered;
 
 /// Default cap on compiled state-space size, to catch accidental blowups.
 pub const DEFAULT_MAX_STATES: usize = 1 << 20;
@@ -150,30 +154,14 @@ impl From<SystemError> for GclError {
     }
 }
 
-/// A program lowered for one compile or check: its layout and its
-/// commands in declaration order.
-struct Lowered {
-    layout: Layout,
-    commands: Vec<LoweredCommand>,
-}
-
 impl Lowered {
-    /// Runs every command at the current state of `view`, appending the
-    /// sorted, deduplicated successor row to `row` (a quiescent state
-    /// stutters). Returns the index of the first enabled command whose
-    /// effect left its domain, as `Err`.
+    /// Writes the sorted, deduplicated successor row of the view's state
+    /// to `row`: every enabled command's target, or the stutter at a
+    /// quiescent state. Returns the index of the first enabled command
+    /// whose effect left its domain, as `Err`.
     fn successor_row(&self, view: &mut State<'_>, row: &mut Vec<usize>) -> Result<(), usize> {
         row.clear();
-        for (index, command) in self.commands.iter().enumerate() {
-            if command.enabled(view) {
-                view.begin_effect();
-                command.apply(view);
-                match view.finish_effect() {
-                    Ok(target) => row.push(narrow(target)),
-                    Err(()) => return Err(index),
-                }
-            }
-        }
+        self.enabled_targets(view, |_, target| row.push(narrow(target)))?;
         if row.is_empty() {
             row.push(narrow(view.word));
         }
@@ -463,13 +451,7 @@ impl Program {
     /// The layout plus every command lowered against it: what each
     /// compile or check entry point runs.
     fn lower(&self) -> Result<Lowered, GclError> {
-        let layout = self.layout()?;
-        let commands = self
-            .commands
-            .iter()
-            .map(|command| LoweredCommand::new(command, &layout))
-            .collect();
-        Ok(Lowered { layout, commands })
+        Ok(Lowered::new(self.layout()?, &self.commands))
     }
 
     fn out_of_domain(&self, command: usize) -> GclError {
@@ -754,23 +736,18 @@ impl Program {
             if init(&view) {
                 init_blocks[local / 64] |= 1u64 << (local % 64);
             }
-            row.clear();
-            let mut enabled = 0usize;
-            for (index, command) in lowered.commands.iter().enumerate() {
-                cols[index][local] = if command.enabled(&mut view) {
-                    view.begin_effect();
-                    command.apply(&mut view);
-                    let target = narrow(
-                        view.finish_effect()
-                            .map_err(|()| self.out_of_domain(index))?,
-                    );
-                    row.push(target);
-                    enabled += 1;
-                    target
-                } else {
-                    state
-                };
+            // A disabled command skips.
+            for column in &mut cols {
+                column[local] = state;
             }
+            row.clear();
+            let enabled = lowered
+                .enabled_targets(&mut view, |index, target| {
+                    let target = narrow(target);
+                    cols[index][local] = target;
+                    row.push(target);
+                })
+                .map_err(|index| self.out_of_domain(index))?;
             if row.is_empty() {
                 row.push(state);
             }
@@ -869,24 +846,7 @@ impl Program {
             return Err(GclError::System(SystemError::EmptyStateSpace));
         }
         check_u32_csr(total, ncmd)?;
-        let chunks = chunk_ranges(total, workers, CHUNK_ALIGN);
-
-        // Sweep 1, sharded: the union graph (every enabled command's
-        // target, plus a skip self-loop wherever some command is
-        // disabled) as per-chunk 32-bit CSR segments; stitching in
-        // chunk order makes the arrays and the ascending seed list the
-        // same at every worker count.
-        let union_tasks: Vec<_> = chunks
-            .iter()
-            .map(|range| {
-                let range = range.clone();
-                move || self.union_rows_chunk(lowered, range, init)
-            })
-            .collect();
-        let union_parts: Vec<UnionChunk> = join_all(union_tasks)
-            .into_iter()
-            .collect::<Result<_, _>>()?;
-        let (off, to, init_seeds) = UnionChunk::stitch(total, &chunks, union_parts);
+        let (off, to, init_seeds) = self.union_csr(lowered, workers, init)?;
         if init_seeds.is_empty() {
             return Err(GclError::NoInitialState);
         }
@@ -947,6 +907,32 @@ impl Program {
         })
     }
 
+    /// Sweep 1 of [`fair_self_check`](Self::fair_self_check), sharded:
+    /// the union graph (every enabled command's target, plus a skip
+    /// self-loop wherever some command is disabled) as a 32-bit CSR, and
+    /// the ascending initial states. The chunks are stitched in order,
+    /// so both are the same at every worker count.
+    fn union_csr(
+        &self,
+        lowered: &Lowered,
+        workers: usize,
+        init: &(impl for<'a, 'b> Fn(&'a State<'b>) -> bool + Sync),
+    ) -> Result<UnionCsr, GclError> {
+        let total = narrow(lowered.layout.total);
+        let chunks = chunk_ranges(total, workers, CHUNK_ALIGN);
+        let union_tasks: Vec<_> = chunks
+            .iter()
+            .map(|range| {
+                let range = range.clone();
+                move || self.union_rows_chunk(lowered, range, init)
+            })
+            .collect();
+        let union_parts: Vec<UnionChunk> = join_all(union_tasks)
+            .into_iter()
+            .collect::<Result<_, _>>()?;
+        Ok(UnionChunk::stitch(total, &chunks, union_parts))
+    }
+
     /// Sweep-1 worker of [`fair_self_check`](Self::fair_self_check):
     /// union rows for `range` with chunk-relative 32-bit offsets, plus
     /// the chunk's initial states (absolute, ascending).
@@ -963,7 +949,7 @@ impl Program {
         let mut off = vec![0u32; len + 1];
         let mut to: Vec<u32> = Vec::with_capacity(len.saturating_mul(2));
         let mut init_seeds: Vec<usize> = Vec::new();
-        let mut row: Vec<usize> = Vec::with_capacity(ncmd + 1);
+        let mut row: Vec<u32> = Vec::with_capacity(ncmd + 1);
         let mut view = State::new(&lowered.layout);
         view.load(range.start as u64);
         for (local, state) in range.enumerate() {
@@ -971,27 +957,15 @@ impl Program {
                 init_seeds.push(state);
             }
             row.clear();
-            let mut any_disabled = false;
-            for (index, command) in lowered.commands.iter().enumerate() {
-                if command.enabled(&mut view) {
-                    view.begin_effect();
-                    command.apply(&mut view);
-                    let target = view
-                        .finish_effect()
-                        .map_err(|()| self.out_of_domain(index))?;
-                    row.push(target as usize);
-                } else {
-                    any_disabled = true;
-                }
-            }
-            if any_disabled {
-                row.push(state);
+            let enabled = lowered
+                .enabled_targets(&mut view, |_, target| row.push(target as u32))
+                .map_err(|index| self.out_of_domain(index))?;
+            if enabled < ncmd {
+                row.push(state as u32);
             }
             row.sort_unstable();
             row.dedup();
-            for &target in &row {
-                to.push(target as u32);
-            }
+            to.extend_from_slice(&row);
             off[local + 1] = to.len() as u32;
             view.advance();
         }
@@ -1014,8 +988,8 @@ impl Program {
         members: &[(u32, u32)],
         scc_id: &[u32],
     ) -> Result<Vec<usize>, GclError> {
-        let ncmd = self.commands.len();
-        let mut masks = vec![0u64; ncmd.div_ceil(64)];
+        let mut masks = vec![0u64; lowered.all.len()];
+        let mut inside = lowered.all.clone();
         let mut full = Vec::new();
         let mut view = State::new(&lowered.layout);
         for group in members.chunk_by(|a, b| a.0 == b.0) {
@@ -1023,22 +997,20 @@ impl Program {
             masks.fill(0);
             for &(_, state) in group {
                 view.load(u64::from(state));
-                for (index, command) in lowered.commands.iter().enumerate() {
-                    let inside = if command.enabled(&mut view) {
-                        view.begin_effect();
-                        command.apply(&mut view);
-                        let target = view
-                            .finish_effect()
-                            .map_err(|()| self.out_of_domain(index))?;
-                        scc_id[narrow(target)] == id
-                    } else {
-                        true
-                    };
-                    if inside {
-                        masks[index / 64] |= 1u64 << (index % 64);
-                    }
+                // A disabled command skips, which acts inside; clear the
+                // enabled commands whose edge leaves.
+                inside.copy_from_slice(&lowered.all);
+                lowered
+                    .enabled_targets(&mut view, |index, target| {
+                        if scc_id[narrow(target)] != id {
+                            inside[index / 64] &= !(1u64 << (index % 64));
+                        }
+                    })
+                    .map_err(|index| self.out_of_domain(index))?;
+                for (mask, inside) in masks.iter_mut().zip(&inside) {
+                    *mask |= inside;
                 }
-                if masks.iter().map(|m| m.count_ones()).sum::<u32>() as usize == ncmd {
+                if masks == lowered.all {
                     full.push(id as usize);
                     break;
                 }
@@ -1111,6 +1083,10 @@ struct FairChunk {
     init_blocks: Vec<u64>,
 }
 
+/// A union graph as 32-bit CSR rows (`off`, `to`) and its initial
+/// states, ascending.
+type UnionCsr = (Vec<u32>, Vec<u32>, Vec<usize>);
+
 /// One chunk of a sharded fair self-check union sweep (full or
 /// quotient): 32-bit union rows with chunk-relative offsets and the
 /// chunk's initial states (absolute, ascending).
@@ -1123,11 +1099,7 @@ struct UnionChunk {
 impl UnionChunk {
     /// The global union CSR and the ascending initial-state list of the
     /// `total` states `chunks` cover.
-    fn stitch(
-        total: usize,
-        chunks: &[Range<usize>],
-        parts: Vec<UnionChunk>,
-    ) -> (Vec<u32>, Vec<u32>, Vec<usize>) {
+    fn stitch(total: usize, chunks: &[Range<usize>], parts: Vec<UnionChunk>) -> UnionCsr {
         let mut init_seeds = Vec::new();
         let rows = parts
             .into_iter()
@@ -1653,6 +1625,66 @@ mod tests {
         let report = self_check_against_materialized(&p, move |s| s.get(x) == 1);
         assert!(report.holds());
         assert_eq!(report.num_legitimate(), 199);
+    }
+
+    /// FNV-1a over the little-endian bytes of `values`, continuing `hash`.
+    fn fnv1a(hash: u64, values: impl IntoIterator<Item = u64>) -> u64 {
+        values
+            .into_iter()
+            .flat_map(u64::to_le_bytes)
+            .fold(hash, |hash, byte| {
+                (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+            })
+    }
+
+    /// `(digest, edges)` of the n-process TME model's union CSR at
+    /// `workers`: FNV-1a over `off`, then `to`, then the initial states,
+    /// each entry as eight little-endian bytes.
+    fn nproc_union_digest(n: usize, with_wrapper: bool, workers: usize) -> (u64, usize) {
+        let (program, init) = crate::tme_abstract::program_nproc_ir(n, with_wrapper);
+        let lowered = program.lower().unwrap();
+        let (off, to, seeds) = program.union_csr(&lowered, workers, &init).unwrap();
+        let hash = fnv1a(0xcbf2_9ce4_8422_2325, off.iter().map(|&o| u64::from(o)));
+        let hash = fnv1a(hash, to.iter().map(|&t| u64::from(t)));
+        let hash = fnv1a(hash, seeds.iter().map(|&s| s as u64));
+        (hash, to.len())
+    }
+
+    /// Asserts the union CSR digest and edge count of the unwrapped and
+    /// wrapped n-process models at 1, 2 and 4 workers.
+    fn assert_union_csr_pinned(n: usize, pins: [(u64, usize); 2]) {
+        for (with_wrapper, pin) in [false, true].into_iter().zip(pins) {
+            for workers in [1, 2, 4] {
+                assert_eq!(
+                    nproc_union_digest(n, with_wrapper, workers),
+                    pin,
+                    "n = {n}, wrapper = {with_wrapper}, {workers} workers"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn n2_union_csr_is_pinned() {
+        assert_union_csr_pinned(
+            2,
+            [
+                (0x9dff_aef2_0674_d3d6, 2_412),
+                (0x0a4a_4138_52e2_9506, 2_484),
+            ],
+        );
+    }
+
+    #[test]
+    #[ignore = "sweeps 7.5M states six times; CI runs it in release"]
+    fn n3_union_csr_is_pinned() {
+        assert_union_csr_pinned(
+            3,
+            [
+                (0xf64b_6901_b5cc_01ff, 48_498_912),
+                (0xea3c_db9d_b1dc_7cf6, 51_018_336),
+            ],
+        );
     }
 
     #[test]

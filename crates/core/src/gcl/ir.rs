@@ -18,8 +18,9 @@
 //!
 //! The packed compiler lowers each command once per compile or check,
 //! against the program's layout: guards to digit-set masks plus jump
-//! code, bodies to flat jump code that writes through the packed
-//! [`State`](super::State) view (stride tables, undo log). The valuation
+//! code, bodies to word-delta tables or to flat jump code that writes
+//! through the packed [`State`](super::State) view (stride tables, undo
+//! log). The valuation
 //! semantics here ([`IrCommand::guard_holds_values`],
 //! [`IrCommand::apply_values`]) are the analyzer's semantics and the
 //! oracle of that lowering; the static passes over the IR live in the

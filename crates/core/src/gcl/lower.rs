@@ -1,24 +1,43 @@
 //! Lowering of [`IrCommand`]s for one packed layout.
 //!
 //! Every compile or check entry point lowers each command once, after it
-//! has built the program's [`Layout`], into the two parts the sweeps run
-//! per state:
+//! has built the program's [`Layout`], into the parts the sweeps run per
+//! state:
 //!
 //! * a **guard** split into *digit-set atoms* — a condition that reads at
 //!   most one variable of domain at most 64 becomes the mask of that
-//!   variable's values where it holds, so it costs one shift and one test
-//!   per state — then *clauses* (disjunctions of atoms, the shape
-//!   `¬(a ∧ b)` and `a ∨ b` take), then *residual* jump code for any
-//!   conjunct left over;
-//! * a flat **body** of jump code whose writes go through
-//!   [`State::set`], so domain checks and the undo log work exactly as
-//!   before.
+//!   variable's values where it holds — then *clauses* (disjunctions of
+//!   atoms, the shape `¬(a ∧ b)` and `a ∨ b` take), then *residual* jump
+//!   code for any conjunct left over;
+//! * a **body**, as *delta writes* when it can be added up, as jump code
+//!   otherwise.
 //!
-//! The jump code is one small stack machine shared by residual guards
-//! and bodies. A mask is only formed where every value of the domain
-//! evaluates without a panic; a conjunct that may index a table out of
-//! range (or take a zero modulus, or overflow a sum) stays in jump code
-//! and panics where it is evaluated, as the IR semantics demand. The
+//! The atoms of all commands are also folded into **candidate words**:
+//! for each variable some atom reads, one word per value of it, holding
+//! the commands whose atoms admit that value (in blocks of 64 commands).
+//! A state's candidates are the AND of one word per such variable, so the
+//! atoms are tested for every command at once and only candidates go on
+//! to their clauses and residual code. [`Lowered::enabled_targets`] is
+//! the one loop over the enabled commands of a state that every sweep
+//! runs.
+//!
+//! A body is a list of delta writes when every statement writes one
+//! variable a value that is a function of at most one variable (a
+//! constant, `table[x]` over a table covering `x`'s domain, any
+//! expression of one variable), possibly under an `if` on that same one
+//! variable; when no variable is written twice and no write reads an
+//! earlier write; and when every domain involved is at most 64. Each
+//! write then has a table, indexed by the source value and the written
+//! variable's old value, of the packed word's delta, so the target word
+//! is `word + Σ delta` with no undo log, plus a mask of the source values
+//! at which it leaves the domain. Every other body is jump code: a small
+//! stack machine, shared with residual guards, whose writes go through
+//! [`State::set`] under the undo log.
+//!
+//! A mask or a delta table is only formed where every value evaluates
+//! without a panic; a conjunct or body that may index a table out of
+//! range (or take a zero modulus, or overflow a sum) stays jump code and
+//! panics where it is evaluated, as the IR semantics demand. The
 //! valuation semantics [`IrCommand::guard_holds_values`] and
 //! [`IrCommand::apply_values`] are the oracle of this lowering.
 
@@ -75,20 +94,10 @@ enum Ins {
     Short { when: bool, to: usize },
     /// Pop a truth value and jump to `to` when it is false.
     JumpUnless(usize),
-    /// Jump to `to` unless the atom holds (a body's `if` on a digit set).
-    Unless(Atom, usize),
     /// Jump to `to`.
     Jump(usize),
     /// Pop a value and assign it to a variable.
     Store(usize),
-    /// Assign a constant.
-    Set(usize, usize),
-    /// Assign `table[values[src]]` to `var`.
-    Lookup {
-        var: usize,
-        src: usize,
-        table: Arc<[usize]>,
-    },
 }
 
 /// Runs jump code on the view; residual guards leave their truth value
@@ -136,19 +145,9 @@ fn run(code: &[Ins], view: &mut State<'_>) {
                     pc = *to;
                 }
             }
-            Ins::Unless(atom, to) => {
-                if !atom.holds(&view.values) {
-                    pc = *to;
-                }
-            }
             Ins::Jump(to) => pc = *to,
             Ins::Store(var) => {
                 let value = pop(&mut view.stack);
-                view.set(VarRef(*var), value);
-            }
-            Ins::Set(var, value) => view.set(VarRef(*var), *value),
-            Ins::Lookup { var, src, table } => {
-                let value = table[narrow(view.values[*src])];
                 view.set(VarRef(*var), value);
             }
         }
@@ -163,17 +162,176 @@ fn top(stack: &mut [usize]) -> &mut usize {
     stack.last_mut().expect("jump code is well formed")
 }
 
+/// A program lowered for one compile or check: its layout, its commands
+/// in declaration order, and their candidate words.
+#[derive(Debug)]
+pub(super) struct Lowered {
+    pub(super) layout: Layout,
+    pub(super) commands: Vec<LoweredCommand>,
+    /// One bit per command, in blocks of 64.
+    pub(super) all: Vec<u64>,
+    /// `(var, row)` for every variable some atom reads: the words of
+    /// `var = v` start at `words[(row + v) * all.len()]`.
+    tested: Vec<(usize, usize)>,
+    /// Candidate words: bit `c` of the word of `var = v` is set unless
+    /// command `c` has an atom on `var` that `v` fails.
+    words: Vec<u64>,
+}
+
+impl Lowered {
+    pub(super) fn new(layout: Layout, commands: &[Arc<IrCommand>]) -> Self {
+        let commands: Vec<LoweredCommand> = commands
+            .iter()
+            .map(|command| LoweredCommand::new(command, &layout))
+            .collect();
+        let mut all = vec![0u64; commands.len().div_ceil(64)];
+        for index in 0..commands.len() {
+            all[index / 64] |= 1 << (index % 64);
+        }
+        let mut vars: Vec<usize> = commands
+            .iter()
+            .flat_map(|command| command.atoms.iter().map(|atom| atom.var))
+            .collect();
+        vars.sort_unstable();
+        vars.dedup();
+        let mut tested = Vec::with_capacity(vars.len());
+        let mut words = Vec::new();
+        let mut row = 0;
+        for var in vars {
+            tested.push((var, row));
+            for value in 0..layout.domains[var] {
+                let mut word = all.clone();
+                for (index, command) in commands.iter().enumerate() {
+                    if command
+                        .atoms
+                        .iter()
+                        .any(|atom| atom.var == var && (atom.mask >> value) & 1 == 0)
+                    {
+                        word[index / 64] &= !(1 << (index % 64));
+                    }
+                }
+                words.extend(word);
+                row += 1;
+            }
+        }
+        Lowered {
+            layout,
+            commands,
+            all,
+            tested,
+            words,
+        }
+    }
+
+    /// Block `block` of the candidates at `values`: the commands whose
+    /// atoms all hold there.
+    #[inline]
+    fn candidates(&self, values: &[u64], block: usize) -> u64 {
+        let blocks = self.all.len();
+        self.tested
+            .iter()
+            .fold(self.all[block], |candidates, &(var, row)| {
+                candidates & self.words[(row + narrow(values[var])) * blocks + block]
+            })
+    }
+
+    /// Calls `act(index, command, view)` for every command enabled at
+    /// the view's state, in index order, and returns how many there were;
+    /// stops with `Err(index)` at the first command `act` fails.
+    #[inline]
+    fn for_each_enabled(
+        &self,
+        view: &mut State<'_>,
+        mut act: impl FnMut(usize, &LoweredCommand, &mut State<'_>) -> Result<(), ()>,
+    ) -> Result<usize, usize> {
+        let mut count = 0;
+        for block in 0..self.all.len() {
+            let mut candidates = self.candidates(&view.values, block);
+            while candidates != 0 {
+                let index = block * 64 + candidates.trailing_zeros() as usize;
+                candidates &= candidates - 1;
+                let command = &self.commands[index];
+                if command.enabled_past_atoms(view) {
+                    act(index, command, view).map_err(|()| index)?;
+                    count += 1;
+                }
+            }
+        }
+        Ok(count)
+    }
+
+    /// Calls `each(index, target)` for every command enabled at the
+    /// view's state, in index order, with the packed word its body leads
+    /// to, and returns how many commands were enabled. Stops with
+    /// `Err(index)` at the first enabled command whose body leaves a
+    /// domain.
+    #[inline]
+    pub(super) fn enabled_targets(
+        &self,
+        view: &mut State<'_>,
+        mut each: impl FnMut(usize, u64),
+    ) -> Result<usize, usize> {
+        self.for_each_enabled(view, |index, command, view| {
+            each(index, command.target(view)?);
+            Ok(())
+        })
+    }
+
+    /// [`enabled_targets`](Self::enabled_targets) for callers that read
+    /// more than the target word: `each` gets `at(values, word)` of the
+    /// post-effect state, such as its canonical form, instead.
+    #[inline]
+    pub(super) fn enabled_targets_with<T>(
+        &self,
+        view: &mut State<'_>,
+        mut at: impl FnMut(&[u64], u64) -> T,
+        mut each: impl FnMut(usize, T),
+    ) -> Result<usize, usize> {
+        self.for_each_enabled(view, |index, command, view| {
+            each(index, command.target_with(view, &mut at)?);
+            Ok(())
+        })
+    }
+}
+
+/// One write of a delta body: `var` takes a value that depends on
+/// `src` alone, or keeps its value.
+#[derive(Debug)]
+struct DeltaWrite {
+    src: usize,
+    var: usize,
+    /// `var`'s domain: the row length of `deltas`.
+    width: usize,
+    /// Bit `s` is set when the write leaves `var`'s domain at source
+    /// value `s`.
+    leaves: u64,
+    /// `deltas[s * width + old]`: what the write adds to the packed word
+    /// (wrapping) at source value `s` when `var` holds `old`.
+    deltas: Box<[u64]>,
+    /// The value written at each source value, if any.
+    written: Box<[Option<u64>]>,
+}
+
+/// A lowered body.
+#[derive(Debug)]
+enum Body {
+    /// Writes that all read the state before the body.
+    Delta(Vec<DeltaWrite>),
+    /// Jump code, run under the view's undo log.
+    Jump(Vec<Ins>),
+}
+
 /// A command lowered for one layout.
 #[derive(Debug)]
 pub(super) struct LoweredCommand {
     atoms: Vec<Atom>,
     clauses: Vec<Vec<Atom>>,
     residual: Vec<Ins>,
-    body: Vec<Ins>,
+    body: Body,
 }
 
 impl LoweredCommand {
-    pub(super) fn new(command: &IrCommand, layout: &Layout) -> Self {
+    fn new(command: &IrCommand, layout: &Layout) -> Self {
         let mut guard = Guard {
             layout,
             atoms: Vec::new(),
@@ -200,8 +358,14 @@ impl LoweredCommand {
                 },
             );
         }
-        let mut body = Vec::new();
-        lower_block(layout, &command.body, &mut body);
+        let body = delta_body(layout, &command.body).map_or_else(
+            || {
+                let mut code = Vec::new();
+                lower_block(layout, &command.body, &mut code);
+                Body::Jump(code)
+            },
+            Body::Delta,
+        );
         LoweredCommand {
             atoms: guard.atoms,
             clauses: guard.clauses,
@@ -211,16 +375,20 @@ impl LoweredCommand {
     }
 
     /// Does the guard hold at the view's state? Atoms are tested first,
-    /// then clauses, then the residual code, so a residual conjunct runs
-    /// only where every atom and clause holds.
-    #[inline]
+    /// then the rest, so residual code runs only where every atom holds.
     pub(super) fn enabled(&self, view: &mut State<'_>) -> bool {
+        self.atoms.iter().all(|atom| atom.holds(&view.values)) && self.enabled_past_atoms(view)
+    }
+
+    /// The guard's clauses and residual code, for a state whose atoms
+    /// hold.
+    #[inline]
+    fn enabled_past_atoms(&self, view: &mut State<'_>) -> bool {
         let values = &view.values;
-        if !self.atoms.iter().all(|atom| atom.holds(values))
-            || !self
-                .clauses
-                .iter()
-                .all(|clause| clause.iter().any(|atom| atom.holds(values)))
+        if !self
+            .clauses
+            .iter()
+            .all(|clause| clause.iter().any(|atom| atom.holds(values)))
         {
             return false;
         }
@@ -231,11 +399,136 @@ impl LoweredCommand {
         pop(&mut view.stack) != 0
     }
 
-    /// Runs the body on the view (inside the caller's effect bracket).
+    /// The packed word the body leads to from the view's state, or
+    /// `Err(())` if it leaves a domain.
     #[inline]
-    pub(super) fn apply(&self, view: &mut State<'_>) {
-        run(&self.body, view);
+    pub(super) fn target(&self, view: &mut State<'_>) -> Result<u64, ()> {
+        match &self.body {
+            Body::Delta(writes) => delta_target(writes, view),
+            Body::Jump(code) => {
+                view.begin_effect();
+                run(code, view);
+                view.finish_effect()
+            }
+        }
     }
+
+    /// `at(values, word)` of the state the body leads to, read on the
+    /// view's buffer before it is put back, or `Err(())` (without calling
+    /// `at`) if the body leaves a domain.
+    #[inline]
+    pub(super) fn target_with<T>(
+        &self,
+        view: &mut State<'_>,
+        at: impl FnOnce(&[u64], u64) -> T,
+    ) -> Result<T, ()> {
+        match &self.body {
+            Body::Delta(writes) => {
+                let target = delta_target(writes, view)?;
+                let word = view.word;
+                for write in writes {
+                    if let Some(value) = write.written[narrow(view.values[write.src])] {
+                        view.undo.push((write.var, view.values[write.var]));
+                        view.values[write.var] = value;
+                    }
+                }
+                let result = at(&view.values, target);
+                while let Some((var, old)) = view.undo.pop() {
+                    view.values[var] = old;
+                }
+                view.word = word;
+                Ok(result)
+            }
+            Body::Jump(code) => {
+                view.begin_effect();
+                run(code, view);
+                view.finish_effect_with(at)
+            }
+        }
+    }
+}
+
+/// The target word of a delta body at the view's state.
+#[inline]
+fn delta_target(writes: &[DeltaWrite], view: &State<'_>) -> Result<u64, ()> {
+    let mut target = view.word;
+    for write in writes {
+        let source = view.values[write.src];
+        if (write.leaves >> source) & 1 != 0 {
+            return Err(());
+        }
+        let old = narrow(view.values[write.var]);
+        target = target.wrapping_add(write.deltas[narrow(source) * write.width + old]);
+    }
+    Ok(target)
+}
+
+/// `body` as delta writes, when the module's conditions for them hold.
+fn delta_body(layout: &Layout, body: &[Stmt]) -> Option<Vec<DeltaWrite>> {
+    let mut writes: Vec<DeltaWrite> = Vec::with_capacity(body.len());
+    for stmt in body {
+        let (var, cond, expr) = match stmt {
+            Stmt::Assign(var, expr) => (*var, None, expr),
+            Stmt::If {
+                cond,
+                then_branch,
+                else_branch,
+            } => match (&then_branch[..], &else_branch[..]) {
+                ([Stmt::Assign(var, expr)], []) => (*var, Some(cond), expr),
+                _ => return None,
+            },
+        };
+        let mut reads = Reads::Nothing;
+        expr.visit_reads(&mut |read| reads = reads.add(read));
+        if let Some(cond) = cond {
+            cond.visit_reads(&mut |read| reads = reads.add(read));
+        }
+        let src = match reads {
+            Reads::Nothing => var,
+            Reads::One(src) => src,
+            Reads::Many => return None,
+        };
+        if writes
+            .iter()
+            .any(|earlier| earlier.var == var.index() || earlier.var == src.index())
+        {
+            return None;
+        }
+        let (sources, width) = (layout.domains[src.index()], layout.domains[var.index()]);
+        if sources > 64 || width > 64 {
+            return None;
+        }
+        let stride = layout.strides[var.index()];
+        let mut leaves = 0u64;
+        let mut deltas = vec![0u64; narrow(sources * width)];
+        let mut written = vec![None; narrow(sources)];
+        for source in 0..sources {
+            let bound = Some((src, narrow(source)));
+            if let Some(cond) = cond {
+                if !holds_at(cond, bound)? {
+                    continue;
+                }
+            }
+            let value = eval_at(expr, bound)? as u64;
+            written[narrow(source)] = Some(value);
+            if value >= width {
+                leaves |= 1 << source;
+                continue;
+            }
+            for old in 0..width {
+                deltas[narrow(source * width + old)] = value.wrapping_sub(old).wrapping_mul(stride);
+            }
+        }
+        writes.push(DeltaWrite {
+            src: src.index(),
+            var: var.index(),
+            width: narrow(width),
+            leaves,
+            deltas: deltas.into(),
+            written: written.into(),
+        });
+    }
+    Some(writes)
 }
 
 /// A guard being sorted into atoms, clauses and leftover conjuncts.
@@ -409,7 +702,7 @@ fn holds_at(cond: &Cond, bound: Option<(VarRef, usize)>) -> Option<bool> {
 fn land(code: &mut [Ins], at: usize) {
     let end = code.len();
     match &mut code[at] {
-        Ins::Short { to, .. } | Ins::JumpUnless(to) | Ins::Unless(_, to) | Ins::Jump(to) => {
+        Ins::Short { to, .. } | Ins::JumpUnless(to) | Ins::Jump(to) => {
             *to = end;
         }
         _ => unreachable!("only jumps are landed"),
@@ -496,17 +789,6 @@ fn lower_expr(expr: &Expr, code: &mut Vec<Ins>) {
 fn lower_block(layout: &Layout, stmts: &[Stmt], code: &mut Vec<Ins>) {
     for stmt in stmts {
         match stmt {
-            Stmt::Assign(var, Expr::Const(value)) => code.push(Ins::Set(var.index(), *value)),
-            Stmt::Assign(var, Expr::Table { index, values }) if matches!(**index, Expr::Var(_)) => {
-                let Expr::Var(src) = **index else {
-                    unreachable!("matched by the guard")
-                };
-                code.push(Ins::Lookup {
-                    var: var.index(),
-                    src: src.index(),
-                    table: Arc::clone(values),
-                });
-            }
             Stmt::Assign(var, expr) => {
                 lower_expr(expr, code);
                 code.push(Ins::Store(var.index()));
@@ -516,14 +798,9 @@ fn lower_block(layout: &Layout, stmts: &[Stmt], code: &mut Vec<Ins>) {
                 then_branch,
                 else_branch,
             } => {
-                match digit_set(layout, cond, false) {
-                    Some(DigitSet::Atom(atom)) => code.push(Ins::Unless(atom, 0)),
-                    _ => {
-                        lower_cond(layout, cond, code);
-                        code.push(Ins::JumpUnless(0));
-                    }
-                }
-                let branch = code.len() - 1;
+                lower_cond(layout, cond, code);
+                let branch = code.len();
+                code.push(Ins::JumpUnless(0));
                 lower_block(layout, then_branch, code);
                 if else_branch.is_empty() {
                     land(code, branch);
@@ -541,8 +818,12 @@ fn lower_block(layout: &Layout, stmts: &[Stmt], code: &mut Vec<Ins>) {
 
 #[cfg(test)]
 mod tests {
+    use graybox_rng::rngs::SmallRng;
+    use graybox_rng::{Rng, SeedableRng};
+
     use super::super::ir::{Cond, Expr, IrCommand, Stmt};
-    use super::super::{GclError, Program, State, VarRef};
+    use super::super::{narrow, GclError, Program, State, VarRef};
+    use super::Body;
 
     /// A program over `domains` with one command per guard, each with an
     /// empty body.
@@ -559,20 +840,273 @@ mod tests {
         p
     }
 
-    /// Every lowered guard of `p` against the valuation semantics, at
-    /// every state.
-    fn assert_guards_match_the_valuations(p: &Program) {
+    /// The valuation semantics of a body, stopping with `Err` at its
+    /// first write outside `domains` (the write the compiler reports).
+    fn exec_checked(stmts: &[Stmt], values: &mut [usize], domains: &[usize]) -> Result<(), ()> {
+        for stmt in stmts {
+            match stmt {
+                Stmt::Assign(var, expr) => {
+                    let value = expr.eval_values(values);
+                    if value >= domains[var.index()] {
+                        return Err(());
+                    }
+                    values[var.index()] = value;
+                }
+                Stmt::If {
+                    cond,
+                    then_branch,
+                    else_branch,
+                } => {
+                    let branch = if cond.eval_values(values) {
+                        then_branch
+                    } else {
+                        else_branch
+                    };
+                    exec_checked(branch, values, domains)?;
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// The lowering of `p` against the valuation semantics, at every
+    /// state: a command is enabled exactly when its guard holds, and
+    /// exactly when its candidate bit is set and it is enabled past its
+    /// atoms; [`Lowered::enabled_targets`](super::Lowered::enabled_targets)
+    /// and its `_with` form yield every enabled command's target (and
+    /// post-effect values) in index order, stopping at the first that
+    /// leaves a domain, and leave the view as they found it.
+    fn assert_lowering_matches_the_valuations(p: &Program) {
         let lowered = p.lower().unwrap();
+        let domains: Vec<usize> = p.variables().map(|(_, domain)| domain).collect();
+        let encode = |values: &[usize]| -> u64 {
+            values
+                .iter()
+                .zip(&lowered.layout.strides)
+                .map(|(&value, &stride)| value as u64 * stride)
+                .sum()
+        };
         let mut view = State::new(&lowered.layout);
         for word in 0..lowered.layout.total {
             view.load(word);
-            let values: Vec<usize> = view.values.iter().map(|&v| super::narrow(v)).collect();
+            let values: Vec<usize> = view.values.iter().map(|&v| narrow(v)).collect();
+            let mut expected = Vec::new();
+            let mut leaves = None;
             for (c, command) in lowered.commands.iter().enumerate() {
+                let ir = p.ir_command(c);
+                let holds = ir.guard_holds_values(&values);
+                let candidate = (lowered.candidates(&view.values, c / 64) >> (c % 64)) & 1 != 0;
+                assert_eq!(command.enabled(&mut view), holds, "{c} at {values:?}");
                 assert_eq!(
-                    command.enabled(&mut view),
-                    p.ir_command(c).guard_holds_values(&values),
-                    "command {c} at {values:?}"
+                    candidate && command.enabled_past_atoms(&mut view),
+                    holds,
+                    "{c} at {values:?}"
                 );
+                if holds && leaves.is_none() {
+                    let mut next = values.clone();
+                    match exec_checked(&ir.body, &mut next, &domains) {
+                        Ok(()) => expected.push((c, next)),
+                        Err(()) => leaves = Some(c),
+                    }
+                }
+            }
+            let outcome = leaves.map_or(Ok(expected.len()), Err);
+            let mut targets = Vec::new();
+            let result = lowered.enabled_targets(&mut view, |c, target| targets.push((c, target)));
+            assert_eq!(result, outcome, "at {values:?}");
+            let words: Vec<(usize, u64)> = expected
+                .iter()
+                .map(|(c, next)| (*c, encode(next)))
+                .collect();
+            assert_eq!(targets, words, "at {values:?}");
+            let mut states = Vec::new();
+            let result = lowered.enabled_targets_with(
+                &mut view,
+                |values, word| {
+                    let values: Vec<usize> = values.iter().map(|&v| narrow(v)).collect();
+                    assert_eq!(word, encode(&values));
+                    values
+                },
+                |c, values| states.push((c, values)),
+            );
+            assert_eq!(result, outcome, "at {values:?}");
+            assert_eq!(states, expected, "at {values:?}");
+            assert_eq!(view.word, word);
+            assert_eq!(
+                view.values.iter().map(|&v| narrow(v)).collect::<Vec<_>>(),
+                values
+            );
+        }
+    }
+
+    /// The number of delta and jump-code bodies of `p`.
+    fn body_kinds(p: &Program) -> (usize, usize) {
+        let lowered = p.lower().unwrap();
+        let delta = lowered
+            .commands
+            .iter()
+            .filter(|command| matches!(command.body, Body::Delta(_)))
+            .count();
+        (delta, lowered.commands.len() - delta)
+    }
+
+    /// A random condition over `vars`, in one of the shapes the lowering
+    /// sorts into atoms, clauses and residual code.
+    fn random_cond(rng: &mut SmallRng, vars: &[VarRef], domains: &[usize]) -> Cond {
+        let pick = |rng: &mut SmallRng| rng.gen_range(0..vars.len());
+        let (v, w) = (pick(rng), pick(rng));
+        let x = |i: usize| Expr::var(vars[i]);
+        let value = |rng: &mut SmallRng, i: usize| Expr::int(rng.gen_range(0..domains[i]));
+        match rng.gen_range(0..6usize) {
+            0 => x(v).eq(value(rng, v)),
+            1 => x(v).lt(Expr::int(rng.gen_range(0..=domains[v]))),
+            2 => x(v).eq(value(rng, v)).and(x(w).eq(value(rng, w))).not(),
+            3 => x(v).lt(x(w)),
+            4 => {
+                let table: Vec<usize> = (0..domains[v]).map(|_| rng.gen_range(0..2)).collect();
+                x(v).table(table).eq(Expr::int(1))
+            }
+            _ => x(v).eq(value(rng, v)).or(x(w).lt(x(pick(rng)))),
+        }
+    }
+
+    /// A random statement over `vars`: constants, full-table lookups,
+    /// copies, single-variable arithmetic, two-variable sums and guarded
+    /// writes; one value in eight it writes is just past its domain.
+    fn random_stmt(rng: &mut SmallRng, vars: &[VarRef], domains: &[usize]) -> Stmt {
+        let pick = |rng: &mut SmallRng| rng.gen_range(0..vars.len());
+        let (dst, a, b) = (pick(rng), pick(rng), pick(rng));
+        let x = |i: usize| Expr::var(vars[i]);
+        let value = |rng: &mut SmallRng| {
+            if rng.gen_range(0..8usize) == 0 {
+                domains[dst]
+            } else {
+                rng.gen_range(0..domains[dst])
+            }
+        };
+        let expr = match rng.gen_range(0..7usize) {
+            0 => Expr::int(value(rng)),
+            1 => x(a).table((0..domains[a]).map(|_| value(rng)).collect::<Vec<_>>()),
+            2 => x(a),
+            3 => x(dst).add(Expr::int(1)).modulo(domains[dst]),
+            4 => x(a).add(x(b)).modulo(domains[dst]),
+            5 => {
+                let cond = x(a).eq(Expr::int(rng.gen_range(0..domains[a])));
+                return Stmt::when(cond, vec![Stmt::assign(vars[dst], Expr::int(value(rng)))]);
+            }
+            _ => {
+                let cond = x(a).lt(x(b));
+                let then_branch = vec![Stmt::assign(vars[dst], Expr::int(value(rng)))];
+                let else_branch = vec![Stmt::assign(vars[dst], x(a))];
+                return Stmt::if_else(cond, then_branch, else_branch);
+            }
+        };
+        Stmt::assign(vars[dst], expr)
+    }
+
+    /// A random program with `commands` commands over up to four
+    /// variables of 1..6 values, now and then one of 65..69 values.
+    fn random_program(seed: u64, commands: usize) -> Program {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let nvars = rng.gen_range(1..5usize);
+        let mut domains: Vec<usize> = (0..nvars).map(|_| rng.gen_range(1..6usize)).collect();
+        if nvars > 1 && rng.gen_range(0..4usize) == 0 {
+            domains[nvars - 1] = rng.gen_range(65..70usize);
+        }
+        let mut p = Program::new();
+        let vars: Vec<VarRef> = domains
+            .iter()
+            .enumerate()
+            .map(|(i, &d)| p.var(format!("x{i}"), d))
+            .collect();
+        for c in 0..commands {
+            let guard = (0..rng.gen_range(1..3usize))
+                .map(|_| random_cond(&mut rng, &vars, &domains))
+                .reduce(Cond::and)
+                .expect("at least one conjunct");
+            let body = (0..rng.gen_range(0..4usize))
+                .map(|_| random_stmt(&mut rng, &vars, &domains))
+                .collect();
+            p.command_ir(IrCommand::new(format!("c{c}"), guard, body));
+        }
+        p
+    }
+
+    #[test]
+    fn random_programs_lower_to_their_valuation_semantics() {
+        let (mut delta, mut jump) = (0, 0);
+        for seed in 0..200u64 {
+            let p = random_program(seed, (seed % 8) as usize);
+            assert_lowering_matches_the_valuations(&p);
+            let (d, j) = body_kinds(&p);
+            delta += d;
+            jump += j;
+        }
+        assert!(
+            delta > 100 && jump > 100,
+            "{delta} delta, {jump} jump-code bodies"
+        );
+    }
+
+    #[test]
+    fn more_than_64_commands_take_more_candidate_words() {
+        for seed in 0..4u64 {
+            let p = random_program(1_000 + seed, 130);
+            assert_eq!(p.lower().unwrap().all.len(), 3);
+            assert_lowering_matches_the_valuations(&p);
+        }
+    }
+
+    #[test]
+    fn read_after_write_and_double_writes_stay_jump_code() {
+        let mut p = Program::new();
+        let x = p.var("x", 3);
+        let y = p.var("y", 4);
+        let bodies = vec![
+            // Reads the x just written.
+            vec![Stmt::assign(x, Expr::int(1)), Stmt::assign(y, Expr::var(x))],
+            // Guards a write on the x just written.
+            vec![
+                Stmt::assign(x, Expr::int(2)),
+                Stmt::when(
+                    Expr::var(x).eq(Expr::int(2)),
+                    vec![Stmt::assign(y, Expr::int(3))],
+                ),
+            ],
+            // Writes x twice.
+            vec![Stmt::assign(x, Expr::int(1)), Stmt::assign(x, Expr::int(2))],
+            // A value of two variables.
+            vec![Stmt::assign(x, Expr::var(x).add(Expr::var(y)).modulo(3))],
+            // Both writes read x before it is written: delta.
+            vec![
+                Stmt::assign(y, Expr::var(x)),
+                Stmt::assign(x, Expr::var(x).table(vec![2, 0, 1])),
+            ],
+            // A guarded write of the guard's own variable: delta.
+            vec![Stmt::when(
+                Expr::var(y).lt(Expr::int(2)),
+                vec![Stmt::assign(y, Expr::var(y).add(Expr::int(2)))],
+            )],
+        ];
+        for (i, body) in bodies.into_iter().enumerate() {
+            p.command_ir(IrCommand::new(format!("c{i}"), Cond::Const(true), body));
+        }
+        let lowered = p.lower().unwrap();
+        let delta: Vec<bool> = lowered
+            .commands
+            .iter()
+            .map(|command| matches!(command.body, Body::Delta(_)))
+            .collect();
+        assert_eq!(delta, [false, false, false, false, true, true]);
+        assert_lowering_matches_the_valuations(&p);
+    }
+
+    #[test]
+    fn every_tme_body_is_a_delta_body() {
+        for n in [2, 3, 4] {
+            for with_wrapper in [false, true] {
+                let (p, _) = crate::tme_abstract::program_nproc_ir(n, with_wrapper);
+                assert_eq!(body_kinds(&p), (p.num_commands(), 0), "n = {n}");
             }
         }
     }
@@ -620,7 +1154,7 @@ mod tests {
             ]
         );
         assert_eq!(lowered.commands[0].atoms[0].mask, 0b010);
-        assert_guards_match_the_valuations(&p);
+        assert_lowering_matches_the_valuations(&p);
     }
 
     #[test]
@@ -637,7 +1171,7 @@ mod tests {
             });
             let lowered = p.lower().unwrap();
             assert!(lowered.commands.iter().all(|c| c.residual.is_empty()));
-            assert_guards_match_the_valuations(&p);
+            assert_lowering_matches_the_valuations(&p);
         }
     }
 
@@ -696,6 +1230,8 @@ mod tests {
             Cond::Const(true),
             vec![Stmt::assign(x, Expr::var(x).table(vec![1, 0]))],
         ));
+        let lowered = p.lower().unwrap();
+        assert!(matches!(lowered.commands[0].body, Body::Jump(_)));
         let _ = p.compile(|_| true);
     }
 

@@ -463,22 +463,16 @@ impl Lowered {
         row: &mut Vec<u64>,
     ) -> Result<(), usize> {
         row.clear();
-        for (index, command) in self.commands.iter().enumerate() {
-            if !command.enabled(view) {
-                continue;
-            }
-            view.begin_effect();
-            command.apply(view);
-            // Each target is canonicalized on the live post-effect
-            // buffer, before the effect is rolled back — no re-decode.
-            let target = view
-                .finish_effect_with(|values, word| match sym {
-                    Some(sym) => sym.canon(&self.layout, values, word).0,
-                    None => word,
-                })
-                .map_err(|()| index)?;
-            row.push(target);
-        }
+        match sym {
+            // Each target is canonicalized on the post-effect buffer,
+            // before the view is put back — no re-decode.
+            Some(sym) => self.enabled_targets_with(
+                view,
+                |values, word| sym.canon(&self.layout, values, word).0,
+                |_, target| row.push(target),
+            )?,
+            None => self.enabled_targets(view, |_, target| row.push(target))?,
+        };
         if row.is_empty() {
             row.push(view.word);
         }

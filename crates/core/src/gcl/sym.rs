@@ -534,13 +534,9 @@ impl SymmetrySpec {
                     if !here {
                         continue;
                     }
-                    view.begin_effect();
-                    command.apply(&mut view);
                     let target_image =
-                        view.finish_effect_with(|values, _| self.image(layout, values, g));
-                    image_view.begin_effect();
-                    lowered.commands[c2].apply(&mut image_view);
-                    let image_target = image_view.finish_effect();
+                        command.target_with(&mut view, |values, _| self.image(layout, values, g));
+                    let image_target = lowered.commands[c2].target(&mut image_view);
                     let agree = match (target_image, image_target) {
                         (Ok(t), Ok(t2)) => t == t2,
                         (Err(()), Err(())) => true,
@@ -936,36 +932,42 @@ impl Program {
                     let a_s = annot[s];
                     let frame = sym.inv(a_s);
                     view.load(words[s]);
-                    for (c, command) in lowered.commands.iter().enumerate() {
-                        if !command.enabled(&mut view) {
-                            // Disabled ⇒ the conjugate command skips in
-                            // the sheet: it acts inside.
-                            let fact = sym.cmd_perm[frame as usize][c] as usize;
-                            facts[fact / 64] |= 1u64 << (fact % 64);
-                            continue;
-                        }
-                        view.begin_effect();
-                        command.apply(&mut view);
-                        let (canon, sigma) = view
-                            .finish_effect_with(|values, word| sym.canon(layout, values, word))
-                            .map_err(|()| self.out_of_domain(c))?;
-                        let t = words.binary_search(&canon).expect(NOT_A_SYMMETRY);
-                        if scc_id[t] != scc {
-                            continue;
-                        }
-                        let fact = sym.cmd_perm[frame as usize][c] as usize;
-                        facts[fact / 64] |= 1u64 << (fact % 64);
-                        let carried = sym.comp(sigma, a_s);
-                        if annot[t] == UNSET {
-                            annot[t] = carried;
-                            queue.push(t as u32);
-                        } else {
-                            let defect = sym.comp(sym.inv(annot[t]), carried);
-                            if defect != 0 && !gen_seen[defect as usize] {
-                                gen_seen[defect as usize] = true;
-                                gens.push(defect);
-                            }
-                        }
+                    let perm = &sym.cmd_perm[frame as usize];
+                    // Disabled ⇒ the conjugate command skips in the
+                    // sheet: it acts inside. `next` is the first command
+                    // not yet known enabled or disabled.
+                    let mut next = 0;
+                    lowered
+                        .enabled_targets_with(
+                            &mut view,
+                            |values, word| sym.canon(layout, values, word),
+                            |c, (canon, sigma)| {
+                                for &fact in &perm[next..c] {
+                                    facts[fact as usize / 64] |= 1u64 << (fact % 64);
+                                }
+                                next = c + 1;
+                                let t = words.binary_search(&canon).expect(NOT_A_SYMMETRY);
+                                if scc_id[t] != scc {
+                                    return;
+                                }
+                                let fact = perm[c] as usize;
+                                facts[fact / 64] |= 1u64 << (fact % 64);
+                                let carried = sym.comp(sigma, a_s);
+                                if annot[t] == UNSET {
+                                    annot[t] = carried;
+                                    queue.push(t as u32);
+                                } else {
+                                    let defect = sym.comp(sym.inv(annot[t]), carried);
+                                    if defect != 0 && !gen_seen[defect as usize] {
+                                        gen_seen[defect as usize] = true;
+                                        gens.push(defect);
+                                    }
+                                }
+                            },
+                        )
+                        .map_err(|c| self.out_of_domain(c))?;
+                    for &fact in &perm[next..] {
+                        facts[fact as usize / 64] |= 1u64 << (fact % 64);
                     }
                 }
                 // Close the fact set under conjugation by the defect
@@ -1038,23 +1040,19 @@ impl Program {
                 init_seeds.push(state);
             }
             row.clear();
-            let mut any_disabled = false;
             let mut twist = false;
-            for (index, command) in lowered.commands.iter().enumerate() {
-                if command.enabled(&mut view) {
-                    view.begin_effect();
-                    command.apply(&mut view);
-                    let (canon, sigma) = view
-                        .finish_effect_with(|values, word| sym.canon(layout, values, word))
-                        .map_err(|()| self.out_of_domain(index))?;
-                    let id = words.binary_search(&canon).expect(NOT_A_SYMMETRY);
-                    twist |= id == state && sigma != 0;
-                    row.push(id as u32);
-                } else {
-                    any_disabled = true;
-                }
-            }
-            if any_disabled {
+            let enabled = lowered
+                .enabled_targets_with(
+                    &mut view,
+                    |values, word| sym.canon(layout, values, word),
+                    |_, (canon, sigma)| {
+                        let id = words.binary_search(&canon).expect(NOT_A_SYMMETRY);
+                        twist |= id == state && sigma != 0;
+                        row.push(id as u32);
+                    },
+                )
+                .map_err(|index| self.out_of_domain(index))?;
+            if enabled < ncmd {
                 row.push(state as u32);
             }
             if twist {

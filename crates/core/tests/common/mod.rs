@@ -19,7 +19,7 @@
 
 use graybox_core::gcl::ir::{Cond, Expr, IrCommand, Stmt};
 use graybox_core::gcl::sym::{SymSelfReport, SymmetryElement, SymmetrySpec};
-use graybox_core::gcl::{FairSelfReport, Program, State, VarRef};
+use graybox_core::gcl::{FairSelfReport, GclError, Program, State, VarRef};
 use graybox_core::randsys::{random_subsystem, random_system};
 use graybox_core::synthesis::stutter_closure;
 use graybox_core::tme_abstract::program_nproc_ir;
@@ -596,6 +596,174 @@ pub fn assert_self_check_matches_reference(seed: u64, workers: usize) -> Option<
         "seed {seed}, {workers} workers: legitimate-state counts diverge"
     );
     Some(streamed)
+}
+
+/// Moves the writes of `spec`'s first command out of their domains:
+/// every constant and every lookup-table entry it writes, in either
+/// branch, goes up by its target's domain. Returns whether it changed
+/// a write.
+pub fn leak_first_command(spec: &mut ProgramSpec) -> bool {
+    fn leak(assigns: &mut [Assign], domains: &[usize]) -> bool {
+        let mut leaked = false;
+        for assign in assigns {
+            match assign {
+                Assign::Const(dst, value) => *value += domains[*dst],
+                Assign::Lookup { dst, table, .. } => {
+                    table.iter_mut().for_each(|entry| *entry += domains[*dst]);
+                }
+                Assign::IfEq {
+                    then_branch,
+                    else_branch,
+                    ..
+                } => {
+                    leaked |= leak(then_branch, domains) | leak(else_branch, domains);
+                    continue;
+                }
+                _ => continue,
+            }
+            leaked = true;
+        }
+        leaked
+    }
+    let domains = spec.domains.clone();
+    spec.commands
+        .first_mut()
+        .is_some_and(|command| leak(&mut command.assigns, &domains))
+}
+
+/// Makes the first command read its own first write: its body becomes
+/// that write, to `x_d`, followed by `x_e := table[x_d]` for the next
+/// variable `x_e`. Returns whether it changed the body (a spec with one
+/// variable, no command, or a branch first is left alone).
+pub fn forward_first_write(spec: &mut ProgramSpec) -> bool {
+    let nvars = spec.domains.len();
+    let Some(command) = spec.commands.first_mut() else {
+        return false;
+    };
+    let first = command.assigns[0].clone();
+    let written = match first {
+        Assign::Const(dst, _)
+        | Assign::Copy { dst, .. }
+        | Assign::IncMod(dst, _)
+        | Assign::Lookup { dst, .. }
+        | Assign::LookupSum { dst, .. }
+        | Assign::DiffMod { dst, .. } => dst,
+        Assign::IfEq { .. } => return false,
+    };
+    if nvars < 2 {
+        return false;
+    }
+    let next = (written + 1) % nvars;
+    let table = (0..spec.domains[written])
+        .map(|value| (value + 1) % spec.domains[next])
+        .collect();
+    command.assigns = vec![
+        first,
+        Assign::Lookup {
+            dst: next,
+            src: written,
+            table,
+        },
+    ];
+    true
+}
+
+/// The IR's valuation semantics of a body, stopping with `Err` at its
+/// first write outside `domains` (the write the compiler reports as
+/// [`GclError::OutOfDomain`]).
+fn exec_checked(stmts: &[Stmt], values: &mut [usize], domains: &[usize]) -> Result<(), ()> {
+    for stmt in stmts {
+        match stmt {
+            Stmt::Assign(var, expr) => {
+                let value = expr.eval_values(values);
+                if value >= domains[var.index()] {
+                    return Err(());
+                }
+                values[var.index()] = value;
+            }
+            Stmt::If {
+                cond,
+                then_branch,
+                else_branch,
+            } => {
+                let branch = if cond.eval_values(values) {
+                    then_branch
+                } else {
+                    else_branch
+                };
+                exec_checked(branch, values, domains)?;
+            }
+        }
+    }
+    Ok(())
+}
+
+/// [`Program::step`] of seed `seed`'s random program, at every state,
+/// against the IR's valuation semantics
+/// ([`IrCommand::guard_holds_values`], the bodies' assignments with a
+/// domain check per write): the sorted, deduplicated targets of the
+/// enabled commands (the stutter at a quiescent state), or the first
+/// enabled command in index order whose body leaves a domain. Odd seeds
+/// run with [`leak_first_command`], seeds 2 mod 4 with
+/// [`forward_first_write`]. Returns the number of states whose step
+/// reports a write out of domain.
+pub fn assert_step_matches_the_valuations(seed: u64) -> usize {
+    let mut spec = random_spec(seed);
+    if seed % 2 == 1 {
+        leak_first_command(&mut spec);
+    } else if seed % 4 == 2 {
+        forward_first_write(&mut spec);
+    }
+    let (program, _) = build_packed(&spec);
+    let domains = &spec.domains;
+    let mut leaks = 0;
+    for state in 0..program.state_space().unwrap() {
+        let mut rest = state;
+        let values: Vec<usize> = domains
+            .iter()
+            .map(|&domain| {
+                let value = rest % domain;
+                rest /= domain;
+                value
+            })
+            .collect();
+        let mut expected = Ok(Vec::new());
+        for index in 0..program.num_commands() {
+            let command = program.ir_command(index);
+            if !command.guard_holds_values(&values) {
+                continue;
+            }
+            let mut next = values.clone();
+            if exec_checked(&command.body, &mut next, domains).is_err() {
+                expected = Err(GclError::OutOfDomain {
+                    command: command.name.clone(),
+                });
+                break;
+            }
+            let word = next
+                .iter()
+                .zip(domains)
+                .rev()
+                .fold(0, |word, (&value, &domain)| word * domain + value);
+            if let Ok(row) = &mut expected {
+                row.push(word);
+            }
+        }
+        if let Ok(row) = &mut expected {
+            if row.is_empty() {
+                row.push(state);
+            }
+            row.sort_unstable();
+            row.dedup();
+        }
+        leaks += usize::from(expected.is_err());
+        assert_eq!(
+            program.step(state),
+            expected,
+            "seed {seed}, state {values:?}"
+        );
+    }
+    leaks
 }
 
 /// The quotient fair self-check of `inst` at `workers` against the

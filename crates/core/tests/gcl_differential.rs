@@ -9,12 +9,15 @@
 //! `is_stabilizing_to` verdicts, the streaming `fair_self_check`
 //! verdict against the materialized fair-composition check, and the
 //! reachable explorer's fragment against the reference system's
-//! init-reachable states and the edges among them.
+//! init-reachable states and the edges among them. A second sweep runs
+//! `Program::step` at every state of each program against the IR's
+//! valuation semantics, with writes out of domain on odd seeds.
 
 mod common;
 
 use common::{
-    assert_self_check_matches_reference, build_packed, build_reference, packed_init, random_spec,
+    assert_self_check_matches_reference, assert_step_matches_the_valuations, build_packed,
+    build_reference, packed_init, random_spec,
 };
 use graybox_core::is_stabilizing_to;
 use graybox_core::sweep::sweep_seeds;
@@ -136,6 +139,12 @@ fn two_hundred_random_programs_compile_identically() {
     // 200 seeded programs; the sweep driver parallelizes when cores are
     // available and propagates any per-seed panic.
     sweep_seeds(0..200u64, check_seed);
+}
+
+#[test]
+fn two_hundred_random_programs_step_by_their_valuations() {
+    let leaks: usize = (0..200u64).map(assert_step_matches_the_valuations).sum();
+    assert!(leaks > 0, "no state reached a write out of domain");
 }
 
 #[test]

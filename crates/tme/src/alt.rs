@@ -93,11 +93,6 @@ impl RaMeAlt {
         }
     }
 
-    fn peers(&self) -> impl Iterator<Item = ProcessId> {
-        let id = self.id;
-        ProcessId::all(self.n).filter(move |&k| k != id)
-    }
-
     fn try_enter(&mut self) {
         if self.phase != Phase::Waiting {
             return;

@@ -114,11 +114,6 @@ impl LamportMe {
         &self.queue
     }
 
-    fn peers(&self) -> impl Iterator<Item = ProcessId> {
-        let id = self.id;
-        ProcessId::all(self.n).filter(move |&k| k != id)
-    }
-
     /// The paper's modified `Insert`: drop any previous entry of `pid`,
     /// then insert in timestamp order (after any equal timestamps). A
     /// previous entry is moved with one rotation, which is a no-op for

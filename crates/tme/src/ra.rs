@@ -91,11 +91,6 @@ impl RaMe {
         self.received[k.index()]
     }
 
-    fn peers(&self) -> impl Iterator<Item = ProcessId> {
-        let id = self.id;
-        ProcessId::all(self.n).filter(move |&k| k != id)
-    }
-
     fn deferred_set(&self) -> impl Iterator<Item = ProcessId> + '_ {
         self.peers()
             .filter(|&k| self.received[k.index()] && self.req.lt(self.local_req[k.index()]))

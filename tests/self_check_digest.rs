@@ -6,12 +6,18 @@
 //!   verdict) and of `crates/core/tests/reduction_differential.rs` (the
 //!   symmetry-quotient check against the full check), each at 1 and 2
 //!   workers;
+//! * a seeded slice of `gcl_differential.rs`'s step sweep: the lowering
+//!   (candidate words, delta bodies, jump code, writes out of domain)
+//!   against the IR's valuation semantics at every state;
 //! * a seeded slice of `crates/core/tests/reference_engine.rs` (the CSR
 //!   engine against the `BTreeSet` engine);
 //! * the n = 2 case of `crates/core/tests/tme_twins.rs` (the IR TME model
 //!   against the oracle DSL model), in full;
 //! * a seeded slice of `crates/simnet/tests/queue_twin.rs` (the timer
-//!   wheel against the heap scheduler).
+//!   wheel against the heap scheduler);
+//! * the n = 2 union-CSR digests that `graybox-core`'s
+//!   `n2_union_csr_is_pinned` pins for the fair self-check's sweep,
+//!   recomputed here from the materialized fair union.
 //!
 //! The slices share the suites' generators and comparisons through their
 //! `common` and `twin` modules; the full suites run in CI.
@@ -23,9 +29,12 @@ mod twin;
 
 use std::ops::Range;
 
+use graybox_core::tme_abstract::program_nproc_ir;
+
 use common::{
     assert_nproc_twins_agree, assert_quotient_check_matches_full,
-    assert_self_check_matches_reference, engines_agree_on_seed, rotation_instance,
+    assert_self_check_matches_reference, assert_step_matches_the_valuations, engines_agree_on_seed,
+    random_spec, rotation_instance,
 };
 
 const SEEDS: Range<u64> = 0..40;
@@ -72,6 +81,16 @@ fn quotient_check_matches_the_full_check_on_a_seed_slice() {
 }
 
 #[test]
+fn step_matches_the_valuation_semantics_on_a_seed_slice() {
+    // 60 of the 200 seeds, under 0.1 s in debug; the slice keeps
+    // domains of 65..69 values and writes out of domain.
+    let leaks: usize = (0..60u64).map(assert_step_matches_the_valuations).sum();
+    assert!(leaks > 0, "no state reached a write out of domain");
+    let wide = (0..60u64).filter(|&seed| random_spec(seed).domains.iter().any(|&d| d > 64));
+    assert!(wide.count() > 0, "slice lost its wide domains");
+}
+
+#[test]
 fn csr_and_btreeset_engines_agree_on_a_seed_slice() {
     let mut verdicts = [0usize; 2];
     for seed in 0..500u64 {
@@ -97,5 +116,41 @@ fn wheel_and_heap_queues_agree_on_a_seed_slice() {
     }
     for seed in 100..105u64 {
         twin::randomized_bounded_workload(seed);
+    }
+}
+
+/// FNV-1a over the little-endian bytes of `values`, continuing `hash`.
+fn fnv1a(hash: u64, values: impl IntoIterator<Item = u64>) -> u64 {
+    values
+        .into_iter()
+        .flat_map(u64::to_le_bytes)
+        .fold(hash, |hash, byte| {
+            (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+}
+
+#[test]
+fn n2_fair_union_matches_the_pinned_union_csr() {
+    // The materialized fair union has the rows the streamed self-check's
+    // sweep writes, so the digest over its offsets, targets and initial
+    // states (each as eight little-endian bytes) is the pinned one.
+    let pins = [
+        (0x9dff_aef2_0674_d3d6, 2_412),
+        (0x0a4a_4138_52e2_9506, 2_484),
+    ];
+    for (with_wrapper, pin) in [false, true].into_iter().zip(pins) {
+        let (program, init) = program_nproc_ir(2, with_wrapper);
+        let (fair, _) = program.compile_fair(init).unwrap();
+        let union = fair.union();
+        let mut off = vec![0u64];
+        let mut to = Vec::new();
+        for state in 0..union.num_states() {
+            to.extend(union.successors(state).map(|t| t as u64));
+            off.push(to.len() as u64);
+        }
+        let hash = fnv1a(0xcbf2_9ce4_8422_2325, off);
+        let hash = fnv1a(hash, to.iter().copied());
+        let hash = fnv1a(hash, union.init().iter().map(|s| s as u64));
+        assert_eq!((hash, to.len()), pin, "wrapper = {with_wrapper}");
     }
 }
