@@ -1109,10 +1109,12 @@ fn main() {
     }
 
     // Two workers must not lose to one on the streaming n=3 check (1.15 =
-    // measurement-noise allowance). Every worker count runs the same
-    // sequential Tarjan, so the sharded sweeps are the only difference;
-    // the FB-Trim parallel SCC engine this replaced made threads=2 about
-    // 2x slower than threads=1 on singleton-dominated union graphs.
+    // measurement-noise allowance). At two or more workers the unwrapped
+    // and wrapped checks run side by side, each with its own sequential
+    // Tarjan walk, so the split of the two programs and of the SCC groups
+    // and the scan are the only difference; the FB-Trim parallel SCC
+    // engine that preceded the sequential Tarjan made threads=2 about 2x
+    // slower than threads=1 on singleton-dominated union graphs.
     if let (Some(one), Some(two)) = (scaled(1), scaled(2)) {
         assert!(
             two <= 1.15 * one,

@@ -884,7 +884,8 @@ impl Program {
 
         // Phase D — SCCs of the quotient union graph: sequential Tarjan
         // at every worker count (Phases E and F read only the partition).
-        let (scc_id, scc_count) = par::tarjan(&off, &to);
+        let csr = par::Csr { off: &off, to: &to };
+        let (scc_id, scc_count) = csr.sccs();
 
         // Phase E — holonomy-exact command presence per quotient SCC.
         // A singleton {s} that is not twisted has no defect generator
@@ -998,9 +999,9 @@ impl Program {
 
         // Phase F — divergent scan over the stored quotient CSR: first
         // hit in canonical state order, reported as full packed words.
-        let divergent_witness =
-            par::divergent_edge(&off, &to, &scc_id, &full, &legitimate, workers)
-                .map(|(state, next)| (words[state], words[next]));
+        let Ok(divergent_witness) =
+            par::divergent_edge(&scc_id, &full, &legitimate, workers, || csr);
+        let divergent_witness = divergent_witness.map(|(state, next)| (words[state], words[next]));
 
         Ok(SymSelfReport {
             num_states: total,

@@ -1,11 +1,13 @@
-//! The crate's one CSR graph kernel: closure, SCCs, stitching and the
+//! The crate's one graph kernel: closure, SCCs, stitching and the
 //! fair-violation scan.
 //!
-//! Every graph in the verdict pipeline is a CSR pair `(off, to)`:
-//! [`FiniteSystem`](crate::FiniteSystem)'s `usize` rows and the GCL
-//! streaming checks' 32-bit union rows. The kernels here are generic
-//! over the index width through [`Idx`], so each job has exactly one
-//! implementation, std-only (`thread::scope` via
+//! Most graphs in the verdict pipeline are a stored CSR pair `(off,
+//! to)`: [`FiniteSystem`](crate::FiniteSystem)'s `usize` rows and the
+//! quotient check's 32-bit union rows. The full fair self-check stores
+//! no graph; it builds each state's union row when it needs it. The
+//! kernels here are generic over the index width through [`Idx`], and
+//! the SCC pass and the scan over how rows are read, so each job has
+//! exactly one implementation, std-only (`thread::scope` via
 //! [`crate::sweep::join_all`], no rayon, no unsafe):
 //!
 //! - [`reach`] is a level-synchronized BFS. The frontier of each level
@@ -17,16 +19,20 @@
 //!   same at every worker count. Levels smaller than a threshold (and
 //!   every level at `workers <= 1`) expand inline.
 //! - [`tarjan`] is the iterative Tarjan, sequential at every worker
-//!   count. The verdict pipeline's union graphs are dominated by
-//!   singleton components, where one `O(V + E)` pass beats any
-//!   forward-backward split (DESIGN.md §11).
+//!   count, over any [`Successors`]: a stored CSR through [`Csr`], or a
+//!   source that builds each row when the DFS first reaches its state
+//!   and drops it when the state's frame pops. The verdict pipeline's
+//!   union graphs are dominated by singleton components, where one
+//!   `O(V + E)` pass beats any forward-backward split (DESIGN.md §11).
 //! - [`multi_member_sccs`] marks the SCCs with two or more members;
 //!   the fair self-checks decide every other SCC from its one row.
 //! - [`stitch_csr`] joins per-chunk rows of a sharded sweep.
 //! - [`divergent_edge`] finds the first divergent edge inside a fully
 //!   represented SCC: the witness of a weakly fair computation that
-//!   never converges.
+//!   never converges. It reads rows through [`Rows`], one reader per
+//!   worker.
 
+use std::convert::Infallible;
 use std::ops::{Add, Range};
 
 use crate::bitset::StateSet;
@@ -171,19 +177,89 @@ fn reach_impl<I: Idx>(
     seen
 }
 
+/// A graph as [`tarjan`] reads it: one row of successors at a time.
+///
+/// The DFS opens a state's row once, when it first reaches the state,
+/// reads the row of the state on top of its path by position, and
+/// closes the row when that state's frame pops. Rows close in the
+/// reverse of the order they opened, so a source that builds each row
+/// on the fly can keep the open rows in one stack-shaped arena.
+pub(crate) trait Successors<I: Idx> {
+    /// What opening a row can fail with.
+    type Error;
+    /// Number of states.
+    fn num_states(&self) -> usize;
+    /// Opens the row of `v` and returns the position of its first
+    /// successor.
+    fn open(&mut self, v: usize) -> Result<I, Self::Error>;
+    /// One past the position of the last successor of `v`, which is on
+    /// top of the DFS path (its row is the last one open).
+    fn end(&self, v: usize) -> I;
+    /// The successor at `pos`.
+    fn target(&self, pos: I) -> usize;
+    /// Closes the last row open, that of the state whose frame popped.
+    fn close(&mut self);
+}
+
+/// A stored CSR graph `(off, to)`: the [`Successors`] of
+/// [`FiniteSystem`](crate::FiniteSystem) and the quotient check, and
+/// the [`Rows`] of the quotient check's divergent scan.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Csr<'a, I> {
+    pub(crate) off: &'a [I],
+    pub(crate) to: &'a [I],
+}
+
+impl<I: Idx> Csr<'_, I> {
+    /// The SCC ids of every state and the number of SCCs, by [`tarjan`].
+    pub(crate) fn sccs(mut self) -> (Vec<I>, usize) {
+        let Ok(sccs) = tarjan(&mut self);
+        sccs
+    }
+}
+
+impl<I: Idx> Successors<I> for Csr<'_, I> {
+    type Error = Infallible;
+
+    #[inline]
+    fn num_states(&self) -> usize {
+        self.off.len() - 1
+    }
+
+    #[inline]
+    fn open(&mut self, v: usize) -> Result<I, Infallible> {
+        Ok(self.off[v])
+    }
+
+    #[inline]
+    fn end(&self, v: usize) -> I {
+        self.off[v + 1]
+    }
+
+    #[inline]
+    fn target(&self, pos: I) -> usize {
+        self.to[pos.at()].at()
+    }
+
+    #[inline]
+    fn close(&mut self) {}
+}
+
 /// Iterative Tarjan (no recursion, no per-state allocation): the SCC id
-/// of every state and the number of SCCs. Ids are assigned in
-/// completion order, i.e. reverse topological order of the
-/// condensation (sinks get lower ids than their predecessors).
-pub(crate) fn tarjan<I: Idx>(off: &[I], to: &[I]) -> (Vec<I>, usize) {
-    let num_states = off.len() - 1;
+/// of every state and the number of SCCs, or the first error opening a
+/// row. Ids are assigned in completion order, i.e. reverse topological
+/// order of the condensation (sinks get lower ids than their
+/// predecessors). Roots are tried in state order.
+pub(crate) fn tarjan<I: Idx, G: Successors<I>>(graph: &mut G) -> Result<(Vec<I>, usize), G::Error> {
+    let num_states = graph.num_states();
     let mut index = vec![I::UNSET; num_states];
-    let mut low = vec![I::UNSET; num_states];
     let mut on_stack = StateSet::with_capacity(num_states);
     let mut scc_id = vec![I::UNSET; num_states];
     let mut stack: Vec<I> = Vec::new();
-    // Explicit call stack of (state, next position in `to`).
-    let mut call: Vec<(I, I)> = Vec::new();
+    // Explicit call stack of (state, next successor position, low link).
+    // A state's low link is read and written only while its frame is on
+    // the call stack, so it lives there rather than in a `V`-sized array.
+    let mut call: Vec<(I, I, I)> = Vec::new();
     let mut next_index = 0usize;
     let mut next_scc = 0usize;
 
@@ -192,33 +268,32 @@ pub(crate) fn tarjan<I: Idx>(off: &[I], to: &[I]) -> (Vec<I>, usize) {
             continue;
         }
         index[root] = I::of(next_index);
-        low[root] = I::of(next_index);
         next_index += 1;
         stack.push(I::of(root));
         on_stack.insert(root);
-        call.push((I::of(root), off[root]));
-        while let Some(&mut (state, ref mut pos)) = call.last_mut() {
+        call.push((I::of(root), graph.open(root)?, index[root]));
+        while let Some(&mut (state, ref mut pos, ref mut low)) = call.last_mut() {
             let state = state.at();
-            if *pos < off[state + 1] {
-                let next = to[pos.at()].at();
+            if *pos < graph.end(state) {
+                let next = graph.target(*pos);
                 *pos = I::of(pos.at() + 1);
                 if index[next] == I::UNSET {
                     index[next] = I::of(next_index);
-                    low[next] = I::of(next_index);
                     next_index += 1;
                     stack.push(I::of(next));
                     on_stack.insert(next);
-                    call.push((I::of(next), off[next]));
+                    call.push((I::of(next), graph.open(next)?, index[next]));
                 } else if on_stack.contains(next) {
-                    low[state] = low[state].min(index[next]);
+                    *low = (*low).min(index[next]);
                 }
             } else {
+                let low = *low;
                 call.pop();
-                if let Some(&(parent, _)) = call.last() {
-                    let parent = parent.at();
-                    low[parent] = low[parent].min(low[state]);
+                graph.close();
+                if let Some((_, _, parent_low)) = call.last_mut() {
+                    *parent_low = (*parent_low).min(low);
                 }
-                if low[state] == index[state] {
+                if low == index[state] {
                     while let Some(member) = stack.pop() {
                         on_stack.remove(member.at());
                         scc_id[member.at()] = I::of(next_scc);
@@ -231,7 +306,7 @@ pub(crate) fn tarjan<I: Idx>(off: &[I], to: &[I]) -> (Vec<I>, usize) {
             }
         }
     }
-    (scc_id, next_scc)
+    Ok((scc_id, next_scc))
 }
 
 /// The ids of the SCCs with two or more members: one pass over
@@ -274,41 +349,69 @@ pub(crate) fn stitch_csr<I: Idx>(
     (off, to)
 }
 
+/// Random access to a graph's rows, one reader per worker of
+/// [`divergent_edge`].
+pub(crate) trait Rows<I: Idx> {
+    /// What reading a row can fail with.
+    type Error;
+    /// The successors of `v`, ascending.
+    fn row(&mut self, v: usize) -> Result<&[I], Self::Error>;
+}
+
+impl<I: Idx> Rows<I> for Csr<'_, I> {
+    type Error = Infallible;
+
+    #[inline]
+    fn row(&mut self, v: usize) -> Result<&[I], Infallible> {
+        Ok(row(self.off, self.to, v))
+    }
+}
+
 /// The first edge `(s, t)` in state order that lies inside an SCC
 /// marked in `full` (`scc_id[s] == scc_id[t]`) and is divergent (`s` or
 /// `t` lies outside `legitimate`). Such an edge hosts a weakly fair
 /// computation that never converges when `full` holds the SCCs in which
-/// every command can act. Chunks scan disjoint state ranges; the first
-/// hit in chunk order is the first hit in state order, so the witness is
-/// the same at every worker count.
-pub(crate) fn divergent_edge<I: Idx>(
-    off: &[I],
-    to: &[I],
+/// every command can act. Only the states of marked SCCs read their
+/// rows, each worker through its own `reader()`. Chunks scan disjoint
+/// state ranges; the first hit (or error) in chunk order is the first in
+/// state order, so the witness is the same at every worker count.
+pub(crate) fn divergent_edge<I: Idx, R: Rows<I>>(
     scc_id: &[I],
     full: &StateSet,
     legitimate: &StateSet,
     workers: usize,
-) -> Option<(usize, usize)> {
-    let tasks: Vec<_> = chunk_ranges(off.len() - 1, workers, 1)
+    reader: impl Fn() -> R + Sync,
+) -> Result<Option<(usize, usize)>, R::Error>
+where
+    R::Error: Send,
+{
+    let reader = &reader;
+    let tasks: Vec<_> = chunk_ranges(scc_id.len(), workers, 1)
         .into_iter()
         .map(|range| {
             move || {
-                range.into_iter().find_map(|state| {
+                let mut rows = reader();
+                for state in range {
                     let id = scc_id[state];
                     if !full.contains(id.at()) {
-                        return None;
+                        continue;
                     }
-                    row(off, to, state).iter().find_map(|&next| {
-                        let next = next.at();
-                        (scc_id[next] == id
-                            && !(legitimate.contains(state) && legitimate.contains(next)))
-                        .then_some((state, next))
-                    })
-                })
+                    let hit = rows.row(state)?.iter().find(|&&next| {
+                        scc_id[next.at()] == id
+                            && !(legitimate.contains(state) && legitimate.contains(next.at()))
+                    });
+                    if let Some(&next) = hit {
+                        return Ok(Some((state, next.at())));
+                    }
+                }
+                Ok(None)
             }
         })
         .collect();
-    join_all(tasks).into_iter().flatten().next()
+    join_all(tasks)
+        .into_iter()
+        .find_map(Result::transpose)
+        .transpose()
 }
 
 #[cfg(test)]
@@ -375,7 +478,7 @@ mod tests {
         for seed in 0..20u64 {
             let sys = random_system(seed.wrapping_mul(131), 200, 300);
             let (off, to) = narrow_csr(&sys);
-            let (ids32, count32) = tarjan(&off, &to);
+            let (ids32, count32) = Csr { off: &off, to: &to }.sccs();
             assert_eq!(count32, sys.scc_count(), "seed {seed}");
             let widened: Vec<usize> = ids32.iter().map(|&id| id.at()).collect();
             assert_eq!(widened, sys.scc_ids(), "seed {seed}");

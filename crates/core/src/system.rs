@@ -515,7 +515,11 @@ impl FiniteSystem {
 
     /// Iterative Tarjan over the CSR rows (see [`crate::par::tarjan`]).
     fn compute_sccs(&self) -> (Vec<usize>, usize) {
-        crate::par::tarjan(&self.fwd_off, &self.fwd_to)
+        crate::par::Csr {
+            off: &self.fwd_off,
+            to: &self.fwd_to,
+        }
+        .sccs()
     }
 }
 

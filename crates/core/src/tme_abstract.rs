@@ -67,6 +67,8 @@ use std::sync::Arc;
 use crate::gcl::ir::{Cond, Expr, IrCommand, Stmt};
 use crate::gcl::sym::{SymmetryElement, SymmetrySpec};
 use crate::gcl::{GclError, Program, State, VarRef};
+use crate::par;
+use crate::sweep::join_all;
 
 /// Mode values of the abstraction.
 pub const THINKING: usize = 0;
@@ -710,6 +712,14 @@ impl AbstractTmeN {
             .collect()
     }
 
+    fn program(&self, with_wrapper: bool) -> &Program {
+        if with_wrapper {
+            &self.wrapped
+        } else {
+            &self.unwrapped
+        }
+    }
+
     /// How many processes eat in the packed state `word`, read from its
     /// `n` least significant digits (the modes) without decoding the rest.
     fn num_eating(&self, mut word: u64) -> usize {
@@ -723,20 +733,23 @@ impl AbstractTmeN {
     }
 
     /// Runs the exhaustive check: two streaming
-    /// [`Program::fair_self_check`] sweeps (unwrapped, wrapped), ME1 over
-    /// the legitimate states, and the deadlock analysis. At `n = 3` this
-    /// is the multi-million-state workload; nothing per-command is ever
+    /// [`Program::fair_self_check`] runs (unwrapped, wrapped) at the
+    /// default worker count, ME1 over the legitimate states, and the
+    /// deadlock analysis. At `n = 3` this is the multi-million-state
+    /// workload; nothing per-command, and no union graph, is ever
     /// materialized.
     ///
     /// # Errors
     ///
     /// Returns [`GclError`] if compilation fails (it cannot, absent bugs).
     pub fn check(&self) -> Result<TmeVerdicts, GclError> {
-        self.check_with(None)
+        self.check_on(par::default_workers(self.num_states()))
     }
 
     /// [`check`](Self::check) with an explicit worker count for the two
-    /// [`Program::fair_self_check_on`] runs (`workers <= 1` is fully
+    /// [`Program::fair_self_check_on`] runs: at two or more workers the
+    /// unwrapped and wrapped checks run side by side on ⌊W/2⌋ and ⌈W/2⌉
+    /// workers, otherwise one after the other (`workers <= 1` is fully
     /// serial). The verdicts are identical for every worker count — the
     /// parallel differential suite asserts it.
     ///
@@ -744,21 +757,11 @@ impl AbstractTmeN {
     ///
     /// Returns [`GclError`] if compilation fails (it cannot, absent bugs).
     pub fn check_on(&self, workers: usize) -> Result<TmeVerdicts, GclError> {
-        self.check_with(Some(workers))
-    }
-
-    fn check_with(&self, workers: Option<usize>) -> Result<TmeVerdicts, GclError> {
-        let (unwrapped_report, wrapped_report) = match workers {
-            Some(workers) => (
-                self.unwrapped
-                    .fair_self_check_on(workers, self.init_pred())?,
-                self.wrapped.fair_self_check_on(workers, self.init_pred())?,
-            ),
-            None => (
-                self.unwrapped.fair_self_check(self.init_pred())?,
-                self.wrapped.fair_self_check(self.init_pred())?,
-            ),
-        };
+        let (unwrapped_report, wrapped_report) = side_by_side(workers, |with_wrapper, workers| {
+            self.program(with_wrapper)
+                .fair_self_check_on(workers, self.init_pred())
+        });
+        let (unwrapped_report, wrapped_report) = (unwrapped_report?, wrapped_report?);
 
         let me1 = wrapped_report
             .legitimate
@@ -813,35 +816,31 @@ impl AbstractTmeN {
     ///
     /// Returns [`GclError`] if compilation fails (it cannot, absent bugs).
     pub fn reduced_check(&self) -> Result<TmeReducedVerdicts, GclError> {
-        self.reduced_check_with(None)
+        self.reduced_check_on(par::default_workers(self.num_states()))
     }
 
     /// [`reduced_check`](Self::reduced_check) with an explicit worker
-    /// count; the report is identical at every count.
+    /// count, split between the two programs as in
+    /// [`check_on`](Self::check_on); the report is identical at every
+    /// count.
     ///
     /// # Errors
     ///
     /// Returns [`GclError`] if compilation fails (it cannot, absent bugs).
     pub fn reduced_check_on(&self, workers: usize) -> Result<TmeReducedVerdicts, GclError> {
-        self.reduced_check_with(Some(workers))
-    }
-
-    fn reduced_check_with(&self, workers: Option<usize>) -> Result<TmeReducedVerdicts, GclError> {
         let sym_unwrapped = nproc_symmetry(self.n, false);
         let sym_wrapped = nproc_symmetry(self.n, true);
         let init = self.symmetric_init_pred();
-        let (unwrapped_report, wrapped_report) = match workers {
-            Some(workers) => (
-                self.unwrapped
-                    .fair_self_check_sym_on(workers, &sym_unwrapped, &init)?,
-                self.wrapped
-                    .fair_self_check_sym_on(workers, &sym_wrapped, &init)?,
-            ),
-            None => (
-                self.unwrapped.fair_self_check_sym(&sym_unwrapped, &init)?,
-                self.wrapped.fair_self_check_sym(&sym_wrapped, &init)?,
-            ),
-        };
+        let (unwrapped_report, wrapped_report) = side_by_side(workers, |with_wrapper, workers| {
+            let sym = if with_wrapper {
+                &sym_wrapped
+            } else {
+                &sym_unwrapped
+            };
+            self.program(with_wrapper)
+                .fair_self_check_sym_on(workers, sym, &init)
+        });
+        let (unwrapped_report, wrapped_report) = (unwrapped_report?, wrapped_report?);
 
         // ME1 is orbit-invariant (relabeling permutes the eating count's
         // summands), so checking canonical representatives covers every
@@ -889,7 +888,7 @@ impl AbstractTmeN {
     /// Returns [`GclError`] if compilation fails or the quotient
     /// exploration exceeds `cap`.
     pub fn reachable_check(&self, cap: usize) -> Result<TmeReachableVerdicts, GclError> {
-        self.reachable_check_with(None, cap)
+        self.reachable_check_on(par::default_workers(self.num_states()), cap)
     }
 
     /// [`reachable_check`](Self::reachable_check) with an explicit
@@ -904,29 +903,15 @@ impl AbstractTmeN {
         workers: usize,
         cap: usize,
     ) -> Result<TmeReachableVerdicts, GclError> {
-        self.reachable_check_with(Some(workers), cap)
-    }
-
-    fn reachable_check_with(
-        &self,
-        workers: Option<usize>,
-        cap: usize,
-    ) -> Result<TmeReachableVerdicts, GclError> {
         let sym_wrapped = nproc_symmetry(self.n, true);
         // Packed word 0 is the designated init (all thinking, channels
         // empty, no beliefs, identity order) and is its own canonical
         // form — every relabeling fixes the zero digits and can only
         // raise `ord`.
         let no_target = None::<&fn(u64) -> bool>;
-        let legit = match workers {
-            Some(workers) => {
-                self.wrapped
-                    .sym_reach_words_on(workers, &sym_wrapped, &[0], cap, no_target)?
-            }
-            None => self
-                .wrapped
-                .sym_reach_words(&sym_wrapped, &[0], cap, no_target)?,
-        };
+        let legit = self
+            .wrapped
+            .sym_reach_words_on(workers, &sym_wrapped, &[0], cap, no_target)?;
         let me1 = legit.words.iter().all(|&word| self.num_eating(word) <= 1);
         let mut legit_sorted = legit.words.clone();
         legit_sorted.sort_unstable();
@@ -937,21 +922,13 @@ impl AbstractTmeN {
         let deadlock_illegitimate = legit_sorted.binary_search(&canon_deadlock).is_err();
 
         let target = |w: u64| legit_sorted.binary_search(&w).is_ok();
-        let recovery = match workers {
-            Some(workers) => self.wrapped.sym_reach_words_on(
-                workers,
-                &sym_wrapped,
-                &[deadlock as u64],
-                cap,
-                Some(&target),
-            )?,
-            None => self.wrapped.sym_reach_words(
-                &sym_wrapped,
-                &[deadlock as u64],
-                cap,
-                Some(&target),
-            )?,
-        };
+        let recovery = self.wrapped.sym_reach_words_on(
+            workers,
+            &sym_wrapped,
+            &[deadlock as u64],
+            cap,
+            Some(&target),
+        )?;
 
         Ok(TmeReachableVerdicts {
             num_states: self.num_states(),
@@ -963,6 +940,24 @@ impl AbstractTmeN {
             group_order: sym_wrapped.order(),
         })
     }
+}
+
+/// Runs `check(with_wrapper, workers)` for the unwrapped and the wrapped
+/// program on `workers` workers in all: side by side on ⌊W/2⌋ and ⌈W/2⌉
+/// workers when there are two or more, one after the other otherwise.
+fn side_by_side<T: Send>(workers: usize, check: impl Fn(bool, usize) -> T + Sync) -> (T, T) {
+    if workers < 2 {
+        return (check(false, workers), check(true, workers));
+    }
+    let check = &check;
+    let tasks = [(false, workers / 2), (true, workers - workers / 2)]
+        .into_iter()
+        .map(|(with_wrapper, share)| move || check(with_wrapper, share))
+        .collect();
+    let mut reports = join_all(tasks).into_iter();
+    let unwrapped = reports.next().expect("one report per program");
+    let wrapped = reports.next().expect("one report per program");
+    (unwrapped, wrapped)
 }
 
 /// The verdicts of one symmetry-reduced exhaustive n-process check,
@@ -1053,11 +1048,12 @@ mod tests {
             let domains: Vec<usize> = program.variables().map(|(_, domain)| domain).collect();
             let total = program.state_space().unwrap();
             assert_eq!(total, 7_558_272);
+            let stepper = program.stepper().unwrap();
             // 997 is coprime to the domain product's factors, so the
             // lattice sprays across every mixed-radix digit.
             for state in (0..total).step_by(997).chain([0, total - 1]) {
                 assert_eq!(
-                    program.step(state).unwrap(),
+                    stepper.step(state).unwrap(),
                     valuation_row(&program, &domains, state),
                     "state {state}, wrapper={with_wrapper}"
                 );

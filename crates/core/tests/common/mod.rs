@@ -9,7 +9,8 @@
 //! symmetry group, for the quotient checks.
 //!
 //! [`assert_self_check_matches_reference`],
-//! [`assert_quotient_check_matches_full`], [`engines_agree_on_seed`] and
+//! [`assert_quotient_check_matches_full`],
+//! [`assert_worker_count_invariant`], [`engines_agree_on_seed`] and
 //! [`assert_nproc_twins_agree`] are the comparisons the differential
 //! suites and the root digest test share.
 //!
@@ -698,8 +699,8 @@ fn exec_checked(stmts: &[Stmt], values: &mut [usize], domains: &[usize]) -> Resu
     Ok(())
 }
 
-/// [`Program::step`] of seed `seed`'s random program, at every state,
-/// against the IR's valuation semantics
+/// [`Stepper::step`] of seed `seed`'s random program, lowered once, at
+/// every state against the IR's valuation semantics
 /// ([`IrCommand::guard_holds_values`], the bodies' assignments with a
 /// domain check per write): the sorted, deduplicated targets of the
 /// enabled commands (the stutter at a quiescent state), or the first
@@ -715,6 +716,7 @@ pub fn assert_step_matches_the_valuations(seed: u64) -> usize {
         forward_first_write(&mut spec);
     }
     let (program, _) = build_packed(&spec);
+    let stepper = program.stepper().unwrap();
     let domains = &spec.domains;
     let mut leaks = 0;
     for state in 0..program.state_space().unwrap() {
@@ -758,12 +760,204 @@ pub fn assert_step_matches_the_valuations(seed: u64) -> usize {
         }
         leaks += usize::from(expected.is_err());
         assert_eq!(
-            program.step(state),
+            stepper.step(state),
             expected,
             "seed {seed}, state {values:?}"
         );
     }
     leaks
+}
+
+/// Compiles seed `seed`'s random program serially and at 2 and 4
+/// workers through every parallel entry point, asserting bit-identical
+/// outputs and equal verdicts: the comparison of the parallel
+/// differential suite. Panics on divergence, with the seed in the
+/// message.
+pub fn assert_worker_count_invariant(seed: u64) {
+    let spec = random_spec(seed);
+    let (program, vars) = build_packed(&spec);
+    let init = packed_init(&spec, &vars);
+
+    let plain1 = program.compile_on(1, init);
+    let fair1 = program.compile_fair_on(1, init);
+    let reach1 = program.compile_reachable_on(1, init);
+    let check1 = program.fair_self_check_on(1, init);
+    // The trivial group: the quotient pipeline runs every phase on the
+    // full space, so its reports must be worker-invariant as well.
+    let identity = SymmetrySpec::new(&[SymmetryElement::identity(
+        spec.domains.len(),
+        spec.commands.len(),
+    )])
+    .expect("the identity is a group");
+    let sym1 = program.fair_self_check_sym_on(1, &identity, init);
+
+    for workers in [2usize, 4] {
+        match (&plain1, program.compile_on(workers, init)) {
+            (Ok(serial), Ok(parallel)) => {
+                // FiniteSystem equality is structural: CSR rows, init
+                // set, state count — the bit-identity claim.
+                assert_eq!(
+                    serial.system(),
+                    parallel.system(),
+                    "seed {seed}: plain CSR diverges at {workers} workers"
+                );
+                // SCC ids are the same Tarjan labeling at every worker
+                // count, and agree with the lazy cache.
+                let sccs = parallel.system().sccs_on(workers);
+                assert_eq!(
+                    serial.system().sccs_on(1),
+                    sccs,
+                    "seed {seed}: SCC ids diverge at {workers} workers"
+                );
+                assert_eq!(
+                    serial.system().scc_ids(),
+                    sccs.0.as_slice(),
+                    "seed {seed}: cached SCC ids diverge at {workers} workers"
+                );
+                // Reachability at `workers` vs one inline chunk (`par`'s
+                // unit tests force the fan-out path on every level).
+                let seeds: Vec<usize> = serial.system().init().iter().collect();
+                assert_eq!(
+                    serial.system().reachable_from_on(1, seeds.iter().copied()),
+                    parallel
+                        .system()
+                        .reachable_from_on(workers, seeds.iter().copied()),
+                    "seed {seed}: reachability diverges at {workers} workers"
+                );
+            }
+            (Err(serial), Err(parallel)) => assert_eq!(
+                serial, &parallel,
+                "seed {seed}: plain compile errors diverge at {workers} workers"
+            ),
+            (serial, parallel) => panic!(
+                "seed {seed}: plain compile outcome diverges at {workers} workers: \
+                 {serial:?} vs {parallel:?}"
+            ),
+        }
+
+        match (&fair1, program.compile_fair_on(workers, init)) {
+            (Ok((sf, sp)), Ok((pf, pp))) => {
+                assert_eq!(
+                    sp.system(),
+                    pp.system(),
+                    "seed {seed}: fair plain CSR diverges at {workers} workers"
+                );
+                assert_eq!(
+                    sf.components(),
+                    pf.components(),
+                    "seed {seed}: fair components diverge at {workers} workers"
+                );
+                assert_eq!(
+                    sf.union(),
+                    pf.union(),
+                    "seed {seed}: fair unions diverge at {workers} workers"
+                );
+            }
+            (Err(serial), Err(parallel)) => assert_eq!(
+                serial, &parallel,
+                "seed {seed}: fair compile errors diverge at {workers} workers"
+            ),
+            (serial, parallel) => panic!(
+                "seed {seed}: fair compile outcome diverges at {workers} workers: \
+                 {serial:?} vs {parallel:?}"
+            ),
+        }
+
+        match (&reach1, program.compile_reachable_on(workers, init)) {
+            (Ok(serial), Ok(parallel)) => {
+                assert_eq!(
+                    serial.system(),
+                    parallel.system(),
+                    "seed {seed}: reachable CSR diverges at {workers} workers"
+                );
+                // Dense ids must map to the same packed words — the
+                // FIFO discovery order is part of the contract.
+                for id in 0..serial.system().num_states() {
+                    assert_eq!(
+                        serial.word(id),
+                        parallel.word(id),
+                        "seed {seed}: discovery order diverges at {workers} workers"
+                    );
+                }
+            }
+            (Err(serial), Err(parallel)) => assert_eq!(
+                serial, &parallel,
+                "seed {seed}: reachable compile errors diverge at {workers} workers"
+            ),
+            (serial, parallel) => panic!(
+                "seed {seed}: reachable compile outcome diverges at {workers} workers: \
+                 {serial:?} vs {parallel:?}"
+            ),
+        }
+
+        match (&check1, program.fair_self_check_on(workers, init)) {
+            (Ok(serial), Ok(parallel)) => {
+                assert_eq!(
+                    serial.num_states, parallel.num_states,
+                    "seed {seed}: self-check state counts diverge at {workers} workers"
+                );
+                assert_eq!(
+                    serial.legitimate, parallel.legitimate,
+                    "seed {seed}: legitimate sets diverge at {workers} workers"
+                );
+                assert_eq!(
+                    serial.divergent_witness, parallel.divergent_witness,
+                    "seed {seed}: self-check witnesses diverge at {workers} workers"
+                );
+            }
+            (Err(serial), Err(parallel)) => assert_eq!(
+                serial, &parallel,
+                "seed {seed}: self-check errors diverge at {workers} workers"
+            ),
+            (serial, parallel) => panic!(
+                "seed {seed}: self-check outcome diverges at {workers} workers: \
+                 {serial:?} vs {parallel:?}"
+            ),
+        }
+
+        match (
+            &sym1,
+            program.fair_self_check_sym_on(workers, &identity, init),
+        ) {
+            (Ok(serial), Ok(parallel)) => {
+                assert_eq!(
+                    (
+                        &serial.words,
+                        &serial.legitimate,
+                        serial.num_legitimate_full
+                    ),
+                    (
+                        &parallel.words,
+                        &parallel.legitimate,
+                        parallel.num_legitimate_full
+                    ),
+                    "seed {seed}: quotient state sets diverge at {workers} workers"
+                );
+                assert_eq!(
+                    serial.divergent_witness, parallel.divergent_witness,
+                    "seed {seed}: quotient witnesses diverge at {workers} workers"
+                );
+            }
+            (Err(serial), Err(parallel)) => assert_eq!(
+                serial, &parallel,
+                "seed {seed}: quotient check errors diverge at {workers} workers"
+            ),
+            (serial, parallel) => panic!(
+                "seed {seed}: quotient check outcome diverges at {workers} workers: \
+                 {serial:?} vs {parallel:?}"
+            ),
+        }
+    }
+    // The quotient under the trivial group is the full space: same
+    // verdict and legitimate count as the unreduced check.
+    if let (Ok(full), Ok(sym)) = (&check1, &sym1) {
+        assert_eq!(full.holds(), sym.holds(), "seed {seed}: quotient verdict");
+        assert_eq!(
+            full.num_legitimate(),
+            sym.num_legitimate_full,
+            "seed {seed}: quotient legitimate count"
+        );
+    }
 }
 
 /// The quotient fair self-check of `inst` at `workers` against the

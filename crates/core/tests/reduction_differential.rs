@@ -26,12 +26,13 @@ fn words_of(compiled: &ReachableProgram) -> Vec<u64> {
 
 /// Quiescent (deadlocked-or-silent) members of a word set.
 fn quiescent(program: &Program, words: &[u64]) -> Vec<u64> {
+    let stepper = program.stepper().unwrap();
     words
         .iter()
         .copied()
         .filter(|&w| {
             let state = usize::try_from(w).unwrap();
-            program.step(state).unwrap() == vec![state]
+            stepper.step(state).unwrap() == vec![state]
         })
         .collect()
 }

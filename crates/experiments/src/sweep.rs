@@ -153,6 +153,10 @@ pub fn sweep_point(n: u32, theta: u64, seed: u64) -> PointOutcome {
         }
     }
     let wall_ms = start.elapsed().as_millis();
+    // Free the faulty ring before the baseline builds its own: at 10^6
+    // processes each ring is hundreds of MiB.
+    let regens = total_regens(&sim);
+    drop(sim);
 
     // Fault-free baseline: the same workload over the same warmup window
     // with θ pushed beyond any horizon this run can reach.
@@ -172,7 +176,7 @@ pub fn sweep_point(n: u32, theta: u64, seed: u64) -> PointOutcome {
         msgs_per_grant,
         ideal_msgs_per_grant,
         overhead: msgs_per_grant / ideal_msgs_per_grant.max(f64::MIN_POSITIVE),
-        regens: total_regens(&sim),
+        regens,
         events,
         wall_ms,
     }

@@ -11,13 +11,19 @@
 //!   against the IR's valuation semantics at every state;
 //! * a seeded slice of `crates/core/tests/reference_engine.rs` (the CSR
 //!   engine against the `BTreeSet` engine);
+//! * a seeded slice of `crates/core/tests/parallel_differential.rs`
+//!   (every parallel entry point at 1, 2 and 4 workers), and the n = 2
+//!   TME verdicts at 1, 2 and 3 workers, where the unwrapped and wrapped
+//!   programs run one after the other, side by side on one worker each,
+//!   and side by side on one and two;
 //! * the n = 2 case of `crates/core/tests/tme_twins.rs` (the IR TME model
 //!   against the oracle DSL model), in full;
 //! * a seeded slice of `crates/simnet/tests/queue_twin.rs` (the timer
 //!   wheel against the heap scheduler);
 //! * the n = 2 union-CSR digests that `graybox-core`'s
-//!   `n2_union_csr_is_pinned` pins for the fair self-check's sweep,
-//!   recomputed here from the materialized fair union.
+//!   `n2_union_csr_is_pinned` pins for the rows the fair self-check's
+//!   Tarjan walk builds, recomputed here from the materialized fair
+//!   union.
 //!
 //! The slices share the suites' generators and comparisons through their
 //! `common` and `twin` modules; the full suites run in CI.
@@ -29,12 +35,12 @@ mod twin;
 
 use std::ops::Range;
 
-use graybox_core::tme_abstract::program_nproc_ir;
+use graybox_core::tme_abstract::{build_n, program_nproc_ir};
 
 use common::{
     assert_nproc_twins_agree, assert_quotient_check_matches_full,
-    assert_self_check_matches_reference, assert_step_matches_the_valuations, engines_agree_on_seed,
-    random_spec, rotation_instance,
+    assert_self_check_matches_reference, assert_step_matches_the_valuations,
+    assert_worker_count_invariant, engines_agree_on_seed, random_spec, rotation_instance,
 };
 
 const SEEDS: Range<u64> = 0..40;
@@ -103,6 +109,31 @@ fn csr_and_btreeset_engines_agree_on_a_seed_slice() {
 }
 
 #[test]
+fn parallel_entry_points_are_worker_count_invariant_on_a_seed_slice() {
+    // 60 of the 200 seeds, about 0.2 s in debug.
+    for seed in 0..60u64 {
+        assert_worker_count_invariant(seed);
+    }
+}
+
+#[test]
+fn tme_n2_verdicts_are_the_same_at_one_two_and_three_workers() {
+    let tme = build_n(2).unwrap();
+    let full = tme.check_on(1).unwrap();
+    let reduced = tme.reduced_check_on(1).unwrap();
+    assert!(full.as_predicted(), "{full:?}");
+    assert_eq!(reduced.verdicts, full);
+    for workers in [2, 3] {
+        assert_eq!(tme.check_on(workers).unwrap(), full, "{workers} workers");
+        assert_eq!(
+            tme.reduced_check_on(workers).unwrap(),
+            reduced,
+            "{workers} workers"
+        );
+    }
+}
+
+#[test]
 fn tme_ir_and_oracle_models_agree_at_n2() {
     for with_wrapper in [false, true] {
         assert_nproc_twins_agree(2, with_wrapper);
@@ -131,9 +162,10 @@ fn fnv1a(hash: u64, values: impl IntoIterator<Item = u64>) -> u64 {
 
 #[test]
 fn n2_fair_union_matches_the_pinned_union_csr() {
-    // The materialized fair union has the rows the streamed self-check's
-    // sweep writes, so the digest over its offsets, targets and initial
-    // states (each as eight little-endian bytes) is the pinned one.
+    // The materialized fair union has the rows the streamed self-check
+    // builds (sorted and deduplicated), so the digest over its offsets,
+    // targets and initial states (each as eight little-endian bytes) is
+    // the pinned one.
     let pins = [
         (0x9dff_aef2_0674_d3d6, 2_412),
         (0x0a4a_4138_52e2_9506, 2_484),
