@@ -218,9 +218,11 @@ fn earlier_table(program: &Program, n: usize) -> Result<Vec<usize>, String> {
 pub struct ReductionStats {
     /// Commands checked.
     pub commands: usize,
-    /// Largest support cone enumerated for any single command.
+    /// Largest support cone of any single command.
     pub max_cone: u128,
-    /// Total support-cone points visited across all commands.
+    /// Total support-cone points visited across all commands (commands
+    /// that are not pair-local visit only the points their guard's
+    /// single-variable conjuncts allow).
     pub total_points: u128,
 }
 
@@ -234,8 +236,12 @@ pub struct ReductionStats {
 ///   which is precisely where a broken `move_back` (third-party order
 ///   flip) would surface.
 ///
-/// Only each command's support cone is enumerated. Returns the failures
-/// and the cone statistics.
+/// Only each command's support cone is enumerated, by odometer. A
+/// command that is not pair-local is checked only where it fires, so its
+/// cone is pruned to the values its guard's top-level single-variable
+/// conjuncts allow: those are necessary conditions, so every firing
+/// point is still visited, in the same order. Returns the failures and
+/// the cone statistics.
 ///
 /// # Panics
 ///
@@ -246,6 +252,17 @@ pub fn check_projection_reduction(
     n: usize,
     program: &Program,
     dynamics: &PairDynamics,
+) -> (Vec<ObligationFailure>, ReductionStats) {
+    projection_reduction(n, program, dynamics, true)
+}
+
+/// [`check_projection_reduction`], with the guard pruning of cones that
+/// are not pair-local switched on or off (off visits every cone point).
+pub(crate) fn projection_reduction(
+    n: usize,
+    program: &Program,
+    dynamics: &PairDynamics,
+    prune: bool,
 ) -> (Vec<ObligationFailure>, ReductionStats) {
     assert!(n >= 2, "need at least two processes");
     let ix = NprocIndex { n };
@@ -297,21 +314,53 @@ pub fn check_projection_reduction(
             cmd.name
         );
         stats.max_cone = stats.max_cone.max(points);
-        stats.total_points += points;
 
+        // The values each support variable takes; the first varies
+        // fastest, as in the mixed-radix order of the cone.
         let mut values = vec![0usize; domains.len()];
-        #[allow(clippy::cast_possible_truncation)] // points ≤ CONE_CAP
-        let points = points as usize;
+        let mut choices: Vec<Vec<usize>> =
+            vars.iter().map(|&v| (0..domains[v]).collect()).collect();
+        if prune && !pair_local {
+            let mut conjuncts = vec![&cmd.guard];
+            while let Some(conjunct) = conjuncts.pop() {
+                if let Cond::And(parts) = conjunct {
+                    conjuncts.extend(parts);
+                    continue;
+                }
+                let mut read = Vec::new();
+                conjunct.visit_reads(&mut |v| read.push(v.index()));
+                read.sort_unstable();
+                read.dedup();
+                let [v] = read[..] else { continue };
+                let slot = vars.binary_search(&v).expect("guard reads are in the cone");
+                choices[slot].retain(|&value| {
+                    values[v] = value;
+                    conjunct.eval_values(&values)
+                });
+            }
+        }
+        if choices.iter().any(Vec::is_empty) {
+            continue;
+        }
+        for (&v, allowed) in vars.iter().zip(&choices) {
+            values[v] = allowed[0];
+        }
+        let mut digits = vec![0usize; vars.len()];
+        let mut after_values = values.clone();
         let mut reported_enable = false;
         let mut reported_effect = false;
-        for mut point in 0..points {
-            for &v in &vars {
-                values[v] = point % domains[v];
-                point /= domains[v];
-            }
-            let before = project(&values);
+        loop {
+            stats.total_points += 1;
             let fires = cmd.guard_holds_values(&values);
-            if pair_local && !reported_enable {
+            let check_enable = pair_local && !reported_enable;
+            let check_effect = fires && !reported_effect;
+            // Projected only when a check reads it.
+            let before = if check_enable || check_effect {
+                project(&values)
+            } else {
+                0
+            };
+            if check_enable {
                 let pair_enabled = dynamics.next[before][pair_cmd.expect("pair_local")].is_some();
                 if fires != pair_enabled {
                     reported_enable = true;
@@ -331,35 +380,52 @@ pub fn check_projection_reduction(
                     });
                 }
             }
-            if !fires || reported_effect {
-                continue;
+            if check_effect {
+                after_values.copy_from_slice(&values);
+                cmd.apply_values(&mut after_values);
+                let after = project(&after_values);
+                let ok = match pair_cmd {
+                    Some(pc) => {
+                        dynamics.next[before][pc] == Some(u16::try_from(after).expect("cone"))
+                    }
+                    None => after == before,
+                };
+                if !ok {
+                    reported_effect = true;
+                    failures.push(ObligationFailure {
+                        obligation: if pair_cmd.is_some() {
+                            "transition-match"
+                        } else {
+                            "projection-invisibility"
+                        },
+                        scope: format!("param n={n}"),
+                        node: Some(before),
+                        command: pair_cmd,
+                        detail: format!(
+                            "{} carries projection {:?} to {:?}, which the pair dynamics \
+                             do not allow",
+                            cmd.name,
+                            decode(before),
+                            decode(after)
+                        ),
+                    });
+                }
             }
-            let mut after_values = values.clone();
-            cmd.apply_values(&mut after_values);
-            let after = project(&after_values);
-            let ok = match pair_cmd {
-                Some(pc) => dynamics.next[before][pc] == Some(u16::try_from(after).expect("cone")),
-                None => after == before,
-            };
-            if !ok {
-                reported_effect = true;
-                failures.push(ObligationFailure {
-                    obligation: if pair_cmd.is_some() {
-                        "transition-match"
-                    } else {
-                        "projection-invisibility"
-                    },
-                    scope: format!("param n={n}"),
-                    node: Some(before),
-                    command: pair_cmd,
-                    detail: format!(
-                        "{} carries projection {:?} to {:?}, which the pair dynamics do \
-                         not allow",
-                        cmd.name,
-                        decode(before),
-                        decode(after)
-                    ),
-                });
+            // Advance the odometer; done once every digit wraps.
+            let mut slot = 0;
+            while slot < vars.len() {
+                digits[slot] += 1;
+                if digits[slot] < choices[slot].len() {
+                    break;
+                }
+                digits[slot] = 0;
+                slot += 1;
+            }
+            if slot == vars.len() {
+                break;
+            }
+            for (k, (&v, allowed)) in vars.iter().zip(&choices).enumerate().take(slot + 1) {
+                values[v] = allowed[digits[k]];
             }
         }
     }

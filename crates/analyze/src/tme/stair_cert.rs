@@ -468,4 +468,69 @@ mod tests {
             report.findings
         );
     }
+
+    /// `program` with `request{mover}`'s `ord` retabulation replaced by
+    /// `request0`'s: the mover then sends process 0 to the back, which
+    /// flips the third-party bit `earlier(0, 1)` when `mover` is 2.
+    fn broken_move_back(program: &Program, mover: usize) -> Program {
+        use graybox_core::gcl::ir::{Expr, Stmt};
+        let per_proc = program.num_commands() / PARAM_N;
+        let ord_table = |cmd: &IrCommand| {
+            cmd.body
+                .iter()
+                .rev()
+                .find_map(|stmt| match stmt {
+                    Stmt::Assign(_, Expr::Table { values, .. }) => Some(values.clone()),
+                    _ => None,
+                })
+                .expect("request retabulates ord")
+        };
+        let front = ord_table(program.ir_command(0));
+        let target = program.ir_command(mover * per_proc).name.clone();
+        rebuild(program, |cmd| {
+            let mut cmd = cmd.clone();
+            if cmd.name == target {
+                if let Some(Stmt::Assign(_, Expr::Table { values, .. })) = cmd.body.last_mut() {
+                    *values = front.clone();
+                }
+            }
+            cmd
+        })
+    }
+
+    #[test]
+    fn pruned_cones_report_the_failures_of_the_full_enumeration() {
+        let flagship = PairDynamics::from_pair_program(&model(2, false).0).expect("pair shape");
+        let dropped = PairDynamics::from_pair_program(&model(2, true).0).expect("pair shape");
+        let (shipped, _) = model(PARAM_N, false);
+        // The inputs `certify_tme` hands the check for each target; the
+        // bad-rank mutant perturbs only the certificate, so it checks the
+        // flagship's program against the flagship's dynamics.
+        let cases = [
+            ("flagship and bad-rank mutant", shipped.clone(), &flagship),
+            ("dropped-guard mutant", model(PARAM_N, true).0, &dropped),
+            ("broken move_back", broken_move_back(&shipped, 2), &flagship),
+        ];
+        for (name, program, dynamics) in cases {
+            let (pruned, pruned_stats) =
+                param::projection_reduction(PARAM_N, &program, dynamics, true);
+            let (full, full_stats) =
+                param::projection_reduction(PARAM_N, &program, dynamics, false);
+            assert_eq!(pruned, full, "{name}");
+            assert_eq!(pruned_stats.max_cone, full_stats.max_cone, "{name}");
+            assert!(
+                pruned_stats.total_points < full_stats.total_points,
+                "{name}: pruning visited {} of {} points",
+                pruned_stats.total_points,
+                full_stats.total_points
+            );
+            if name == "broken move_back" {
+                assert!(
+                    full.iter()
+                        .any(|f| f.obligation == "projection-invisibility"),
+                    "the third-party order flip must surface: {full:?}"
+                );
+            }
+        }
+    }
 }

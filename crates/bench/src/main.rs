@@ -29,6 +29,7 @@
 //! the query — so the CSR engine is not credited for work it merely moved
 //! into construction.
 
+use std::ops::RangeInclusive;
 use std::time::Instant;
 
 use graybox_clock::ProcessId;
@@ -227,12 +228,13 @@ fn build_csr(n: usize, init: &[usize], edges: &[(usize, usize)]) -> FiniteSystem
 }
 
 /// Drives an [`EventQueue`] alone on a *hold pattern*: `pending` timers
-/// in flight, each pop immediately rescheduled a small offset ahead —
-/// the steady state of a large ring where every process keeps a
-/// regeneration timer armed. Returns a checksum over the pop stream so
-/// the queues can be asserted step-identical (and the work can't be
-/// optimized away).
-fn queue_hold<Q: EventQueue>(pending: u64, ops: u64) -> u64 {
+/// in flight, each pop immediately rescheduled `reach` ticks ahead (drawn
+/// uniformly) — the steady state of a large ring where every process
+/// keeps a regeneration timer armed. Returns a checksum over the pop
+/// stream so the queues can be asserted step-identical (and the work
+/// can't be optimized away).
+fn queue_hold<Q: EventQueue>(pending: u64, ops: u64, reach: RangeInclusive<u64>) -> u64 {
+    let (low, span) = (*reach.start(), reach.end() - reach.start() + 1);
     let mut queue = Q::default();
     let mut seq = 0u64;
     // Inline xorshift so the driver adds no per-op cost beyond the queue.
@@ -241,7 +243,7 @@ fn queue_hold<Q: EventQueue>(pending: u64, ops: u64) -> u64 {
         state ^= state << 13;
         state ^= state >> 7;
         state ^= state << 17;
-        (state >> 33) % 64 + 1
+        (state >> 33) % span + low
     };
     for i in 0..pending {
         queue.push(i % 4096, seq, PackedEvent::timer(0, 0));
@@ -484,9 +486,11 @@ fn main() {
     // min-heap reference scheduler on a 10^4-process TME ring with θ at
     // one circulation, so every process keeps a regeneration timer armed
     // and the pending-event set stays ~n — the regime where per-event
-    // queue cost dominates and the heap pays O(log n) sift per op. The
-    // two engines are step-identical (pinned by a differential test in
-    // graybox-tme), so the ratio measures the scheduler alone. ---
+    // queue cost dominates and the heap pays O(log n) sift per op. With
+    // θ = n = 10^4 past the wheel's 4096-tick horizon, every regeneration
+    // timer waits in the wheel's far epoch buckets. The two engines are
+    // step-identical (pinned by a differential test in graybox-tme), so
+    // the ratio measures the scheduler alone. ---
     {
         let n: u32 = 10_000;
         let cfg = RingConfig {
@@ -538,17 +542,48 @@ fn main() {
         const PENDING: u64 = 10_000;
         const OPS: u64 = 100_000;
         assert_eq!(
-            queue_hold::<TimerWheel>(PENDING, OPS),
-            queue_hold::<HeapQueue>(PENDING, OPS),
+            queue_hold::<TimerWheel>(PENDING, OPS, 1..=64),
+            queue_hold::<HeapQueue>(PENDING, OPS, 1..=64),
             "queue twins diverged on the hold workload"
         );
         let name = "sim_scale/queue-hold-n=1e4".to_string();
         samples.push(bench(&name, "wheel", target_ms, || {
-            queue_hold::<TimerWheel>(PENDING, OPS)
+            queue_hold::<TimerWheel>(PENDING, OPS, 1..=64)
         }));
         samples.push(bench(&name, "heap-ref", target_ms, || {
-            queue_hold::<HeapQueue>(PENDING, OPS)
+            queue_hold::<HeapQueue>(PENDING, OPS, 1..=64)
         }));
+    }
+
+    // --- The same hold pattern with every reschedule 4096–65536 ticks
+    // out, past the wheel's horizon: each entry waits in a far epoch
+    // bucket and moves into the slots when the wheel reaches its epoch.
+    // The margin is thin (the heap holds only 10^4 entries, all in
+    // cache), so the gate reads the best of interleaved rounds. ---
+    let far_hold_factor;
+    {
+        const PENDING: u64 = 10_000;
+        const OPS: u64 = 100_000;
+        const FAR: RangeInclusive<u64> = 4096..=65_536;
+        assert_eq!(
+            queue_hold::<TimerWheel>(PENDING, OPS, FAR),
+            queue_hold::<HeapQueue>(PENDING, OPS, FAR),
+            "queue twins diverged on the far hold workload"
+        );
+        let name = "sim_scale/queue-far-hold-n=1e4".to_string();
+        let (wheel, heap, factor) = interleaved(|| {
+            (
+                bench(&name, "wheel", target_ms, || {
+                    queue_hold::<TimerWheel>(PENDING, OPS, FAR)
+                }),
+                bench(&name, "heap-ref", target_ms, || {
+                    queue_hold::<HeapQueue>(PENDING, OPS, FAR)
+                }),
+            )
+        });
+        samples.push(wheel);
+        samples.push(heap);
+        far_hold_factor = factor;
     }
 
     // --- The paper's protocol end to end: wrapped (θ = 8) Ricart–Agrawala
@@ -896,6 +931,11 @@ fn main() {
     ));
     speedups.extend(speedup("sim_scale/ring-n=1e4", "wheel", "heap-ref"));
     speedups.extend(speedup("sim_scale/queue-hold-n=1e4", "wheel", "heap-ref"));
+    // Best same-round heap-over-wheel ratio (higher is better).
+    speedups.push((
+        "sim_scale/queue-far-hold-n=1e4".to_string(),
+        far_hold_factor,
+    ));
     speedups.extend(speedup("gcl_compile/2proc", "packed", "reference"));
     if !smoke {
         speedups.extend(speedup("gcl_compile/3proc", "packed", "reference"));
@@ -1077,6 +1117,14 @@ fn main() {
         wheel_speedup >= 5.0,
         "timer wheel regressed: only {wheel_speedup:.1}x over the reference heap \
          on sim_scale/queue-hold-n=1e4 (gate 5.0x)"
+    );
+
+    // Past the horizon too: on the far hold pattern the wheel's epoch
+    // buckets must not lose to the heap (best of interleaved rounds).
+    assert!(
+        far_hold_factor >= 1.0,
+        "timer wheel regressed past its horizon: {far_hold_factor:.2}x the reference heap \
+         on sim_scale/queue-far-hold-n=1e4 (must not lose)"
     );
 
     // End-to-end, the wheel engine must never lose to the heap engine on

@@ -326,7 +326,10 @@ pub(crate) fn multi_member_sccs<I: Idx>(scc_id: &[I], scc_count: usize) -> State
 /// Stitches per-chunk CSR rows (offsets relative to the chunk,
 /// `off[0] == 0`; absolute targets) into one global CSR by prefix-sum
 /// offsets. `chunks` are the contiguous ranges the parts cover, in
-/// order; a single chunk's arrays move through unchanged.
+/// order; a single chunk's arrays move through unchanged. Several
+/// chunks are stitched in parallel, one worker per chunk: each writes
+/// its rebased offsets and copies its targets into its own slices of
+/// the output, split with `split_at_mut`.
 pub(crate) fn stitch_csr<I: Idx>(
     total: usize,
     chunks: &[Range<usize>],
@@ -338,14 +341,27 @@ pub(crate) fn stitch_csr<I: Idx>(
     }
     let num_edges: usize = parts.iter().map(|(_, to)| to.len()).sum();
     let mut off = vec![I::of(0); total + 1];
-    let mut to: Vec<I> = Vec::with_capacity(num_edges);
+    let mut to = vec![I::of(0); num_edges];
+    let mut off_rest = &mut off[1..];
+    let mut to_rest = &mut to[..];
+    let mut base = 0;
+    let mut tasks = Vec::with_capacity(parts.len());
     for (range, (part_off, part_to)) in chunks.iter().zip(parts) {
-        let base = I::of(to.len());
-        for (local, state) in range.clone().enumerate() {
-            off[state + 1] = base + part_off[local + 1];
-        }
-        to.extend(part_to);
+        debug_assert_eq!(part_off.len(), range.len() + 1);
+        let (chunk_off, off_tail) = std::mem::take(&mut off_rest).split_at_mut(range.len());
+        let (chunk_to, to_tail) = std::mem::take(&mut to_rest).split_at_mut(part_to.len());
+        off_rest = off_tail;
+        to_rest = to_tail;
+        let chunk_base = I::of(base);
+        base += part_to.len();
+        tasks.push(move || {
+            for (slot, &local) in chunk_off.iter_mut().zip(&part_off[1..]) {
+                *slot = chunk_base + local;
+            }
+            chunk_to.copy_from_slice(&part_to);
+        });
     }
+    join_all(tasks);
     (off, to)
 }
 

@@ -10,7 +10,7 @@
 //! `graybox-bench` times the wheel against it (the `heap-ref` rows).
 //!
 //! The min-heap below is a copy of the one the wheel keeps for its
-//! overdue and overflow levels, not a shared type, so a heap bug cannot
+//! overdue level, not a shared type, so a heap bug cannot
 //! show up identically on both sides of a comparison.
 
 use graybox_simnet::{EventQueue, PackedEvent};

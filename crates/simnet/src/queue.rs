@@ -11,17 +11,20 @@
 //! `time mod 4096`; each slot is an intrusive list through a pooled node
 //! arena, staged into a reusable bucket sorted by `seq` once, when its
 //! tick is *opened*, and then drained as a batch. Far-future events
-//! (≥ 4096 ticks out) overflow into an indexed min-heap and migrate into
-//! the wheel as the horizon advances. Push is O(1) for in-window events;
-//! pop is amortized O(1) plus a 64-word bitmap scan to find the next
-//! occupied slot. Its oracle, one global min-heap over all `(time, seq)`
-//! keys, is `graybox_oracles::queue::HeapQueue`; the randomized twin
-//! suite `tests/queue_twin.rs` pops both in lockstep.
+//! (≥ 4096 ticks out) wait in **far epoch buckets**, one per 4096-tick
+//! epoch `time / 4096`, in push order; a bucket moves into the slots in
+//! one pass when the wheel reaches its epoch's first tick. Push is O(1)
+//! for in-window events and O(log E) in the number E of pending far
+//! epochs otherwise; pop is amortized O(1) plus a 64-word bitmap scan to
+//! find the next occupied slot. Its oracle, one global min-heap over all
+//! `(time, seq)` keys, is `graybox_oracles::queue::HeapQueue`; the
+//! randomized twin suite `tests/queue_twin.rs` pops both in lockstep.
 //!
 //! Events are stored as [`PackedEvent`]s (12 bytes of POD); variable-size
 //! client payloads live in a slab owned by the simulation, so a queue
 //! entry is always `Copy` and bucket sorting never moves heap data.
 
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// Number of slots in the wheel's bounded horizon (one virtual tick per
@@ -29,6 +32,9 @@ use std::fmt;
 const SLOTS: usize = 4096;
 const SLOTS_U64: u64 = SLOTS as u64;
 const SLOT_MASK: u64 = SLOTS_U64 - 1;
+/// `time >> EPOCH_SHIFT` is the far epoch of `time`: one epoch per
+/// `SLOTS` ticks, so a whole epoch fits the horizon at once.
+const EPOCH_SHIFT: u32 = SLOTS_U64.trailing_zeros();
 /// Words in the slot-occupancy bitmap.
 const WORDS: usize = SLOTS / 64;
 
@@ -153,7 +159,7 @@ impl Entry {
 }
 
 /// A hand-rolled binary min-heap over `(time, seq)` keys — the overdue
-/// and overflow levels of the wheel.
+/// level of the wheel.
 #[derive(Debug, Default)]
 struct MinHeap {
     items: Vec<Entry>,
@@ -226,14 +232,22 @@ struct WheelNode {
 
 const NIL: u32 = u32::MAX;
 
+/// The entries of one far epoch, in push order, and their earliest time.
+#[derive(Debug)]
+struct FarBucket {
+    min: u64,
+    entries: Vec<Entry>,
+}
+
 /// The production scheduler: a 4096-slot timer wheel with an overdue
-/// min-heap below the horizon and an overflow min-heap above it.
+/// min-heap below the horizon and far epoch buckets above it.
 ///
 /// # Structure
 ///
 /// The wheel covers the bounded horizon `[wheel_time, wheel_time + 4096)`
 /// where `wheel_time` is the time of the slot currently (or most
-/// recently) being drained. Each slot is an intrusive linked list
+/// recently) being drained, or the start of the far epoch most recently
+/// migrated. Each slot is an intrusive linked list
 /// through a shared node pool (no per-slot allocations — a fresh wheel
 /// costs three flat arrays, and slot churn never touches the allocator);
 /// a 4096-bit occupancy bitmap finds the next non-empty slot with a
@@ -241,8 +255,12 @@ const NIL: u32 = u32::MAX;
 /// reusable `open_bucket`, sorted by `seq` once per tick.
 ///
 /// * Pushes inside the horizon append to their slot list: O(1).
-/// * Pushes at or beyond the horizon go to the **overflow** min-heap and
-///   migrate into the wheel before any later slot is opened.
+/// * Pushes at or beyond the horizon go to the **far** bucket of their
+///   epoch `time / 4096`, which keeps them in push order and records
+///   their minimum time. `wheel_time` never advances past the start of
+///   the earliest pending epoch: on reaching it, the whole bucket moves
+///   into the slots in one pass (its times all lie in
+///   `[wheel_time, wheel_time + 4096)` then), before any slot is opened.
 /// * Pushes *behind* `wheel_time` (client events scheduled in the past)
 ///   go to the **overdue** min-heap, which always pops first — its times
 ///   are strictly below every other pending time.
@@ -253,12 +271,15 @@ const NIL: u32 = u32::MAX;
 /// slot this is `seq` order, which batched delivery preserves by sorting
 /// the bucket **once, at open time** — after that, the only inserts a
 /// bucket can receive mid-drain come from `push` with fresh (strictly
-/// larger) `seq` values, which append in order. Overflow migration runs
-/// only while no slot is open, so a migrated entry can never slide into
-/// a bucket whose prefix was already drained. The twin suite
-/// `tests/queue_twin.rs` checks the wheel against the oracle heap
-/// scheduler on randomized workloads including past-time pushes,
-/// same-tick bursts, and multi-lap far timers.
+/// larger) `seq` values, which append in order. Far migration runs only
+/// while no slot is open, and before the slot at the epoch's start can
+/// open, so a migrated entry can never slide into a bucket whose prefix
+/// was already drained; a far entry and a later in-window push at the
+/// same tick meet in one slot list, which opening sorts by `seq`. The
+/// twin suite `tests/queue_twin.rs` checks the wheel against the oracle
+/// heap scheduler on randomized workloads including past-time pushes,
+/// same-tick bursts, and multi-lap far timers, and on hand-built cases
+/// at the horizon and epoch edges.
 pub struct TimerWheel {
     head: Vec<u32>,
     tail: Vec<u32>,
@@ -271,7 +292,12 @@ pub struct TimerWheel {
     open_bucket: Vec<SlotEntry>,
     open_pos: usize,
     overdue: MinHeap,
-    overflow: MinHeap,
+    /// Far epoch buckets keyed by `time >> EPOCH_SHIFT`.
+    far: BTreeMap<u64, FarBucket>,
+    /// Start time of the earliest far epoch.
+    far_start: Option<u64>,
+    /// Cleared entry vectors of migrated epochs, reused by new ones.
+    spare: Vec<Vec<Entry>>,
     len: usize,
 }
 
@@ -287,7 +313,9 @@ impl Default for TimerWheel {
             open_bucket: Vec::new(),
             open_pos: 0,
             overdue: MinHeap::default(),
-            overflow: MinHeap::default(),
+            far: BTreeMap::new(),
+            far_start: None,
+            spare: Vec::new(),
             len: 0,
         }
     }
@@ -300,7 +328,7 @@ impl fmt::Debug for TimerWheel {
             .field("wheel_time", &self.wheel_time)
             .field("open", &(self.open_bucket.len() - self.open_pos))
             .field("overdue", &self.overdue.len())
-            .field("overflow", &self.overflow.len())
+            .field("far_epochs", &self.far.len())
             .finish()
     }
 }
@@ -370,17 +398,33 @@ impl TimerWheel {
         self.open_bucket.sort_unstable_by_key(|entry| entry.seq);
     }
 
-    /// Pulls every overflow entry that now falls inside the horizon into
-    /// its wheel slot. Only called while no slot is open.
-    fn migrate_overflow(&mut self) {
-        while let Some(far) = self.overflow.peek() {
-            debug_assert!(far.time >= self.wheel_time);
-            if far.time - self.wheel_time >= SLOTS_U64 {
-                break;
-            }
-            let far = self.overflow.pop().expect("peeked entry");
-            self.insert_slot(far.time, far.seq, far.event);
+    /// Files a far entry under its epoch.
+    fn push_far(&mut self, entry: Entry) {
+        let epoch = entry.time >> EPOCH_SHIFT;
+        let spare = &mut self.spare;
+        let bucket = self.far.entry(epoch).or_insert_with(|| FarBucket {
+            min: entry.time,
+            entries: spare.pop().unwrap_or_default(),
+        });
+        bucket.min = bucket.min.min(entry.time);
+        bucket.entries.push(entry);
+        let start = epoch << EPOCH_SHIFT;
+        self.far_start = Some(self.far_start.map_or(start, |far| far.min(start)));
+    }
+
+    /// Moves the earliest far epoch, which starts at `wheel_time`, into
+    /// its slots in push order. Only called while no slot is open.
+    fn migrate_far(&mut self) {
+        debug_assert!(!self.is_open() && self.far_start == Some(self.wheel_time));
+        let (_, mut bucket) = self.far.pop_first().expect("a far epoch is pending");
+        for entry in bucket.entries.drain(..) {
+            self.insert_slot(entry.time, entry.seq, entry.event);
         }
+        self.spare.push(bucket.entries);
+        self.far_start = self
+            .far
+            .first_key_value()
+            .map(|(epoch, _)| epoch << EPOCH_SHIFT);
     }
 
     /// Cyclic distance from the `wheel_time` slot to the nearest occupied
@@ -432,7 +476,7 @@ impl EventQueue for TimerWheel {
         } else if time - self.wheel_time < SLOTS_U64 {
             self.insert_slot(time, seq, event);
         } else {
-            self.overflow.push(Entry { time, seq, event });
+            self.push_far(Entry { time, seq, event });
         }
     }
 
@@ -451,8 +495,8 @@ impl EventQueue for TimerWheel {
             return Some((entry.time, entry.seq, entry.event));
         }
         if self.is_open() {
-            // The open bucket is at `wheel_time`; overflow was migrated
-            // before it opened, so nothing pending is earlier.
+            // The open bucket is at `wheel_time`; nothing pending is
+            // earlier (far epochs start after it, see the loop below).
             if self.wheel_time > limit {
                 return None;
             }
@@ -462,65 +506,63 @@ impl EventQueue for TimerWheel {
             return None;
         }
         loop {
-            self.migrate_overflow();
-            if let Some(distance) = self.next_occupied_distance() {
-                let next = self.wheel_time + distance;
-                if next > limit {
+            let next_slot = self
+                .next_occupied_distance()
+                .map(|distance| self.wheel_time + distance)
+                .filter(|&time| self.far_start.is_none_or(|far| time < far));
+            let Some(next) = next_slot else {
+                // The earliest far epoch starts no later than the next
+                // occupied slot: advance to its start (never past it),
+                // move it into the slots, and scan again.
+                let start = self.far_start.expect("len > 0 with nothing pending");
+                if start > limit {
                     return None;
                 }
-                self.wheel_time = next;
-                let slot = slot_of(self.wheel_time);
-                let head = self.head[slot];
-                if self.pool[head as usize].next == NIL {
-                    // Single-entry slot — the common case under sparse
-                    // load: take the node directly, no staging or sort.
-                    let node = self.pool[head as usize];
-                    self.head[slot] = NIL;
-                    self.tail[slot] = NIL;
-                    self.occupied[slot / 64] &= !(1u64 << (slot % 64));
-                    self.pool[head as usize].next = self.free;
-                    self.free = head;
-                    self.len -= 1;
-                    return Some((next, node.seq, node.event));
-                }
-                self.open_slot(slot);
-                return Some(self.take_open());
-            }
-            // Wheel empty: jump the horizon to the earliest far timer and
-            // migrate on the next loop iteration.
-            let far = self
-                .overflow
-                .peek()
-                .expect("len > 0 with empty wheel, overdue, and overflow");
-            if far.time > limit {
+                self.wheel_time = start;
+                self.migrate_far();
+                continue;
+            };
+            if next > limit {
                 return None;
             }
-            self.wheel_time = far.time;
+            self.wheel_time = next;
+            let slot = slot_of(next);
+            let head = self.head[slot];
+            if self.pool[head as usize].next == NIL {
+                // Single-entry slot — the common case under sparse
+                // load: take the node directly, no staging or sort.
+                let node = self.pool[head as usize];
+                self.head[slot] = NIL;
+                self.tail[slot] = NIL;
+                self.occupied[slot / 64] &= !(1u64 << (slot % 64));
+                self.pool[head as usize].next = self.free;
+                self.free = head;
+                self.len -= 1;
+                return Some((next, node.seq, node.event));
+            }
+            self.open_slot(slot);
+            return Some(self.take_open());
         }
     }
 
     fn peek_time(&self) -> Option<u64> {
         // Fast paths: overdue entries are strictly earliest; an open
         // bucket sits exactly at `wheel_time` and nothing pending is
-        // earlier (overflow migrated before it opened, past-time pushes
-        // land in overdue).
+        // earlier (far epochs start after it, past-time pushes land in
+        // overdue).
         if let Some(entry) = self.overdue.peek() {
             return Some(entry.time);
         }
         if self.is_open() {
             return Some(self.wheel_time);
         }
-        let mut best: Option<u64> = None;
-        let mut consider = |time: u64| {
-            best = Some(best.map_or(time, |b| b.min(time)));
-        };
-        if let Some(distance) = self.next_occupied_distance() {
-            consider(self.wheel_time + distance);
-        }
-        if let Some(far) = self.overflow.peek() {
-            consider(far.time);
-        }
-        best
+        let next_slot = self
+            .next_occupied_distance()
+            .map(|distance| self.wheel_time + distance);
+        // Later epochs hold only later times, so the earliest bucket's
+        // minimum is the far level's.
+        let far = self.far.first_key_value().map(|(_, bucket)| bucket.min);
+        next_slot.into_iter().chain(far).min()
     }
 
     fn len(&self) -> usize {

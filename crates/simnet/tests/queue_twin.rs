@@ -10,7 +10,7 @@ use graybox_oracles::queue::HeapQueue;
 use graybox_simnet::{
     Context, EventQueue, Process, SimConfig, SimStats, SimTime, Simulation, StepRecord, TimerTag,
 };
-use twin::{randomized_bounded_workload, randomized_workload, Twin};
+use twin::{randomized_bounded_workload, randomized_far_workload, randomized_workload, Twin};
 
 #[test]
 fn empty_queues_agree() {
@@ -44,9 +44,9 @@ fn far_timers_cross_multiple_laps() {
 }
 
 #[test]
-fn same_tick_entries_split_across_overflow_and_wheel_stay_ordered() {
+fn same_tick_entries_split_across_the_far_level_and_wheel_stay_ordered() {
     let mut twin = Twin::new();
-    // seq 0 lands beyond the horizon (overflow); after the horizon
+    // seq 0 lands beyond the horizon (far epoch 1); after the horizon
     // advances, seq 2 and 3 hit the *same tick* directly in the wheel.
     // Migration must merge seq 0 into that bucket ahead of them.
     twin.push(5000);
@@ -105,6 +105,43 @@ fn bounded_pops_respect_the_limit_and_match_the_heap() {
     twin.push(17);
     assert_eq!(twin.pop_before(16), None);
     assert_eq!(twin.pop_before(17).map(|(t, ..)| t), Some(17));
+}
+
+#[test]
+fn far_pushes_at_the_horizon_and_epoch_edges_match_the_heap() {
+    twin::far_level_horizon_edges();
+}
+
+#[test]
+fn a_saturated_timer_at_u64_max_matches_the_heap() {
+    twin::far_level_saturated_timer();
+}
+
+#[test]
+fn far_pushes_while_a_slot_is_open_match_the_heap() {
+    twin::far_level_pushes_while_a_slot_is_open();
+}
+
+#[test]
+fn a_limit_between_an_epoch_start_and_its_first_entry_pops_nothing() {
+    twin::far_level_limit_inside_an_epoch();
+}
+
+#[test]
+fn peek_time_reads_the_far_level_when_only_far_entries_are_pending() {
+    twin::far_level_peek_with_only_far_entries();
+}
+
+#[test]
+fn far_epochs_with_gaps_between_them_match_the_heap() {
+    twin::far_level_multi_epoch_gaps();
+}
+
+#[test]
+fn randomized_far_workloads_match_the_heap_exactly() {
+    for seed in 200..230u64 {
+        randomized_far_workload(seed);
+    }
 }
 
 #[test]

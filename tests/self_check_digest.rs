@@ -19,7 +19,8 @@
 //! * the n = 2 case of `crates/core/tests/tme_twins.rs` (the IR TME model
 //!   against the oracle DSL model), in full;
 //! * a seeded slice of `crates/simnet/tests/queue_twin.rs` (the timer
-//!   wheel against the heap scheduler);
+//!   wheel against the heap scheduler), and its hand-built far-level
+//!   cases at the horizon and epoch edges and at `u64::MAX`;
 //! * the n = 2 union-CSR digests that `graybox-core`'s
 //!   `n2_union_csr_is_pinned` pins for the rows the fair self-check's
 //!   Tarjan walk builds, recomputed here from the materialized fair
@@ -147,6 +148,19 @@ fn wheel_and_heap_queues_agree_on_a_seed_slice() {
     }
     for seed in 100..105u64 {
         twin::randomized_bounded_workload(seed);
+    }
+}
+
+#[test]
+fn wheel_and_heap_queues_agree_at_the_far_level() {
+    twin::far_level_horizon_edges();
+    twin::far_level_saturated_timer();
+    twin::far_level_pushes_while_a_slot_is_open();
+    twin::far_level_limit_inside_an_epoch();
+    twin::far_level_peek_with_only_far_entries();
+    twin::far_level_multi_epoch_gaps();
+    for seed in 200..205u64 {
+        twin::randomized_far_workload(seed);
     }
 }
 
